@@ -2,7 +2,7 @@
 """The sulmin benchmark: seeded CLI workloads, end to end and layer by layer.
 
 Usage:
-    python3 perfbench/run.py --workload NAME|all --seed N --seconds S --trace 0|1
+    python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 Run from anywhere; the program is imported from ``src/`` of the checkout that
 holds this file.  Per workload it
@@ -15,17 +15,16 @@ holds this file.  Per workload it
    then checks every job's output there, outside the timed region.
 
 With ``--trace 0`` the last line of output is a JSON object with the
-end-to-end metrics; with ``--trace 1`` the worker also runs one traced round
+end-to-end metrics; with ``--trace 1`` the worker also runs one traced pass
 and the JSON carries the per-layer metrics instead.  End-to-end numbers always
 come from the untraced loop.  The lines before it list every job's check and
-every metric by name and unit, one row per workload.
+every metric by name and unit.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import shutil
 import statistics
@@ -39,10 +38,11 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path.insert(0, str(HERE))
 
+import hostspeed  # noqa: E402
 from tracer import LAYER_METRICS  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-SETUP_LAUNCHES = 12
+SETUP_LAUNCHES = 16
 WORKER_TIMEOUT_S = 150
 
 END_TO_END = (
@@ -86,24 +86,25 @@ def launch_imports(root: Path, launches: int) -> List[Tuple[float, float]]:
     return out
 
 
-def timings(samples: List[float], pool: int) -> Tuple[Dict[str, float], str]:
-    """End-to-end timing metrics from each input's mean over the rounds.
-
-    The host's speed switches between spells that differ by up to half and
-    last tens of seconds.  The rounds spread each input over the whole run,
-    and their mean averages the spells it met, where a median would snap to
-    one of them."""
-    means = sorted(statistics.fmean(samples[k::pool]) for k in range(pool))
-    if pool > 10:
-        # highest whole percentile with at least ten inputs beyond it
-        percentile = math.floor(100 * (1 - 10 / pool))
-        tail = means[math.ceil(percentile / 100 * pool) - 1]
-        label = f"p{percentile}"
+def timings(samples: List[float], pool: int, busy: float,
+            scale: float) -> Tuple[Dict[str, float], str]:
+    """End-to-end timing metrics of the job runs ``samples`` (the loop went
+    through a pool of ``pool`` inputs in order) that took ``busy`` seconds in
+    all, scaled by ``scale`` to the reference host speed.  The tail is taken
+    over each input's median run time: a workload whose pool is small runs
+    every input many times, and the slowest single runs would then be the
+    jitter of one or two inputs.  It is the time with exactly ten inputs
+    beyond it, the highest percentile that has at least ten."""
+    per_input = sorted(statistics.median(samples[k::pool]) for k in range(min(pool, len(samples))))
+    inputs = len(per_input)
+    if inputs > 10:
+        tail, label = per_input[-11], f"p{100 * (inputs - 10) / inputs:.2f}"
     else:
-        tail, label = means[-1], "max"
-    return ({"jobs_per_s": pool / sum(means), "job_s.p50": statistics.median(means),
-             "job_s.tail": tail},
-            f"mean of {len(samples) // pool} rounds for each of {pool} inputs; tail = {label}")
+        tail, label = per_input[-1], "max"
+    return ({"jobs_per_s": len(samples) / (busy * scale),
+             "job_s.p50": statistics.median(samples) * scale,
+             "job_s.tail": tail * scale},
+            f"tail = {label} of the medians of {inputs} inputs")
 
 
 def run_workload(name: str, seed: int, seconds: float, trace: bool) -> Dict:
@@ -140,17 +141,18 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> Dict:
     samples = result["samples"]
     outcomes = result["outcomes"]
     attempted = len(samples)
-    failed = sum(o["failed"] for o in outcomes) * result["rounds"]
-    timed, how = timings(samples, len(jobs))
+    failed = sum(outcomes[k % len(jobs)]["failed"] for k in range(attempted))
+    scale = hostspeed.scale(result["kernel"])
+    timed, how = timings(samples, len(jobs), result["busy"], scale)
+    measured, _ = timings(samples, len(jobs), result["busy"], 1.0)
     metrics = {"setup_s": setup_s, **timed, "peak_rss_mb": result["peak_rss_mb"]}
     layers = {}
     if trace:
         layers = dict(result["layers"])
         layers["setup.import_s"] = import_s
         layers["failed_ratio"] = failed / attempted
-        # the traced round against the untraced rounds, both as jobs per second
-        layers["trace.overhead"] = 1.0 - len(jobs) / result["traced_elapsed"] / \
-            (attempted / result["elapsed"])
+        # the traced pass against the first untraced runs of the same jobs
+        layers["trace.overhead"] = 1.0 - sum(samples[:result["traced_jobs"]]) / result["traced_s"]
     return {
         "correct": all(o["check"] is None for o in outcomes),
         "attempted": attempted,
@@ -158,33 +160,32 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> Dict:
         "metrics": metrics,
         "layers": layers,
         "outcomes": outcomes,
-        "notes": f"{attempted} jobs in {result['elapsed']:.2f} s; {how}; failed {failed}/{attempted}"
-                 + (f"; traced round {result['traced_elapsed']:.2f} s, {result['spans']} spans"
+        "notes": f"{attempted} jobs on {len(jobs)} inputs in {result['busy']:.2f} s; {how}; "
+                 f"failed {failed}/{attempted}; host scale {scale:.4f}; unscaled "
+                 + ", ".join(f"{m} {v:.6g}" for m, v in measured.items())
+                 + (f"; traced pass of {result['traced_jobs']} jobs {result['traced_s']:.2f} s, "
+                    f"{result['spans']} spans"
                     if trace else ""),
     }
 
 
-def report(results: Dict[str, Dict], trace: bool) -> None:
-    for name, res in results.items():
-        for o in res["outcomes"]:
-            verdict = "ok" if o["check"] is None else f"WRONG: {o['check']}"
-            status = f"exit {o['exit']}" if o["error"] is None else f"raised {o['error']}"
-            print(f"{name}  {o['file']}  {status}  {verdict}{'  (failed job)' if o['failed'] else ''}")
+def report(name: str, res: Dict, trace: bool) -> None:
+    for o in res["outcomes"]:
+        verdict = "ok" if o["check"] is None else f"WRONG: {o['check']}"
+        status = f"exit {o['exit']}" if o["error"] is None else f"raised {o['error']}"
+        print(f"{name}  {o['file']}  {status}  {verdict}{'  (failed job)' if o['failed'] else ''}")
     print()
-    rows = [(m, u) for m, u in END_TO_END] + (list(PER_LAYER) if trace else [])
+    rows = list(END_TO_END) + (list(PER_LAYER) if trace else [])
     width = max(len(m) for m, _ in rows)
-    wl = max(len(n) for n in results)
     for metric, unit in rows:
-        for name, res in results.items():
-            value = res["metrics"].get(metric, res["layers"].get(metric))
-            print(f"{metric:<{width}}  {name:<{wl}}  {value:>14.6g}  {unit}")
-    for name, res in results.items():
-        print(f"# {name}: {res['notes']}")
+        value = res["metrics"].get(metric, res["layers"].get(metric))
+        print(f"{metric:<{width}}  {name}  {value:>14.6g}  {unit}")
+    print(f"# {name}: {res['notes']}")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=list(WORKLOADS) + ["all"])
+    parser.add_argument("--workload", required=True, choices=list(WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -194,26 +195,20 @@ def main(argv=None) -> int:
         print(f"no sulmin sources under {ROOT / 'src'}", file=sys.stderr)
         return 2
     sys.path.insert(0, str(ROOT / "src"))
-    names = list(WORKLOADS) if args.workload == "all" else [args.workload]
     try:
-        results = {name: run_workload(name, args.seed, args.seconds, bool(args.trace))
-                   for name in names}
+        res = run_workload(args.workload, args.seed, args.seconds, bool(args.trace))
     except HarnessError as exc:
         print(exc, file=sys.stderr)
         return 1
-    report(results, bool(args.trace))
+    report(args.workload, res, bool(args.trace))
 
-    metrics: Dict = {}
-    for name, res in results.items():
-        source = res["layers"] if args.trace else res["metrics"]
-        prefix = "" if len(results) == 1 else f"{name}:"
-        metrics.update({prefix + m: {"value": source[m], "unit": unit}
-                        for m, unit in (PER_LAYER if args.trace else END_TO_END)})
+    source = res["layers"] if args.trace else res["metrics"]
     print(json.dumps({
-        "correct": all(r["correct"] for r in results.values()),
-        "attempted": sum(r["attempted"] for r in results.values()),
-        "failed": sum(r["failed"] for r in results.values()),
-        "metrics": metrics,
+        "correct": res["correct"],
+        "attempted": res["attempted"],
+        "failed": res["failed"],
+        "metrics": {m: {"value": source[m], "unit": unit}
+                    for m, unit in (PER_LAYER if args.trace else END_TO_END)},
     }))
     return 0
 

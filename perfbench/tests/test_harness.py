@@ -17,14 +17,13 @@ import sulmin.cli as cli  # noqa: E402
 import sulmin.graded_algebra as graded_algebra  # noqa: E402
 import workloads  # noqa: E402
 from tracer import Tracer  # noqa: E402
-from worker import check_all, run_rounds  # noqa: E402
+from worker import check_all, run_loop  # noqa: E402
 
 
 @pytest.fixture
 def small_pools(monkeypatch):
     monkeypatch.setattr(workloads, "CERTIFY_PER_SIZE", 1)
-    monkeypatch.setattr(workloads, "HOMOLOGY_PER_SIZE", 2)
-    monkeypatch.setattr(workloads, "MODULE_POOL", 3)
+    monkeypatch.setattr(workloads, "MODULE_SIZES", (20, 40, 60))
     monkeypatch.setattr(workloads, "MODULE_MAX_GENS", 60)
 
 
@@ -32,7 +31,7 @@ def write_jobs(tmp_path, jobs):
     for job in jobs:
         (tmp_path / job.file).write_text(job.text, encoding="utf-8")
     return [cli.RunConfig(command=j.command, input_path=str(tmp_path / j.file),
-                          max_degree=j.max_degree, output_format=j.output_format) for j in jobs]
+                          max_degree=j.max_degree) for j in jobs]
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -44,19 +43,32 @@ def test_a_seed_generates_identical_inputs(name, small_pools):
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_written_inputs_parse_back_to_the_generated_ones(name, small_pools, monkeypatch):
+    from sulmin.dsl import parse
+    made = []
+    for writer in ("algebra_text", "module_text"):
+        original = getattr(workloads, writer)
+
+        def keep(obj, original=original):
+            made.append(obj)
+            return original(obj)
+        monkeypatch.setattr(workloads, writer, keep)
+    jobs = workloads.WORKLOADS[name].build(7)
+    assert len(made) == len(jobs)
+    for obj, job in zip(made, jobs):
+        assert parse(job.text).diff == obj.diff
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_real_outputs_pass_and_corrupted_outputs_fail(name, small_pools, tmp_path):
     jobs = workloads.WORKLOADS[name].build(3)
-    loop = run_rounds(cli, write_jobs(tmp_path, jobs), 0.0, 1)
+    loop = run_loop(cli, write_jobs(tmp_path, jobs), 0.0)
     specs = [j.spec() for j in jobs]
     assert all(o["check"] is None for o in check_all(specs, tmp_path, loop))
 
     def corrupt(out: str) -> str:
         if specs[0]["command"] == "verify":
             return out.replace("identity f g = id: pass", "identity f g = id: FAIL at g0")
-        if specs[0]["command"] == "minimize":
-            return out.replace("W = {", "W = {x3, ", 1)
-        if specs[0]["command"] == "homology":
-            return out.replace("H^0: 1", "H^0: 2")
         first_line, rest = out.split("\n", 1)
         classes = [c for c in first_line[len("H = {"):-1].split(", ") if c]
         return "H = {" + ", ".join(classes[1:] if classes else ["m0"]) + "}\n" + rest
@@ -78,14 +90,25 @@ def test_an_escaped_exception_is_a_failed_job_and_the_run_goes_on(tmp_path):
                 raise RecursionError("maximum recursion depth exceeded")
             return cli.run(config)
 
-    text = "gen v2:2\ngen u3:3\nd u3 = v2^2\n"
-    expected = {"survivor_degrees": [2, 3], "pairs": 0}
-    jobs = [workloads.Job("minimize", name, text, output_format="machine", expected=expected)
-            for name in ("deep.sul", "ok.sul")]
-    loop = run_rounds(Deep, write_jobs(tmp_path, jobs), 0.0, 1)
+    text = "mode module\ngen m0:2\ngen m1:1\nd m1 = m0\n"
+    jobs = [workloads.Job("at-model", name, text) for name in ("deep.sul", "ok.sul")]
+    loop = run_loop(Deep, write_jobs(tmp_path, jobs), 0.0)
     deep, fine = check_all([j.spec() for j in jobs], tmp_path, loop)
     assert deep["error"] == "RecursionError" and deep["failed"]
     assert fine["exit"] == 0 and not fine["failed"]
+
+
+def test_the_tail_is_over_input_medians_and_every_loop_time_is_scaled():
+    import statistics
+    from run import timings
+    # 20 inputs, three passes; input 0 is slow once on its last run
+    samples = [float(k + 1) for _ in range(3) for k in range(20)]
+    samples[40] = 100.0
+    got, how = timings(samples, 20, busy=sum(samples), scale=0.5)
+    assert got["job_s.tail"] == 10.0 * 0.5   # ten input medians above it
+    assert got["job_s.p50"] == statistics.median(samples) * 0.5
+    assert got["jobs_per_s"] == 60 / (sum(samples) * 0.5)
+    assert "p50.00 of the medians of 20 inputs" in how
 
 
 def test_self_times_of_a_traced_job_sum_to_its_root(tmp_path, small_pools):

@@ -238,7 +238,7 @@ class Tracer:
                        self.span_size[k])
 
     def write_spans(self, path: str) -> None:
-        """Tab-separated, gzip-compressed: a traced round has up to a million spans."""
+        """Tab-separated, gzip-compressed: a traced pass has up to a million spans."""
         with gzip.open(path, "wt", encoding="utf-8", compresslevel=1) as fh:
             fh.write("id\tname\tparent\tjob\tstart\tend\tself_s\tsize\n")
             for row in self.spans():
@@ -289,9 +289,9 @@ LAYER_METRICS = (
 )
 
 
-def layer_metrics(jobs: Tracer, checks: Tracer, job_count: int) -> Dict[str, float]:
-    """Per-job values of every ``LAYER_METRICS`` entry: ``jobs`` traced the
-    timed jobs, ``checks`` the correctness checks that ran after them."""
+def layer_metrics(jobs: Tracer, job_count: int, checks: Tracer, check_count: int) -> Dict[str, float]:
+    """Per-job values of every ``LAYER_METRICS`` entry: ``jobs`` traced
+    ``job_count`` jobs, ``checks`` the correctness checks of ``check_count``."""
 
     def total(tracer: Tracer, name: str, key: str) -> float:
         return sum(v[key] for (n, _), v in tracer.by_edge.items() if n == name)
@@ -310,7 +310,8 @@ def layer_metrics(jobs: Tracer, checks: Tracer, job_count: int) -> Dict[str, flo
         elif metric == "morphisms.check_contraction.monomials":
             value = under("graded_algebra.basis_monomials", layer, "monomials")
         elif metric == "homology_oracle.module_homology_dims.self_s":
-            value = total(jobs, layer, key) + total(checks, layer, key)
+            out[metric] = total(jobs, layer, key) / job_count + total(checks, layer, key) / check_count
+            continue
         elif layer.endswith("Evaluator"):
             calls = total(jobs, layer + ".on_monomial", "calls")
             if key == "calls":

@@ -3,10 +3,11 @@
 Usage: worker.py SPEC_JSON (written by run.py).
 
 The loop is closed with one client: each job is one ``sulmin.cli.run`` call on
-one generated file, and the next starts when it returns.  The whole pool runs
-in rounds until the run has lasted the requested seconds.  With tracing on,
-one more round runs under the tracer after the untimed peak-memory reading,
-and the checks run under a second tracer.
+one generated file, and the next starts when it returns.  The pool runs
+over and over, in its seeded order, until the run has lasted the requested
+seconds.  With tracing on, the first ``TRACED_JOBS`` jobs run once more under
+the tracer after the untimed peak-memory reading, and the checks run under a
+second tracer.
 """
 
 from __future__ import annotations
@@ -18,58 +19,62 @@ from pathlib import Path
 from time import perf_counter
 from typing import Dict, List, Optional
 
+from hostspeed import SAMPLE_EVERY_S, kernel_seconds
 from tracer import Tracer, layer_metrics
 from workloads import check_output
 
-# each input's time is the mean of its rounds, which spread it over the run
-MIN_ROUNDS = 3
+# the traced pass runs the first jobs of the seeded order, a random sample
+# of the pool that keeps a traced run within a few tens of seconds
+TRACED_JOBS = 128
 
 
-def run_rounds(cli, configs: List, seconds: float, min_rounds: int,
-               tracer: Optional[Tracer] = None) -> Dict:
-    """Run every job in order, in whole rounds: at least ``min_rounds``, and
-    more while another round still ends within ``seconds``.  Outputs of the
-    first round are kept for the checks; a later round whose output differs
-    marks the job as not deterministic."""
+def run_loop(cli, configs: List, seconds: float, tracer: Optional[Tracer] = None) -> Dict:
+    """Run the jobs in order, starting over at the end of the pool, until
+    ``seconds`` have passed; with ``seconds`` 0, run each job once.  Outputs
+    of each job's first run are kept for the checks; a later run whose
+    output differs marks the job as not deterministic.  Between jobs the
+    reference kernel is timed every ``SAMPLE_EVERY_S`` seconds; ``busy`` is
+    the loop's wall time without it."""
     samples: List[float] = []
+    kernel: List[float] = []
     first: List = [None] * len(configs)
     differs = [False] * len(configs)
-    rounds = 0
-    start = round_start = perf_counter()
-    while True:
-        for k, config in enumerate(configs):
-            if tracer is not None:
-                tracer.job = rounds * len(configs) + k
-            t0 = perf_counter()
-            try:
-                code, out, _ = cli.run(config)
-                error = None
-            except Exception as exc:  # a job that raises is a failed job; the run goes on
-                code, out, error = None, "", type(exc).__name__
-            samples.append(perf_counter() - t0)
-            if rounds == 0:
-                first[k] = (code, out, error)
-            elif first[k] != (code, out, error):
-                differs[k] = True
-        rounds += 1
-        now = perf_counter()
-        if rounds >= min_rounds and (now - start) + (now - round_start) > seconds:
-            break
-        round_start = now
-    return {"samples": samples, "elapsed": perf_counter() - start, "rounds": rounds,
-            "first": first, "differs": differs}
+    start = last_kernel = perf_counter()
+    kernel.append(kernel_seconds())
+    while perf_counter() - start < seconds if seconds else len(samples) < len(configs):
+        if perf_counter() - last_kernel >= SAMPLE_EVERY_S:
+            last_kernel = perf_counter()
+            kernel.append(kernel_seconds())
+        k = len(samples) % len(configs)
+        if tracer is not None:
+            tracer.job = len(samples)
+        t0 = perf_counter()
+        try:
+            code, out, _ = cli.run(configs[k])
+            error = None
+        except Exception as exc:  # a job that raises is a failed job; the run goes on
+            code, out, error = None, "", type(exc).__name__
+        samples.append(perf_counter() - t0)
+        if len(samples) <= len(configs):
+            first[k] = (code, out, error)
+        elif first[k] != (code, out, error):
+            differs[k] = True
+    return {"samples": samples, "kernel": kernel,
+            "busy": perf_counter() - start - sum(kernel), "first": first, "differs": differs}
 
 
 def check_all(jobs: List[Dict], run_dir: Path, loop: Dict) -> List[Dict]:
+    """The outcome of every job that ran: the jobs of the pool up to the
+    last one the loop reached."""
     outcomes = []
-    for k, job in enumerate(jobs):
+    for k, job in enumerate(jobs[:len(loop["samples"])]):
         code, out, error = loop["first"][k]
         if error is not None:
             reason = f"raised {error}"
         else:
             reason = check_output(job, (run_dir / job["file"]).read_text(encoding="utf-8"), code, out)
         if reason is None and loop["differs"][k]:
-            reason = "output differs between rounds"
+            reason = "output differs between runs"
         outcomes.append({"file": job["file"], "exit": code, "error": error, "check": reason,
                          "failed": reason is not None or code != 0})
     return outcomes
@@ -87,17 +92,17 @@ def main(spec_path: str) -> int:
     run_dir = Path(spec["run_dir"])
     jobs = spec["jobs"]
     configs = [cli.RunConfig(command=j["command"], input_path=str(run_dir / j["file"]),
-                             max_degree=j["max_degree"], output_format=j["output_format"])
+                             max_degree=j["max_degree"])
                for j in jobs]
 
-    loop = run_rounds(cli, configs, spec["seconds"], MIN_ROUNDS)
-    result = {"samples": loop["samples"], "elapsed": loop["elapsed"], "rounds": loop["rounds"],
+    loop = run_loop(cli, configs, spec["seconds"])
+    result = {"samples": loop["samples"], "kernel": loop["kernel"], "busy": loop["busy"],
               "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
     if spec["trace"]:
         tracer = Tracer()
         tracer.install()
         try:
-            traced = run_rounds(cli, configs, 0.0, 1, tracer)
+            traced = run_loop(cli, configs[:min(TRACED_JOBS, len(loop["samples"]))], 0.0, tracer)
         finally:
             tracer.uninstall()
         for k, output in enumerate(traced["first"]):
@@ -110,9 +115,10 @@ def main(spec_path: str) -> int:
         finally:
             checker.uninstall()
         tracer.write_spans(spec["spans"])
-        result["traced_elapsed"] = traced["elapsed"]
+        result["traced_s"] = sum(traced["samples"])
         result["spans"] = len(tracer.span_id)
-        result["layers"] = layer_metrics(tracer, checker, len(configs))
+        result["traced_jobs"] = len(traced["samples"])
+        result["layers"] = layer_metrics(tracer, len(traced["samples"]), checker, len(configs))
     else:
         outcomes = check_all(jobs, run_dir, loop)
     result["outcomes"] = outcomes
