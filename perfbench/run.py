@@ -12,7 +12,9 @@ holds this file.  Per workload it
 2. times fresh interpreter launches of ``import sulmin.cli`` (``setup_s``),
    under ``-X importtime`` for the import's own share;
 3. runs the pool in a fresh interpreter (``worker.py``) for the given seconds,
-   then checks every job's output there, outside the timed region.
+   and at least once through, then checks every job's output there, outside
+   the timed region.  ``attempted`` and ``failed`` in the JSON count the
+   pool's jobs, so a seed fixes them.
 
 With ``--trace 0`` the last line of output is a JSON object with the
 end-to-end metrics; with ``--trace 1`` the worker also runs one traced pass
@@ -86,24 +88,22 @@ def launch_imports(root: Path, launches: int) -> List[Tuple[float, float]]:
     return out
 
 
-def timings(samples: List[float], pool: int, busy: float,
-            scale: float) -> Tuple[Dict[str, float], str]:
+def timings(samples: List[float], pool: int) -> Tuple[Dict[str, float], str]:
     """End-to-end timing metrics of the job runs ``samples`` (the loop went
-    through a pool of ``pool`` inputs in order) that took ``busy`` seconds in
-    all, scaled by ``scale`` to the reference host speed.  The tail is taken
-    over each input's median run time: a workload whose pool is small runs
-    every input many times, and the slowest single runs would then be the
-    jitter of one or two inputs.  It is the time with exactly ten inputs
-    beyond it, the highest percentile that has at least ten."""
+    through a pool of ``pool`` inputs in order).  The tail is taken over each
+    input's median run time: a workload whose pool is small runs every input
+    many times, and the slowest single runs would then be the jitter of one
+    or two inputs.  It is the time with exactly ten inputs beyond it, the
+    highest percentile that has at least ten."""
     per_input = sorted(statistics.median(samples[k::pool]) for k in range(min(pool, len(samples))))
     inputs = len(per_input)
     if inputs > 10:
         tail, label = per_input[-11], f"p{100 * (inputs - 10) / inputs:.2f}"
     else:
         tail, label = per_input[-1], "max"
-    return ({"jobs_per_s": len(samples) / (busy * scale),
-             "job_s.p50": statistics.median(samples) * scale,
-             "job_s.tail": tail * scale},
+    return ({"jobs_per_s": len(samples) / sum(samples),
+             "job_s.p50": statistics.median(samples),
+             "job_s.tail": tail},
             f"tail = {label} of the medians of {inputs} inputs")
 
 
@@ -140,19 +140,25 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> Dict:
 
     samples = result["samples"]
     outcomes = result["outcomes"]
-    attempted = len(samples)
-    failed = sum(outcomes[k % len(jobs)]["failed"] for k in range(attempted))
-    scale = hostspeed.scale(result["kernel"])
-    timed, how = timings(samples, len(jobs), result["busy"], scale)
-    measured, _ = timings(samples, len(jobs), result["busy"], 1.0)
+    # every job of the pool ran at least once, so both counts are fixed by
+    # the seed and do not depend on how many runs fitted in the time
+    attempted = len(outcomes)
+    failed = sum(o["failed"] for o in outcomes)
+    at_reference = hostspeed.scaled(samples, result["kernel"])
+    timed, how = timings(at_reference, len(jobs))
+    measured, _ = timings(samples, len(jobs))
     metrics = {"setup_s": setup_s, **timed, "peak_rss_mb": result["peak_rss_mb"]}
     layers = {}
     if trace:
         layers = dict(result["layers"])
         layers["setup.import_s"] = import_s
         layers["failed_ratio"] = failed / attempted
-        # the traced pass against the first untraced runs of the same jobs
-        layers["trace.overhead"] = 1.0 - sum(samples[:result["traced_jobs"]]) / result["traced_s"]
+        # the traced pass against the untraced runs of the same jobs, both at
+        # the reference speed, each untraced job at the median of its runs
+        untraced = sum(statistics.median(at_reference[k::len(jobs)])
+                       for k in range(result["traced_jobs"]))
+        traced = sum(hostspeed.scaled(result["traced_samples"], result["traced_kernel"]))
+        layers["trace.overhead"] = 1.0 - untraced / traced
     return {
         "correct": all(o["check"] is None for o in outcomes),
         "attempted": attempted,
@@ -160,10 +166,10 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> Dict:
         "metrics": metrics,
         "layers": layers,
         "outcomes": outcomes,
-        "notes": f"{attempted} jobs on {len(jobs)} inputs in {result['busy']:.2f} s; {how}; "
-                 f"failed {failed}/{attempted}; host scale {scale:.4f}; unscaled "
+        "notes": f"{len(samples)} job runs on {len(jobs)} inputs in {sum(samples):.2f} s; "
+                 f"{how}; failed {failed}/{attempted} inputs; unscaled "
                  + ", ".join(f"{m} {v:.6g}" for m, v in measured.items())
-                 + (f"; traced pass of {result['traced_jobs']} jobs {result['traced_s']:.2f} s, "
+                 + (f"; traced pass of {result['traced_jobs']} jobs {sum(result['traced_samples']):.2f} s, "
                     f"{result['spans']} spans"
                     if trace else ""),
     }

@@ -98,17 +98,33 @@ def test_an_escaped_exception_is_a_failed_job_and_the_run_goes_on(tmp_path):
     assert fine["exit"] == 0 and not fine["failed"]
 
 
-def test_the_tail_is_over_input_medians_and_every_loop_time_is_scaled():
+def test_a_run_shorter_than_the_pool_still_runs_every_job(small_pools, tmp_path):
+    jobs = workloads.build_modules(3)
+    loop = run_loop(cli, write_jobs(tmp_path, jobs), 1e-9)
+    assert len(loop["samples"]) == len(jobs)
+    outcomes = check_all([j.spec() for j in jobs], tmp_path, loop)
+    assert [o["file"] for o in outcomes] == [j.file for j in jobs]
+    assert not any(o["failed"] for o in outcomes)
+
+
+def test_the_tail_is_over_input_medians():
     import statistics
     from run import timings
     # 20 inputs, three passes; input 0 is slow once on its last run
     samples = [float(k + 1) for _ in range(3) for k in range(20)]
     samples[40] = 100.0
-    got, how = timings(samples, 20, busy=sum(samples), scale=0.5)
-    assert got["job_s.tail"] == 10.0 * 0.5   # ten input medians above it
-    assert got["job_s.p50"] == statistics.median(samples) * 0.5
-    assert got["jobs_per_s"] == 60 / (sum(samples) * 0.5)
+    got, how = timings(samples, 20)
+    assert got["job_s.tail"] == 10.0   # ten input medians above it
+    assert got["job_s.p50"] == statistics.median(samples)
+    assert got["jobs_per_s"] == 60 / sum(samples)
     assert "p50.00 of the medians of 20 inputs" in how
+
+
+def test_each_job_time_is_scaled_by_the_kernel_readings_around_it():
+    import hostspeed
+    ref = hostspeed.REFERENCE_S
+    kernel = [ref, ref, 2 * ref, 4 * ref]
+    assert hostspeed.scaled([1.0, 3.0, 6.0], kernel) == [1.0, 2.0, 2.0]
 
 
 def test_self_times_of_a_traced_job_sum_to_its_root(tmp_path, small_pools):

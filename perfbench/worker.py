@@ -5,9 +5,9 @@ Usage: worker.py SPEC_JSON (written by run.py).
 The loop is closed with one client: each job is one ``sulmin.cli.run`` call on
 one generated file, and the next starts when it returns.  The pool runs
 over and over, in its seeded order, until the run has lasted the requested
-seconds.  With tracing on, the first ``TRACED_JOBS`` jobs run once more under
-the tracer after the untimed peak-memory reading, and the checks run under a
-second tracer.
+seconds and every job has run at least once.  With tracing on, the first
+``TRACED_JOBS`` jobs run once more under the tracer after the untimed
+peak-memory reading, and the checks run under a second tracer.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Dict, List, Optional
 
-from hostspeed import SAMPLE_EVERY_S, kernel_seconds
+from hostspeed import kernel_seconds
 from tracer import Tracer, layer_metrics
 from workloads import check_output
 
@@ -30,21 +30,17 @@ TRACED_JOBS = 128
 
 def run_loop(cli, configs: List, seconds: float, tracer: Optional[Tracer] = None) -> Dict:
     """Run the jobs in order, starting over at the end of the pool, until
-    ``seconds`` have passed; with ``seconds`` 0, run each job once.  Outputs
-    of each job's first run are kept for the checks; a later run whose
-    output differs marks the job as not deterministic.  Between jobs the
-    reference kernel is timed every ``SAMPLE_EVERY_S`` seconds; ``busy`` is
-    the loop's wall time without it."""
+    ``seconds`` have passed and every job has run at least once; with
+    ``seconds`` 0, run each job once.  Outputs of each job's first run are
+    kept for the checks; a later run whose output differs marks the job as
+    not deterministic.  The reference kernel is timed before the first job
+    and after every job, outside the job's sample."""
     samples: List[float] = []
-    kernel: List[float] = []
+    kernel = [kernel_seconds()]
     first: List = [None] * len(configs)
     differs = [False] * len(configs)
-    start = last_kernel = perf_counter()
-    kernel.append(kernel_seconds())
-    while perf_counter() - start < seconds if seconds else len(samples) < len(configs):
-        if perf_counter() - last_kernel >= SAMPLE_EVERY_S:
-            last_kernel = perf_counter()
-            kernel.append(kernel_seconds())
+    start = perf_counter()
+    while len(samples) < len(configs) or perf_counter() - start < seconds:
         k = len(samples) % len(configs)
         if tracer is not None:
             tracer.job = len(samples)
@@ -55,19 +51,18 @@ def run_loop(cli, configs: List, seconds: float, tracer: Optional[Tracer] = None
         except Exception as exc:  # a job that raises is a failed job; the run goes on
             code, out, error = None, "", type(exc).__name__
         samples.append(perf_counter() - t0)
+        kernel.append(kernel_seconds())
         if len(samples) <= len(configs):
             first[k] = (code, out, error)
         elif first[k] != (code, out, error):
             differs[k] = True
-    return {"samples": samples, "kernel": kernel,
-            "busy": perf_counter() - start - sum(kernel), "first": first, "differs": differs}
+    return {"samples": samples, "kernel": kernel, "first": first, "differs": differs}
 
 
 def check_all(jobs: List[Dict], run_dir: Path, loop: Dict) -> List[Dict]:
-    """The outcome of every job that ran: the jobs of the pool up to the
-    last one the loop reached."""
+    """The outcome of every job of the pool."""
     outcomes = []
-    for k, job in enumerate(jobs[:len(loop["samples"])]):
+    for k, job in enumerate(jobs):
         code, out, error = loop["first"][k]
         if error is not None:
             reason = f"raised {error}"
@@ -96,13 +91,13 @@ def main(spec_path: str) -> int:
                for j in jobs]
 
     loop = run_loop(cli, configs, spec["seconds"])
-    result = {"samples": loop["samples"], "kernel": loop["kernel"], "busy": loop["busy"],
+    result = {"samples": loop["samples"], "kernel": loop["kernel"],
               "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
     if spec["trace"]:
         tracer = Tracer()
         tracer.install()
         try:
-            traced = run_loop(cli, configs[:min(TRACED_JOBS, len(loop["samples"]))], 0.0, tracer)
+            traced = run_loop(cli, configs[:TRACED_JOBS], 0.0, tracer)
         finally:
             tracer.uninstall()
         for k, output in enumerate(traced["first"]):
@@ -115,7 +110,8 @@ def main(spec_path: str) -> int:
         finally:
             checker.uninstall()
         tracer.write_spans(spec["spans"])
-        result["traced_s"] = sum(traced["samples"])
+        result["traced_samples"] = traced["samples"]
+        result["traced_kernel"] = traced["kernel"]
         result["spans"] = len(tracer.span_id)
         result["traced_jobs"] = len(traced["samples"])
         result["layers"] = layer_metrics(tracer, len(traced["samples"]), checker, len(configs))

@@ -152,9 +152,10 @@ def sized_algebra(sub: int, n: int, max_gens: int, gen_degree: int, cap: int, ma
 # -- certify-random ----------------------------------------------------------------
 
 CERTIFY_SIZES = tuple(range(4, 13))   # max_gens=12 draws n uniformly from these
-# 810 inputs: about as many as a run reaches, so that the run covers the
-# whole pool, with little repetition
-CERTIFY_PER_SIZE = 90
+# 450 inputs: one pass takes about 60% of a 45 s run on a 2-vCPU host, so a
+# run covers the whole pool with time to spare, and a seed fixes how many of
+# its jobs fail
+CERTIFY_PER_SIZE = 50
 CERTIFY_OVERSAMPLE = 2
 CERTIFY_CAP = 8
 # Size bound of the family: basis monomials through the cap.  It keeps 92%
