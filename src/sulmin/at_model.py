@@ -148,9 +148,9 @@ def compute_at_model(M: DGModule) -> ATModel:
             g.pop(j, None)
             pairs.append((i, j))
             for m in range(i):
-                lam = f[m].get(j, _ZERO) / alpha
-                if not lam:
+                if j not in f[m]:
                     continue
+                lam = f[m][j] / alpha
                 f[m] = lin_sub(f[m], lin_scale(a, lam))
                 phi[m] = lin_add(phi[m], lin_scale(b, lam))
 

@@ -52,6 +52,8 @@ def run(config: RunConfig) -> Tuple[int, str, str]:
         parsed = parse(text)
     except DslError as exc:
         return EXIT_USER, "", f"{config.input_path}: {exc}\n"
+    except RecursionError:
+        return EXIT_USER, "", f"{config.input_path}: input nests too deeply to parse\n"
 
     try:
         if config.command == "validate":
@@ -70,6 +72,9 @@ def run(config: RunConfig) -> Tuple[int, str, str]:
         return EXIT_INTERNAL, "", f"internal invariant breach: {exc}\n"
     except NotClosedError as exc:
         return EXIT_USER, "", f"{config.input_path}: {exc}\n"
+    except RecursionError:
+        # the evaluators recurse once per factor of a monomial
+        return EXIT_USER, "", f"{config.input_path}: input exceeds the evaluator's word depth\n"
     return EXIT_USER, "", f"unknown command {config.command!r}\n"
 
 

@@ -51,6 +51,24 @@ class DGAlgebra:
         return self.diff.get(index, {})
 
 
+def linear_extension(evaluator, x: Elem) -> Elem:
+    """Linear extension of ``evaluator.on_monomial`` to the element ``x``.
+
+    Each evaluator class binds this as its own ``on_element``.  A one-term
+    element returns the scaled monomial image directly, which is the cached
+    image itself when the coefficient is 1.
+    """
+    if len(x) == 1:
+        ((m, c),) = x.items()
+        return elem_scale(evaluator.on_monomial(m), c)
+    out: Elem = {}
+    for m, c in x.items():
+        img = evaluator.on_monomial(m)
+        if img:
+            out = elem_add(out, elem_scale(img, c))
+    return out
+
+
 class DiffEvaluator:
     """Derivation extension of a generator-indexed derivative table.
 
@@ -82,13 +100,7 @@ class DiffEvaluator:
         self._cache[m] = out
         return out
 
-    def on_element(self, x: Elem) -> Elem:
-        out: Elem = {}
-        for m, c in x.items():
-            img = self.on_monomial(m)
-            if img:
-                out = elem_add(out, elem_scale(img, c))
-        return out
+    on_element = linear_extension
 
 
 def apply_d(dga: DGAlgebra, x: Elem) -> Elem:

@@ -21,7 +21,6 @@ Elem = Dict[Mono, Fraction]
 
 ONE_MONO: Mono = ()
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -55,6 +54,7 @@ class Signature:
                 raise SignatureError(f"duplicate generator name {g.name!r}")
             names.add(g.name)
         self.generators = gens
+        self.odd = tuple(g.degree % 2 for g in gens)
         self._by_name = {g.name: g for g in gens}
 
     @classmethod
@@ -131,31 +131,36 @@ def mono_mul(sig: Signature, a: Mono, b: Mono) -> Tuple[int, Optional[Mono]]:
         return 1, b
     if not b:
         return 1, a
-    degs = sig.generators
-    # odd_suffix[k] = number of odd factors of a at positions >= k
-    odd_suffix = [0] * (len(a) + 1)
-    for k in range(len(a) - 1, -1, -1):
-        odd_suffix[k] = odd_suffix[k + 1] + (degs[a[k][0]].degree % 2)
+    odd = sig.odd
+    # each odd factor of a that lands after an odd factor of b transposes
+    # past it, so the sign flips with the odd factors of b merged so far
     out: List[Tuple[int, int]] = []
     sign = 1
+    odd_b = 0
     ai = bi = 0
-    while ai < len(a) and bi < len(b):
+    la, lb = len(a), len(b)
+    while ai < la and bi < lb:
         ia, ea = a[ai]
         ib, eb = b[bi]
         if ia < ib:
+            if odd_b and odd[ia]:
+                sign = -sign
             out.append((ia, ea))
             ai += 1
         elif ia > ib:
-            if degs[ib].degree % 2 and odd_suffix[ai] % 2:
-                sign = -sign
+            odd_b ^= odd[ib]
             out.append((ib, eb))
             bi += 1
         else:
-            if degs[ia].degree % 2:
+            if odd[ia]:
                 return 0, None
             out.append((ia, ea + eb))
             ai += 1
             bi += 1
+    if odd_b:
+        for k in range(ai, la):
+            if odd[a[k][0]]:
+                sign = -sign
     out.extend(a[ai:])
     out.extend(b[bi:])
     return sign, tuple(out)
@@ -199,6 +204,10 @@ def elem_neg(x: Elem) -> Elem:
     return {m: -c for m, c in x.items()}
 
 def elem_scale(x: Elem, c) -> Elem:
+    """``c * x``; scaling by 1 returns ``x`` itself, which is safe only
+    because elements are never mutated (see the module docstring)."""
+    if c == 1:
+        return x
     c = Fraction(c)
     if not c:
         return {}
@@ -207,37 +216,50 @@ def elem_scale(x: Elem, c) -> Elem:
 def elem_add(x: Elem, y: Elem) -> Elem:
     out = dict(x)
     for m, c in y.items():
-        s = out.get(m, _ZERO) + c
+        old = out.get(m)
+        if old is None:  # a new term keeps its coefficient; no 0 + c
+            out[m] = c
+            continue
+        s = old + c
         if s:
             out[m] = s
-        elif m in out:
+        else:
             del out[m]
     return out
 
 def elem_sub(x: Elem, y: Elem) -> Elem:
     out = dict(x)
     for m, c in y.items():
-        s = out.get(m, _ZERO) - c
+        old = out.get(m)
+        if old is None:
+            out[m] = -c
+            continue
+        s = old - c
         if s:
             out[m] = s
-        elif m in out:
+        else:
             del out[m]
     return out
 
 def elem_mul(sig: Signature, x: Elem, y: Elem) -> Elem:
     out: Elem = {}
     for ma, ca in x.items():
+        unit = ca == 1  # the generator factor of every gen * tail product
         for mb, cb in y.items():
             sign, m = mono_mul(sig, ma, mb)
             if m is None:
                 continue
-            c = ca * cb
+            c = cb if unit else ca * cb
             if sign < 0:
                 c = -c
-            s = out.get(m, _ZERO) + c
+            old = out.get(m)
+            if old is None:
+                out[m] = c
+                continue
+            s = old + c
             if s:
                 out[m] = s
-            elif m in out:
+            else:
                 del out[m]
     return out
 
@@ -250,6 +272,8 @@ def elem_pow(sig: Signature, x: Elem, e: int) -> Elem:
     return acc
 
 def mono_elem(m: Mono, c=_ONE) -> Elem:
+    if c is _ONE:
+        return {m: _ONE}
     c = Fraction(c)
     return {m: c} if c else {}
 

@@ -5,12 +5,18 @@ by degree, expand the differential of each basis monomial into the next
 degree, and read off dim H^p = dim ker d^p - rank d^{p-1} from exact column
 elimination.  Used to cross-check that a minimization run preserves
 cohomology, and to validate module contractions.
+
+The ranks come from ``rank_of_columns``, a fraction-free integer elimination
+that builds no kernel.  ``column_reduce`` is the separate rational
+elimination that also returns kernel combinations; the sweep's chain
+correction and the random input generators use it, the oracle does not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .at_model import DGModule
@@ -59,7 +65,40 @@ def column_reduce(columns: Sequence[SparseVec]) -> Tuple[int, List[Dict[int, Fra
 
 
 def rank_of_columns(columns: Sequence[SparseVec]) -> int:
-    return column_reduce(columns)[0]
+    """Rank of sparse rational columns by fraction-free integer elimination.
+
+    Each column is scaled to integers by the lcm of its denominators and
+    reduced by cross-multiplication against the stored pivot columns; a
+    stored pivot is divided by the gcd of its entries.  Only ``int``
+    arithmetic, and no kernel combinations are built.
+    """
+    pivots: Dict[int, Dict[int, int]] = {}
+    for col in columns:
+        den = 1
+        for c in col.values():
+            den = lcm(den, c.denominator)
+        vec = {r: c.numerator * (den // c.denominator) for r, c in col.items() if c}
+        while vec:
+            lead = min(vec)
+            pvec = pivots.get(lead)
+            if pvec is None:
+                content = gcd(*vec.values())
+                pivots[lead] = {r: c // content for r, c in vec.items()}
+                break
+            p, v = pvec[lead], vec[lead]
+            common = gcd(p, v)
+            p //= common
+            v //= common
+            # p * vec - v * pvec clears the lead entry
+            out = {r: p * c for r, c in vec.items()}
+            for r, c in pvec.items():
+                s = out.get(r, 0) - v * c
+                if s:
+                    out[r] = s
+                else:
+                    del out[r]
+            vec = out
+    return len(pivots)
 
 
 class NotClosedError(ValueError):

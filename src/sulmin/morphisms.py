@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .differential import DGAlgebra, DiffEvaluator
+from .differential import DGAlgebra, DiffEvaluator, linear_extension
 from .graded_algebra import (
     Elem,
     Mono,
@@ -93,13 +93,7 @@ class MapEvaluator:
         self._cache[m] = out
         return out
 
-    def on_element(self, x: Elem) -> Elem:
-        out: Elem = {}
-        for m, c in x.items():
-            img = self.on_monomial(m)
-            if img:
-                out = elem_add(out, elem_scale(img, c))
-        return out
+    on_element = linear_extension
 
 
 class HomotopyEvaluator:
@@ -138,13 +132,7 @@ class HomotopyEvaluator:
         self._cache[m] = out
         return out
 
-    def on_element(self, x: Elem) -> Elem:
-        out: Elem = {}
-        for m, c in x.items():
-            img = self.on_monomial(m)
-            if img:
-                out = elem_add(out, elem_scale(img, c))
-        return out
+    on_element = linear_extension
 
 
 def apply_multiplicative(gmap: GeneratorMap, x: Elem) -> Elem:

@@ -106,6 +106,24 @@ def test_verify_reports_homotopy_extension_limit_on_even_ladder():
     assert "cohomology match (degree <= 10): pass" in out
 
 
+def test_word_deeper_than_the_evaluator_exits_two(tmp_path):
+    # d u = v2^2000 needs a 2000-factor word, past the recursion limit of the
+    # evaluators; the contract wants exit 2 with a diagnostic, not a traceback
+    src = tmp_path / "deep.sul"
+    src.write_text("gen v2:2\ngen u3999:3999\nd u3999 = v2^2000\n")
+    code, out, err = invoke("minimize", src)
+    assert (code, out) == (2, "")
+    assert err == f"{src}: input exceeds the evaluator's word depth\n"
+
+
+def test_parentheses_deeper_than_the_parser_exit_two(tmp_path):
+    src = tmp_path / "parens.sul"
+    src.write_text("gen v2:2\ngen u3:3\nd u3 = " + "(" * 3000 + "v2" + ")" * 3000 + "*v2\n")
+    code, out, err = invoke("validate", src)
+    assert (code, out) == (2, "")
+    assert err == f"{src}: input nests too deeply to parse\n"
+
+
 def test_max_degree_must_be_positive():
     code, _, err = invoke("homology", EXAMPLE_FILES["ex1"], max_degree=0)
     assert code == 2 and "max-degree" in err

@@ -190,3 +190,132 @@ def test_basis_monomials_distinct_and_homogeneous():
         for m in basis:
             assert mono_degree(SIG, m) == p
             assert elem_is_homogeneous(SIG, {m: Fraction(1)})
+
+
+# -- the unit-coefficient fast paths against the plain definitions ----------
+
+MIXED = Signature.from_pairs(
+    [("a1", 1), ("v2", 2), ("b3", 3), ("w2", 2), ("c1", 1), ("x4", 4), ("e5", 5)])
+
+
+def _ref_mono_mul(sig, a, b):
+    """Merge with the sign counted from the odd factors of ``a`` not yet merged."""
+    if not a:
+        return 1, b
+    if not b:
+        return 1, a
+    odd_suffix = [0] * (len(a) + 1)
+    for k in range(len(a) - 1, -1, -1):
+        odd_suffix[k] = odd_suffix[k + 1] + sig.degree(a[k][0]) % 2
+    out, sign, ai, bi = [], 1, 0, 0
+    while ai < len(a) and bi < len(b):
+        (ia, ea), (ib, eb) = a[ai], b[bi]
+        if ia < ib:
+            out.append((ia, ea))
+            ai += 1
+        elif ia > ib:
+            if sig.degree(ib) % 2 and odd_suffix[ai] % 2:
+                sign = -sign
+            out.append((ib, eb))
+            bi += 1
+        else:
+            if sig.degree(ia) % 2:
+                return 0, None
+            out.append((ia, ea + eb))
+            ai += 1
+            bi += 1
+    return sign, tuple(out + list(a[ai:]) + list(b[bi:]))
+
+
+def _ref_elem_scale(x, c):
+    c = Fraction(c)
+    return {m: c * v for m, v in x.items()} if c else {}
+
+
+def _ref_elem_add(x, y, sign=1):
+    out = dict(x)
+    for m, c in y.items():
+        s = out.get(m, Fraction(0)) + sign * c
+        if s:
+            out[m] = s
+        elif m in out:
+            del out[m]
+    return out
+
+
+def _ref_elem_mul(sig, x, y):
+    out = {}
+    for ma, ca in x.items():
+        for mb, cb in y.items():
+            sign, m = _ref_mono_mul(sig, ma, mb)
+            if m is None:
+                continue
+            c = ca * cb if sign > 0 else -(ca * cb)
+            s = out.get(m, Fraction(0)) + c
+            if s:
+                out[m] = s
+            elif m in out:
+                del out[m]
+    return out
+
+
+def _random_mono(rng, sig):
+    mono = []
+    for g in sig.generators:
+        if rng.random() < 0.4:
+            mono.append((g.index, 1 if g.is_odd else rng.randint(1, 3)))
+    return tuple(mono)
+
+
+def _random_elem(rng, sig):
+    coeffs = [Fraction(1), Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(-5, 2)]
+    out = {}
+    for _ in range(rng.randint(0, 4)):
+        out[_random_mono(rng, sig)] = rng.choice(coeffs)
+    return out
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=200, deadline=None)
+def test_kernel_fast_paths_match_plain_definitions(seed):
+    rng = random.Random(seed)
+    a, b = _random_mono(rng, MIXED), _random_mono(rng, MIXED)
+    assert mono_mul(MIXED, a, b) == _ref_mono_mul(MIXED, a, b)
+    x, y = _random_elem(rng, MIXED), _random_elem(rng, MIXED)
+    if rng.random() < 0.5:
+        x = {_random_mono(rng, MIXED): Fraction(1)}  # the unit left factor of gen * tail
+    product = elem_mul(MIXED, x, y)
+    # same terms in the same order, so anything printed from it is unchanged
+    assert list(product.items()) == list(_ref_elem_mul(MIXED, x, y).items())
+    assert all(type(c) is Fraction for c in product.values())
+    # sums that cancel, and sums that add fresh terms
+    y = {**y, **{m: -c for m, c in list(x.items())[:2]}}
+    assert list(elem_add(x, y).items()) == list(_ref_elem_add(x, y).items())
+    assert list(elem_sub(x, y).items()) == list(_ref_elem_add(x, y, -1).items())
+    for c in (1, Fraction(1), Fraction(-1), 0, Fraction(3, 4)):
+        assert list(elem_scale(x, c).items()) == list(_ref_elem_scale(x, c).items())
+    assert elem_scale(x, 1) is x
+
+
+def test_mono_mul_sign_and_odd_square_cases():
+    a1, v2, b3, w2, c1 = ((0, 1),), ((1, 1),), ((2, 1),), ((3, 1),), ((4, 1),)
+    cases = [
+        ((*a1, *b3), (*v2, *c1)),   # only the even v2 moves: sign +1
+        ((*b3, *c1), a1),           # a1 passes c1 and b3: sign +1
+        ((*b3, *w2), (*a1, *v2)),   # a1 passes b3 and the even w2: sign -1
+        ((*a1, *v2), (*v2, *b3)),   # even square, no odd transposition
+        ((*a1, *c1), (*b3,)),       # b3 passes c1: sign -1
+        ((*a1, *b3), (*b3, *c1)),   # b3 squared: zero
+    ]
+    expected = [
+        (1, (*a1, *v2, *b3, *c1)),
+        (1, (*a1, *b3, *c1)),
+        (-1, (*a1, *v2, *b3, *w2)),
+        (1, ((0, 1), (1, 2), (2, 1))),
+        (-1, (*a1, *b3, *c1)),
+        (0, None),
+    ]
+    for (x, y), want in zip(cases, expected):
+        assert mono_mul(MIXED, x, y) == want == _ref_mono_mul(MIXED, x, y)
+    with pytest.raises(SignatureError):
+        mono_mul(MIXED, ((7, 1),), a1)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sulmin.at_model import compute_at_model, homology_class_dims
 from sulmin.differential import DGAlgebra
@@ -95,6 +97,45 @@ def test_rank_is_order_independent():
         rng.shuffle(rowperm)
         shuffled = [{rowperm[k]: v for k, v in cols[i].items()} for i in perm]
         assert rank_of_columns(shuffled) == base
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+_COLUMNS = st.dictionaries(st.integers(0, 7), _RATIONALS, max_size=5)
+
+
+@st.composite
+def _column_sets(draw):
+    """Sparse rational columns, with empty columns, repeated columns and
+    combinations of earlier columns mixed in."""
+    cols = draw(st.lists(_COLUMNS, max_size=10))
+    for _ in range(draw(st.integers(0, 4))):
+        if not cols:
+            break
+        x, y = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+        a, b = draw(_RATIONALS), draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(-2, 3)]))
+        combo = {}
+        for r in set(x) | set(y):
+            c = a * x.get(r, 0) + b * y.get(r, 0)
+            if c:
+                combo[r] = c
+        cols.insert(draw(st.integers(0, len(cols))), combo)
+    return cols
+
+
+@given(_column_sets())
+@settings(max_examples=150, deadline=None)
+def test_fraction_free_rank_matches_rational_elimination(cols):
+    assert rank_of_columns(cols) == column_reduce(cols)[0]
+
+
+def test_fraction_free_rank_on_large_denominators():
+    # entries 1/3^k make the integer scaling reach 3^40; a dependent third
+    # column must still reduce to zero exactly
+    x = {r: Fraction(1, 3 ** (r + 35)) for r in range(6)}
+    y = {r: Fraction(r + 1, 7 ** (r + 1)) for r in range(6)}
+    z = {r: x[r] * Fraction(2, 3) - y[r] * 5 for r in range(6)}
+    assert rank_of_columns([x, y, z]) == 2 == column_reduce([x, y, z])[0]
+    assert rank_of_columns([{}, {0: Fraction(1, 2)}, {}, {0: Fraction(-3)}]) == 1
 
 
 def test_compare_source_against_survivors(algebras, contractions):

@@ -1,9 +1,11 @@
+import copy
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sulmin.differential import DGAlgebra
+from sulmin.differential import DGAlgebra, DiffEvaluator
 from sulmin.dsl import parse_expression
 from sulmin.graded_algebra import (
     Signature,
@@ -16,9 +18,12 @@ from sulmin.graded_algebra import (
 )
 from sulmin.homology_oracle import rank_of_columns
 from sulmin.minimal_model import compute_minimal_model
+from sulmin.random_inputs import random_sullivan_algebra
 from sulmin.morphisms import (
     FullContraction,
     GeneratorMap,
+    HomotopyEvaluator,
+    MapEvaluator,
     apply_homotopy,
     apply_multiplicative,
     check_contraction,
@@ -165,3 +170,31 @@ def test_generator_map_validation_flags_degree_drift():
     assert gmap.validate()
     good = GeneratorMap(SIG, {V2: expr("a1")}, map_degree=-1)
     assert not good.validate()
+
+
+def test_checker_leaves_shared_tables_untouched():
+    # the evaluators hand out cached images and tables without copying, so a
+    # caller that mutated one would corrupt later results; two checks of one
+    # model must agree and leave every table as it was, in exact Fractions
+    rng = random.Random(20261018)
+    for _ in range(6):
+        c = compute_minimal_model(random_sullivan_algebra(rng, max_gens=7))
+        tables = (c.f.table, c.g.table, c.phi.table, c.dW)
+        before = copy.deepcopy(tables)
+        first = check_contraction(c, 6)
+        second = check_contraction(c, 6)
+        assert first == second
+        assert tables == before
+        for table in tables:
+            for image in table.values():
+                assert all(type(v) is Fraction for v in image.values())
+        # scaling a one-term element must not touch the cached monomial image
+        f_ev, g_ev = MapEvaluator(c.sig, c.f.table), MapEvaluator(c.sig, c.g.table)
+        v_basis, w_basis = basis_monomials(c.sig, 4), basis_monomials(c.sig, 4, c.W)
+        for ev, basis in ((f_ev, v_basis), (g_ev, w_basis), (DiffEvaluator(c.sig, c.dW), w_basis),
+                          (HomotopyEvaluator(c.sig, c.phi.table, f_ev, g_ev), v_basis)):
+            for m in basis:
+                image = copy.deepcopy(ev.on_monomial(m))
+                for coeff in (Fraction(-3, 2), Fraction(1), Fraction(2)):
+                    assert ev.on_element({m: coeff}) == elem_scale(image, coeff)
+                assert ev.on_monomial(m) == image
