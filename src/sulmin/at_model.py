@@ -6,6 +6,11 @@ generators in declaration order; a generator whose projected derivative
 vanishes births a homology class, otherwise it kills the highest-index
 surviving class and the earlier tables are corrected by exact column
 elimination.
+
+``lin_apply`` is the one linear extension of a generator table: the module
+differential, the sweep's ``f`` and ``phi`` and the identity checker all go
+through it.  It accumulates in place, with ``lin_axpy``, on a dict that it
+creates and hands to the caller, so no stored table entry is ever written.
 """
 
 from __future__ import annotations
@@ -16,29 +21,41 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 Lin = Dict[int, Fraction]
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
-def lin_add(x: Lin, y: Lin) -> Lin:
-    out = dict(x)
-    for i, c in y.items():
-        s = out.get(i, _ZERO) + c
-        if s:
-            out[i] = s
-        elif i in out:
-            del out[i]
+def lin_apply(table: Mapping[int, Lin], x: Lin) -> Lin:
+    """The linear extension of a generator table: the sum of c * table[i] over x.
+
+    A generator absent from the table maps to zero.  The sum accumulates in
+    place in one new dict, which the caller owns; no table entry is written
+    to or handed back by reference.
+    """
+    out: Lin = {}
+    for i, c in x.items():
+        img = table.get(i)
+        if img and c:
+            lin_axpy(out, c, img)
     return out
 
 
-def lin_scale(x: Lin, c: Fraction) -> Lin:
-    if not c:
-        return {}
-    return {i: c * v for i, v in x.items()}
-
-
-def lin_sub(x: Lin, y: Lin) -> Lin:
-    return lin_add(x, {i: -c for i, c in y.items()})
+def lin_axpy(out: Lin, c: Fraction, y: Lin) -> Lin:
+    """Add c * y into ``out`` in place and return ``out``; y is only read."""
+    unit = c == 1
+    for j, v in y.items():
+        if not unit:
+            v = c * v
+        s = out.get(j)
+        if s is None:
+            out[j] = v
+        else:
+            s += v
+            if s:
+                out[j] = s
+            else:
+                del out[j]
+    return out
 
 
 @dataclass(frozen=True)
@@ -63,10 +80,7 @@ class DGModule:
         return self.diff.get(index, {})
 
     def apply_d(self, x: Lin) -> Lin:
-        out: Lin = {}
-        for i, c in x.items():
-            out = lin_add(out, lin_scale(self.d_of(i), c))
-        return out
+        return lin_apply(self.diff, x)
 
 
 def validate_module(M: DGModule) -> List[str]:
@@ -116,22 +130,10 @@ def compute_at_model(M: DGModule) -> ATModel:
     phi: Dict[int, Lin] = {}
     pairs: List[Tuple[int, int]] = []
 
-    def f_of(x: Lin) -> Lin:
-        out: Lin = {}
-        for i, c in x.items():
-            out = lin_add(out, lin_scale(f[i], c))
-        return out
-
-    def phi_of(x: Lin) -> Lin:
-        out: Lin = {}
-        for i, c in x.items():
-            out = lin_add(out, lin_scale(phi[i], c))
-        return out
-
     for i in range(len(M.generators)):
         di = M.d_of(i)
-        a = f_of(di)
-        b = lin_sub({i: _ONE}, phi_of(di))
+        a = lin_apply(f, di)
+        b = lin_axpy({i: _ONE}, _MINUS_ONE, lin_apply(phi, di))
         if not a:
             H.append(i)
             in_h.add(i)
@@ -147,12 +149,14 @@ def compute_at_model(M: DGModule) -> ATModel:
             phi[i] = {}
             g.pop(j, None)
             pairs.append((i, j))
+            # corrections store new dicts: no entry is written once stored
             for m in range(i):
-                if j not in f[m]:
+                fm = f[m]
+                if j not in fm:
                     continue
-                lam = f[m][j] / alpha
-                f[m] = lin_sub(f[m], lin_scale(a, lam))
-                phi[m] = lin_add(phi[m], lin_scale(b, lam))
+                lam = fm[j] / alpha
+                f[m] = lin_axpy(dict(fm), -lam, a)
+                phi[m] = lin_axpy(dict(phi[m]), lam, b)
 
     return ATModel(tuple(H), f, g, phi, tuple(pairs))
 
@@ -170,46 +174,37 @@ class ModuleIdentityCheck:
 def check_at_model(M: DGModule, A: ATModel) -> Tuple[ModuleIdentityCheck, ...]:
     """Verify the nine contraction identities on every generator, exactly."""
 
-    def ev(table: Mapping[int, Lin], x: Lin) -> Lin:
-        out: Lin = {}
-        for i, c in x.items():
-            out = lin_add(out, lin_scale(table[i], c))
-        return out
-
     failures: Dict[str, str] = {}
 
     def record(name: str, residual: Lin, where: str) -> None:
         if residual and name not in failures:
             failures[name] = where
 
-    def g_of(x: Lin) -> Lin:
-        out: Lin = {}
-        for i, c in x.items():
-            out = lin_add(out, lin_scale(A.g[i], c))
-        return out
-
     for i in range(len(M.generators)):
         name = M.name(i)
         unit: Lin = {i: _ONE}
         di = M.d_of(i)
         phii = A.phi[i]
-        record("f d = 0", ev(A.f, di), name)
-        record("f phi = 0", ev(A.f, phii), name)
-        record("phi phi = 0", ev(A.phi, phii), name)
-        fm = ev(A.f, unit)
+        record("f d = 0", lin_apply(A.f, di), name)
+        record("f phi = 0", lin_apply(A.f, phii), name)
+        record("phi phi = 0", lin_apply(A.phi, phii), name)
+        fm = lin_apply(A.f, unit)
         if any(k not in A.g for k in fm):
             record("id - gf = phi d + d phi", fm, name)  # f escapes the span of H
         else:
-            gf = g_of(fm)
-            homo = lin_add(ev(A.phi, di), M.apply_d(phii))
-            record("id - gf = phi d + d phi", lin_sub(lin_sub(unit, gf), homo), name)
-        record("phi d phi = phi", lin_sub(ev(A.phi, M.apply_d(phii)), phii), name)
-        record("d phi d = d", lin_sub(M.apply_d(ev(A.phi, di)), di), name)
+            # the residual up to sign: gf + phi d + d phi - id
+            residual = lin_axpy(lin_apply(A.g, fm), _MINUS_ONE, unit)
+            lin_axpy(residual, _ONE, lin_apply(A.phi, di))
+            lin_axpy(residual, _ONE, M.apply_d(phii))
+            record("id - gf = phi d + d phi", residual, name)
+        record("phi d phi = phi",
+               lin_axpy(lin_apply(A.phi, M.apply_d(phii)), _MINUS_ONE, phii), name)
+        record("d phi d = d", lin_axpy(M.apply_d(lin_apply(A.phi, di)), _MINUS_ONE, di), name)
     for h in A.H:
         name = M.name(h)
         unit: Lin = {h: _ONE}
-        record("f g = id", lin_sub(ev(A.f, A.g[h]), unit), name)
-        record("phi g = 0", ev(A.phi, A.g[h]), name)
+        record("f g = id", lin_axpy(lin_apply(A.f, A.g[h]), _MINUS_ONE, unit), name)
+        record("phi g = 0", lin_apply(A.phi, A.g[h]), name)
         record("d g = 0", M.apply_d(A.g[h]), name)
 
     names = [

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
-from .at_model import DGModule, Lin
+from .at_model import DGModule, Lin, lin_axpy
 from .differential import DGAlgebra
 from .graded_algebra import (
     Elem,
@@ -55,8 +55,7 @@ class DslError(ValueError):
 _SYMBOLS = set(":=+-*^/(){},")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT, INT, SYM, NEWLINE, EOF
     text: str
     line: int
@@ -83,10 +82,10 @@ def _lex(text: str) -> List[Token]:
             while i < n and text[i] != "\n":
                 i += 1
                 col += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():  # exactly the digits int() accepts
             start = i
             startcol = col
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
                 col += 1
             tokens.append(Token("INT", text[start:i], line, startcol))
@@ -144,7 +143,10 @@ def _parse_uint(cur: _Cursor) -> Tuple[int, Token]:
     if t.kind != "INT":
         raise DslError("expected an unsigned integer", t.line, t.col)
     cur.next()
-    return int(t.text), t
+    try:
+        return int(t.text), t
+    except ValueError:  # past the interpreter's limit on int string digits
+        raise DslError("integer literal too long", t.line, t.col) from None
 
 
 def _parse_coeff(cur: _Cursor) -> Fraction:
@@ -227,6 +229,10 @@ class _AlgebraEval:
         return acc
 
 
+_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
+
+
 class _ModuleEval:
     """Evaluate a linear expression into a generator -> coefficient map."""
 
@@ -235,7 +241,7 @@ class _ModuleEval:
 
     def term(self, cur: _Cursor) -> Lin:
         t = cur.peek()
-        coeff = Fraction(1)
+        coeff = _ONE
         saw_coeff = False
         if t.kind == "INT":
             coeff = _parse_coeff(cur)
@@ -258,26 +264,16 @@ class _ModuleEval:
         raise DslError("expected a generator name", t.line, t.col)
 
     def expr(self, cur: _Cursor) -> Lin:
-        negate = False
+        sign = _ONE
         if cur.at_sym("-"):
             cur.next()
-            negate = True
+            sign = _MINUS_ONE
         elif cur.at_sym("+"):
             cur.next()
-        acc = self.term(cur)
-        if negate:
-            acc = {k: -v for k, v in acc.items()}
+        acc: Lin = lin_axpy({}, sign, self.term(cur))
         while cur.at_sym("+") or cur.at_sym("-"):
-            op = cur.next().text
-            nxt = self.term(cur)
-            if op == "-":
-                nxt = {k: -v for k, v in nxt.items()}
-            for k, v in nxt.items():
-                s = acc.get(k, Fraction(0)) + v
-                if s:
-                    acc[k] = s
-                elif k in acc:
-                    del acc[k]
+            sign = _MINUS_ONE if cur.next().text == "-" else _ONE
+            lin_axpy(acc, sign, self.term(cur))
         return acc
 
 

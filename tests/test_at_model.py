@@ -1,7 +1,10 @@
+import copy
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sulmin.at_model import (
     ATModel,
@@ -9,6 +12,7 @@ from sulmin.at_model import (
     check_at_model,
     compute_at_model,
     homology_class_dims,
+    lin_apply,
     validate_module,
 )
 from sulmin.homology_oracle import module_homology_dims
@@ -110,3 +114,69 @@ def test_class_counts_match_oracle():
         counts = homology_class_dims(M, A)
         for p, dim in module_homology_dims(M):
             assert counts.get(p, 0) == dim
+
+
+# -- the linear kernel ------------------------------------------------------------
+
+def _fold_add(x, y):
+    out = dict(x)
+    for i, c in y.items():
+        s = out.get(i, Fraction(0)) + c
+        if s:
+            out[i] = s
+        elif i in out:
+            del out[i]
+    return out
+
+
+def _fold_apply(table, x):
+    """The extension by one copy per term that lin_apply replaced."""
+    out = {}
+    for i, c in x.items():
+        out = _fold_add(out, {j: c * v for j, v in table[i].items()} if c else {})
+    return out
+
+
+# units and a few values that cancel against each other
+_COEFFS = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
+                           Fraction(1, 2), Fraction(-1, 2), Fraction(3, 7)])
+_IMAGES = st.dictionaries(st.integers(0, 5), _COEFFS, max_size=4)
+
+
+@st.composite
+def _tables_and_elements(draw):
+    table = dict(enumerate(draw(st.lists(_IMAGES, min_size=1, max_size=6))))
+    if draw(st.booleans()):
+        # an image that is minus another one, so their sum cancels to zero
+        src = draw(st.sampled_from(sorted(table)))
+        table[len(table)] = {j: -v for j, v in table[src].items()}
+    x = draw(st.dictionaries(st.sampled_from(sorted(table)), _COEFFS))
+    return table, x
+
+
+@given(_tables_and_elements())
+@settings(max_examples=300, deadline=None)
+def test_lin_apply_matches_the_fold(case):
+    table, x = case
+    before = copy.deepcopy(table)
+    out = lin_apply(table, x)
+    assert out == _fold_apply(table, x)
+    assert table == before
+    assert all(out is not image for image in table.values())
+    assert all(type(v) is Fraction and v for v in out.values())
+
+
+def test_module_tables_are_not_shared_or_written():
+    rng = random.Random(2024)
+    for _ in range(8):
+        M = random_dg_module(rng, max_gens=40)
+        before = copy.deepcopy(M.diff)
+        assert validate_module(M) == []
+        A = compute_at_model(M)
+        assert all(ch.ok for ch in check_at_model(M, A))
+        assert M.diff == before
+        entries = [*A.f.values(), *A.g.values(), *A.phi.values()]
+        assert len({id(e) for e in entries}) == len(entries)
+        assert not {id(e) for e in entries} & {id(e) for e in M.diff.values()}
+        for image in entries:
+            assert all(type(v) is Fraction for v in image.values())

@@ -124,6 +124,18 @@ def test_parentheses_deeper_than_the_parser_exit_two(tmp_path):
     assert err == f"{src}: input nests too deeply to parse\n"
 
 
+@pytest.mark.parametrize("text,where", [
+    ("gen x:\u00b2\n", "line 1, column 7: unexpected character '\u00b2'"),
+    ("gen x:" + "9" * 5000 + "\n", "line 1, column 7: integer literal too long"),
+], ids=["superscript", "overlong"])
+def test_integer_literals_int_rejects_exit_two(tmp_path, text, where):
+    src = tmp_path / "literal.sul"
+    src.write_text(text, encoding="utf-8")
+    code, out, err = invoke("validate", src)
+    assert (code, out) == (2, "")
+    assert err == f"{src}: {where}\n"
+
+
 def test_max_degree_must_be_positive():
     code, _, err = invoke("homology", EXAMPLE_FILES["ex1"], max_degree=0)
     assert code == 2 and "max-degree" in err

@@ -7,6 +7,8 @@ from sulmin.at_model import DGModule
 from sulmin.differential import DGAlgebra
 from sulmin.dsl import (
     DslError,
+    Token,
+    _lex,
     emit_machine,
     emit_report,
     format_element,
@@ -145,6 +147,14 @@ MALFORMED = [
     ("gen v2:2\nd v2 = v2 +\n", 2, 12, "expected a generator or '('"),
     ("mode module\ngen x:1\ngen y:2\nd y = x*x\n", 4, 8,
      "nonlinear expression in module mode"),
+    # str.isdigit accepts superscript digits, int() does not
+    ("gen x:\u00b2\n", 1, 7, "unexpected character '\u00b2'"),
+    ("mode module\ngen x:1\nd x = \u00b3\n", 3, 7, "unexpected character '\u00b3'"),
+    # longer than the interpreter's default limit on int string digits
+    pytest.param("gen a1:" + "1" * 5000 + "\n", 1, 8, "integer literal too long",
+                 id="overlong-degree"),
+    pytest.param("gen v2:2\nd v2 = 1/" + "7" * 5000 + "*v2\n", 2, 10,
+                 "integer literal too long", id="overlong-denominator"),
 ]
 
 
@@ -155,6 +165,24 @@ def test_malformed_inputs_report_positions(text, line, col, message):
     assert err.value.line == line
     assert err.value.col == col
     assert err.value.message == message
+
+
+def test_lexer_golden_tokens():
+    text = "# head\ngen x\u00b2:1\t# c\r\nd x\u00b2 = -(1/2*x\u00b2^2 + x\u00b2),{x\u00b2}\r\n"
+    x2 = "x\u00b2"
+    assert [(t.kind, t.text, t.line, t.col) for t in _lex(text)] == [
+        ("NEWLINE", "\n", 1, 7),
+        ("IDENT", "gen", 2, 1), ("IDENT", x2, 2, 5), ("SYM", ":", 2, 7), ("INT", "1", 2, 8),
+        ("NEWLINE", "\n", 2, 14),
+        ("IDENT", "d", 3, 1), ("IDENT", x2, 3, 3), ("SYM", "=", 3, 6), ("SYM", "-", 3, 8),
+        ("SYM", "(", 3, 9), ("INT", "1", 3, 10), ("SYM", "/", 3, 11), ("INT", "2", 3, 12),
+        ("SYM", "*", 3, 13), ("IDENT", x2, 3, 14), ("SYM", "^", 3, 16), ("INT", "2", 3, 17),
+        ("SYM", "+", 3, 19), ("IDENT", x2, 3, 21), ("SYM", ")", 3, 23), ("SYM", ",", 3, 24),
+        ("SYM", "{", 3, 25), ("IDENT", x2, 3, 26), ("SYM", "}", 3, 28),
+        ("NEWLINE", "\n", 3, 30),
+        ("NEWLINE", "\n", 4, 1), ("EOF", "", 5, 1),
+    ]
+    assert _lex("gen")[0] == Token(kind="IDENT", text="gen", line=1, col=1)
 
 
 def test_duplicate_differential_rejected():
