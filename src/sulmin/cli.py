@@ -73,7 +73,7 @@ def run(config: RunConfig) -> Tuple[int, str, str]:
     except NotClosedError as exc:
         return EXIT_USER, "", f"{config.input_path}: {exc}\n"
     except RecursionError:
-        # the evaluators recurse once per factor of a monomial
+        # differential.Extension recurses once per factor of a monomial
         return EXIT_USER, "", f"{config.input_path}: input exceeds the evaluator's word depth\n"
     return EXIT_USER, "", f"unknown command {config.command!r}\n"
 
@@ -126,6 +126,10 @@ def _dims_of(parsed, config: RunConfig):
 
 
 def _cmd_homology(parsed, config: RunConfig) -> Tuple[int, str, str]:
+    # the oracle assumes a valid input; report an invalid one as validate does
+    checked = _cmd_validate(parsed, config)
+    if checked[0] != EXIT_OK:
+        return checked
     dims = _dims_of(parsed, config)
     if config.against_path is None:
         out = "".join(f"H^{p}: {d}\n" for p, d in dims)
@@ -137,6 +141,9 @@ def _cmd_homology(parsed, config: RunConfig) -> Tuple[int, str, str]:
         return EXIT_USER, "", f"cannot read {config.against_path}: {exc.strerror}\n"
     except DslError as exc:
         return EXIT_USER, "", f"{config.against_path}: {exc}\n"
+    checked = _cmd_validate(other, config)
+    if checked[0] != EXIT_OK:
+        return checked
     other_dims = _dims_of(other, config)
     lines = []
     first_mismatch = None

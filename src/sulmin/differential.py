@@ -1,7 +1,10 @@
 """Differential structure on a free graded-commutative algebra.
 
-A ``DGAlgebra`` stores the derivative of each generator; the derivation
-extension to products follows the signed Leibniz rule.  ``validate_sullivan``
+A ``DGAlgebra`` stores the derivative of each generator.  ``Extension`` is
+the one evaluator that extends a generator table along monomials: as an
+algebra map (the projection, the inclusion, a pair-collapse substitution) or
+as a derivation twisted by a right leg (the differential, whose right leg is
+the identity, and every homotopy, see ``morphisms``).  ``validate_sullivan``
 checks the input contract of the minimization algorithm: derivatives are
 homogeneous of degree +1, square to zero, and only mention generators that
 were declared earlier (the declaration order encodes the filtration).
@@ -10,7 +13,7 @@ were declared earlier (the declaration order encodes the filtration).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 from .graded_algebra import (
     Elem,
@@ -20,6 +23,8 @@ from .graded_algebra import (
     elem_gen,
     elem_is_zero,
     elem_mul,
+    elem_neg,
+    elem_one,
     elem_scale,
     mono_degree,
     mono_elem,
@@ -51,60 +56,70 @@ class DGAlgebra:
         return self.diff.get(index, {})
 
 
-def linear_extension(evaluator, x: Elem) -> Elem:
-    """Linear extension of ``evaluator.on_monomial`` to the element ``x``.
+class Extension:
+    """Extension of a generator-indexed table along monomials.
 
-    Each evaluator class binds this as its own ``on_element``.  A one-term
-    element returns the scaled monomial image directly, which is the cached
-    image itself when the coefficient is 1.
-    """
-    if len(x) == 1:
-        ((m, c),) = x.items()
-        return elem_scale(evaluator.on_monomial(m), c)
-    out: Elem = {}
-    for m, c in x.items():
-        img = evaluator.on_monomial(m)
-        if img:
-            out = elem_add(out, elem_scale(img, c))
-    return out
+    Both rules recurse on the left factor of the canonical order, ``m = x*r``
+    with ``x`` a single generator, and cache the image of every monomial met,
+    so sweeping a whole degreewise basis costs little more than one pass.
 
-
-class DiffEvaluator:
-    """Derivation extension of a generator-indexed derivative table.
-
-    Suffix-caches monomial images, so sweeping a whole degreewise basis costs
-    little more than one pass.
+    * ``right`` is None: the algebra map ``E(x*r) = table[x]*E(r)``,
+      ``E(1) = 1``.  A generator missing from the table raises ``KeyError``.
+    * otherwise the derivation twisted by ``right``, a map from monomials to
+      elements: ``E(x*r) = table[x]*right(r) + (-1)^{|x|} x*E(r)``,
+      ``E(1) = 0``.  A generator missing from the table maps to zero.  The
+      differential is the case ``right = mono_elem``.
     """
 
-    def __init__(self, sig: Signature, diff: Mapping[int, Elem]):
+    def __init__(self, sig: Signature, table: Mapping[int, Elem],
+                 right: Optional[Callable[[Mono], Elem]] = None):
         self.sig = sig
-        self.diff = diff
-        self._cache: Dict[Mono, Elem] = {(): {}}
+        self.table = table
+        self.right = right
+        self._cache: Dict[Mono, Elem] = {(): elem_one() if right is None else {}}
 
     def on_monomial(self, m: Mono) -> Elem:
         cached = self._cache.get(m)
         if cached is not None:
             return cached
-        # d(g * rest) = d(g) * rest + (-1)^{|g|} g * d(rest)
+        sig = self.sig
         (i, e) = m[0]
         rest: Mono = ((i, e - 1),) + m[1:] if e > 1 else m[1:]
-        dg = self.diff.get(i, {})
-        out = elem_mul(self.sig, dg, mono_elem(rest)) if dg else {}
-        tail = self.on_monomial(rest)
-        if tail:
-            geneleme = elem_gen(self.sig, i)
-            term = elem_mul(self.sig, geneleme, tail)
-            if self.sig.degree(i) % 2:
-                term = {mm: -c for mm, c in term.items()}
-            out = elem_add(out, term)
+        if self.right is None:
+            try:
+                head = self.table[i]
+            except KeyError:
+                raise KeyError(f"no image for generator {sig.name(i)}") from None
+            out = elem_mul(sig, head, self.on_monomial(rest))
+        else:
+            head = self.table.get(i)
+            out = elem_mul(sig, head, self.right(rest)) if head else {}
+            tail = self.on_monomial(rest)
+            if tail:
+                term = elem_mul(sig, elem_gen(sig, i), tail)
+                if sig.odd[i]:
+                    term = elem_neg(term)
+                out = elem_add(out, term) if out else term
         self._cache[m] = out
         return out
 
-    on_element = linear_extension
+    def on_element(self, x: Elem) -> Elem:
+        """Linear extension of ``on_monomial``.  A one-term element returns the
+        scaled monomial image directly, which is the cached image itself when
+        the coefficient is 1."""
+        if len(x) == 1:
+            ((m, c),) = x.items()
+            return elem_scale(self.on_monomial(m), c)
+        out: Elem = {}
+        for m, c in x.items():
+            img = self.on_monomial(m)
+            if img:
+                out = elem_add(out, elem_scale(img, c))
+        return out
 
 
 def apply_d(dga: DGAlgebra, x: Elem) -> Elem:
-    return DiffEvaluator(dga.sig, dga.diff).on_element(x)
+    return Extension(dga.sig, dga.diff, mono_elem).on_element(x)
 
 
 @dataclass(frozen=True)
@@ -138,7 +153,7 @@ def validate_sullivan(dga: DGAlgebra) -> ValidationReport:
     for g in sig.generators:
         if g.degree < 1:
             bad.append(Violation("generator-degree", g.name, f"degree {g.degree} < 1"))
-    ev = DiffEvaluator(sig, dga.diff)
+    ev = Extension(sig, dga.diff, mono_elem)
     for i, dx in sorted(dga.diff.items()):
         g = sig.generators[i]
         want = g.degree + 1

@@ -20,8 +20,8 @@ from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .at_model import DGModule
-from .differential import DGAlgebra, DiffEvaluator
-from .graded_algebra import Signature, basis_monomials, mono_str
+from .differential import DGAlgebra, Extension
+from .graded_algebra import Signature, basis_monomials, mono_elem, mono_str
 
 SparseVec = Dict[int, Fraction]
 
@@ -105,7 +105,7 @@ class NotClosedError(ValueError):
     """The differential leaves the span of the requested generator subset."""
 
 
-def _degree_columns(sig: Signature, ev: DiffEvaluator, basis_p, index_next,
+def _degree_columns(sig: Signature, ev: Extension, basis_p, index_next,
                     subset_set) -> List[SparseVec]:
     cols = []
     for m in basis_p:
@@ -128,7 +128,7 @@ def cohomology_dims(dga: DGAlgebra, subset=None, max_degree: int = 10) -> List[T
     subset_idx = sorted({g.index if hasattr(g, "index") else int(g) for g in subset}) \
         if subset is not None else list(range(len(sig)))
     subset_set = set(subset_idx)
-    ev = DiffEvaluator(sig, dga.diff)
+    ev = Extension(sig, dga.diff, mono_elem)
     bases = [basis_monomials(sig, p, subset_idx) for p in range(max_degree + 2)]
     ranks = []
     for p in range(max_degree + 1):

@@ -15,7 +15,10 @@ which on a linear occurrence of j is exactly the textbook column update
 f(x) -= lambda * a; the substitution form also clears occurrences of j inside
 product terms, which the linear update cannot reach, and keeps every f image
 inside the surviving subalgebra.  The phi correction is the matching homotopy
-term, again reducing to phi(x) += lambda * b on linear occurrences.
+term, again reducing to phi(x) += lambda * b on linear occurrences: the pair
+homotopy sends j to m/alpha and every other generator to zero, and extends
+to products with the substitution as its right leg.  Both are
+``differential.Extension`` evaluators, as are f, g, phi and d themselves.
 
 After the sweep the induced derivative is recomputed from the final tables
 and checked: against the maintained per-step values, for minimality, for
@@ -25,22 +28,18 @@ internal invariant breach and raises.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .differential import DGAlgebra, DiffEvaluator, validate_sullivan
+from .differential import DGAlgebra, Extension, validate_sullivan
 from .homology_oracle import column_reduce
 from .graded_algebra import (
     Elem,
     Generator,
-    Mono,
     Signature,
     basis_monomials,
     elem_add,
     elem_gen,
     elem_is_zero,
-    elem_mul,
-    elem_pow,
     elem_scale,
     elem_sub,
     in_lambda_geq2,
@@ -48,7 +47,7 @@ from .graded_algebra import (
     mono_elem,
     mono_str,
 )
-from .morphisms import FullContraction, GeneratorMap, HomotopyEvaluator, MapEvaluator
+from .morphisms import FullContraction, GeneratorMap, homotopy_extension
 
 
 class SullivanValidationError(ValueError):
@@ -63,72 +62,12 @@ class InternalInvariantError(RuntimeError):
     """State corruption inside the sweep; indicates a bug, never bad input."""
 
 
-def _substitute(sig: Signature, x: Elem, j: int, replacement: Elem) -> Elem:
-    """Algebra substitution sending generator j to ``replacement`` in x."""
-    out: Elem = {}
-    pow_cache: Dict[int, Elem] = {}
-    for m, c in x.items():
-        if all(i != j for i, _ in m):
-            out = elem_add(out, {m: c})
-            continue
-        acc = {(): Fraction(c)}
-        for i, e in m:
-            if i != j:
-                acc = elem_mul(sig, acc, mono_elem(((i, e),)))
-            else:
-                rep = pow_cache.get(e)
-                if rep is None:
-                    rep = elem_pow(sig, replacement, e)
-                    pow_cache[e] = rep
-                acc = elem_mul(sig, acc, rep)
-        out = elem_add(out, acc)
-    return out
-
-
-def _pair_homotopy(sig: Signature, x: Elem, j: int, kill_image: Elem,
-                   subst) -> Elem:
-    """Homotopy term of the elementary pair collapse, applied to x.
-
-    The elementary homotopy sends j to ``kill_image`` (the killer generator
-    scaled by 1/alpha) and every other generator to zero; it extends to
-    products by the usual two-term rule whose right leg is the substitution
-    map of the collapse.  Zero unless x mentions j.
-    """
-    cache: Dict[Mono, Elem] = {(): {}}
-
-    def on_monomial(m: Mono) -> Elem:
-        hit = cache.get(m)
-        if hit is not None:
-            return hit
-        (i, e) = m[0]
-        rest: Mono = ((i, e - 1),) + m[1:] if e > 1 else m[1:]
-        tail = on_monomial(rest)
-        out: Elem = {}
-        if tail:
-            out = elem_mul(sig, elem_gen(sig, i), tail)
-            if sig.degree(i) % 2:
-                out = {mm: -c for mm, c in out.items()}
-        if i == j:
-            out = elem_add(out, elem_mul(sig, kill_image, subst(mono_elem(rest))))
-        cache[m] = out
-        return out
-
-    out: Elem = {}
-    for m, c in x.items():
-        if all(i != j for i, _ in m):
-            continue
-        img = on_monomial(m)
-        if img:
-            out = elem_add(out, elem_scale(img, c))
-    return out
-
-
 def _d_preimage(sig: Signature, diff, degree: int, earlier, target: Elem) -> Elem:
     """Deterministic solution u of d(u) = target over the earlier generators."""
     basis = basis_monomials(sig, degree, earlier)
     up = basis_monomials(sig, degree + 1, earlier)
     index = {m: k for k, m in enumerate(up)}
-    ev = DiffEvaluator(sig, diff)
+    ev = Extension(sig, diff, mono_elem)
     cols = []
     for m in basis:
         cols.append({index[mm]: c for mm, c in ev.on_monomial(m).items()})
@@ -161,12 +100,12 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
     dw_current: Dict[int, Elem] = {}   # running f-projection of each survivor's derivative
     pairs: List[Tuple[int, int]] = []
 
-    d_ev = DiffEvaluator(sig, dga.diff)
+    d_ev = Extension(sig, dga.diff, mono_elem)
     for i in range(n):
         di = dga.d_of(i)
-        f_ev = MapEvaluator(sig, f)
-        g_ev = MapEvaluator(sig, g)
-        phi_ev = HomotopyEvaluator(sig, phi, f_ev, g_ev)
+        f_ev = Extension(sig, f)
+        g_ev = Extension(sig, g)
+        phi_ev = homotopy_extension(sig, phi, f_ev, g_ev)
         a = f_ev.on_element(di)
         b = elem_sub(elem_gen(sig, i), phi_ev.on_element(di))
 
@@ -212,24 +151,27 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
 
             replacement = elem_sub(elem_gen(sig, target), elem_scale(a, 1 / alpha))
             kill_image = elem_scale(elem_gen(sig, i), 1 / alpha)
-            f_old = dict(f)
-
-            def subst(x: Elem) -> Elem:
-                return _substitute(sig, x, target, replacement)
+            # the collapse substitutes target -> replacement (an algebra map);
+            # its homotopy sends target to kill_image, every other generator to
+            # zero, and has the substitution as its right leg
+            subst_table = {k: elem_gen(sig, k) for k in range(i)}
+            subst_table[target] = replacement
+            subst = Extension(sig, subst_table)
+            pair_phi = Extension(sig, {target: kill_image}, subst.on_monomial)
 
             g_mid = dict(g)
             g_mid[i] = b  # the killer embeds as b while the collapse composes
-            g_mid_ev = MapEvaluator(sig, g_mid)
+            g_mid_ev = Extension(sig, g_mid)
             g.pop(target, None)
 
             def mentions_target(x: Elem) -> bool:
                 return any(any(t == target for t, _ in m) for m in x)
 
             for k in range(i):
-                fk = f_old[k]
+                fk = f[k]
                 if mentions_target(fk):
-                    f[k] = subst(fk)
-                    correction = _pair_homotopy(sig, fk, target, kill_image, subst)
+                    f[k] = subst.on_element(fk)
+                    correction = pair_phi.on_element(fk)
                     phi[k] = elem_add(phi[k], g_mid_ev.on_element(correction))
             # a survivor whose induced derivative mentioned the killed
             # generator changes derivative under the substitution, and its
@@ -239,13 +181,13 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
             for w in W:
                 dw = dw_current.get(w, {})
                 if mentions_target(dw):
-                    correction = _pair_homotopy(sig, dw, target, kill_image, subst)
+                    correction = pair_phi.on_element(dw)
                     g[w] = elem_sub(g[w], g_mid_ev.on_element(correction))
-                    dw_current[w] = subst(dw)
+                    dw_current[w] = subst.on_element(dw)
 
     # finalize the induced derivative from the final projection table
-    f_ev = MapEvaluator(sig, f)
-    g_ev = MapEvaluator(sig, g)
+    f_ev = Extension(sig, f)
+    g_ev = Extension(sig, g)
     dW: Dict[int, Elem] = {}
     for w in W:
         final = f_ev.on_element(d_ev.on_monomial(((w, 1),)))
@@ -264,7 +206,7 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
     for w in W:
         if f[w] != elem_gen(sig, w):
             raise InternalInvariantError(f"projection does not fix {sig.name(w)}")
-    dw_ev = DiffEvaluator(sig, dW)
+    dw_ev = Extension(sig, dW, mono_elem)
     for w, dv in dW.items():
         if not elem_is_zero(dw_ev.on_element(dv)):
             raise InternalInvariantError(

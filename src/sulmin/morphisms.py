@@ -7,7 +7,10 @@ homotopy extends to products through the two-term rule
 
     phi(x * y) = (-1)^{|x|} x * phi(y) + phi(x) * g(f(y))
 
-evaluated by left-factor recursion over the canonical monomial order.
+evaluated by left-factor recursion over the canonical monomial order: it is
+the ``differential.Extension`` derivation whose right leg is ``g f``.  A
+generator missing from the ``phi`` table maps to zero; one missing from the
+``f`` or ``g`` table raises ``KeyError`` naming it.
 ``check_contraction`` evaluates all the identities that make the triple a
 full algebra contraction, on every basis monomial up to a degree cap, in
 exact arithmetic; failures are reported as data, not exceptions.
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .differential import DGAlgebra, DiffEvaluator, linear_extension
+from .differential import DGAlgebra, Extension
 from .graded_algebra import (
     Elem,
     Mono,
@@ -26,10 +29,9 @@ from .graded_algebra import (
     basis_monomials,
     elem_add,
     elem_degree,
-    elem_gen,
     elem_is_zero,
     elem_mul,
-    elem_one,
+    elem_neg,
     elem_scale,
     elem_sub,
     mono_degree,
@@ -71,82 +73,24 @@ class GeneratorMap:
         return problems
 
 
-class MapEvaluator:
-    """Multiplicative extension of a degree-0 generator table, with caching."""
-
-    def __init__(self, sig: Signature, table: Mapping[int, Elem]):
-        self.sig = sig
-        self.table = table
-        self._cache: Dict[Mono, Elem] = {(): elem_one()}
-
-    def on_monomial(self, m: Mono) -> Elem:
-        cached = self._cache.get(m)
-        if cached is not None:
-            return cached
-        (i, e) = m[0]
-        rest: Mono = ((i, e - 1),) + m[1:] if e > 1 else m[1:]
-        try:
-            head = self.table[i]
-        except KeyError:
-            raise KeyError(f"no image for generator {self.sig.name(i)}") from None
-        out = elem_mul(self.sig, head, self.on_monomial(rest))
-        self._cache[m] = out
-        return out
-
-    on_element = linear_extension
-
-
-class HomotopyEvaluator:
-    """Homotopy extension of a degree -1 table against given f and g tables."""
-
-    def __init__(self, sig: Signature, phi_table: Mapping[int, Elem],
-                 f_ev: MapEvaluator, g_ev: MapEvaluator):
-        self.sig = sig
-        self.phi_table = phi_table
-        self.f_ev = f_ev
-        self.g_ev = g_ev
-        self._cache: Dict[Mono, Elem] = {(): {}}
-
-    def on_monomial(self, m: Mono) -> Elem:
-        cached = self._cache.get(m)
-        if cached is not None:
-            return cached
-        (i, e) = m[0]
-        rest: Mono = ((i, e - 1),) + m[1:] if e > 1 else m[1:]
-        # (-1)^{|g|} g * phi(rest)
-        tail = self.on_monomial(rest)
-        out: Elem = {}
-        if tail:
-            out = elem_mul(self.sig, elem_gen(self.sig, i), tail)
-            if self.sig.degree(i) % 2:
-                out = {mm: -c for mm, c in out.items()}
-        # phi(g) * g(f(rest))
-        try:
-            head = self.phi_table[i]
-        except KeyError:
-            raise KeyError(f"no homotopy image for generator {self.sig.name(i)}") from None
-        if head:
-            gf_rest = self.g_ev.on_element(self.f_ev.on_monomial(rest))
-            term = elem_mul(self.sig, head, gf_rest)
-            out = elem_add(out, term)
-        self._cache[m] = out
-        return out
-
-    on_element = linear_extension
+def homotopy_extension(sig: Signature, phi_table: Mapping[int, Elem],
+                       f_ev: Extension, g_ev: Extension) -> Extension:
+    """``phi`` extended by the two-leg rule, its right leg ``g f`` read through
+    the given cached ``f`` and ``g`` evaluators."""
+    return Extension(sig, phi_table, lambda r: g_ev.on_element(f_ev.on_monomial(r)))
 
 
 def apply_multiplicative(gmap: GeneratorMap, x: Elem) -> Elem:
     if gmap.map_degree != 0:
         raise ValueError("multiplicative extension needs a degree-0 map")
-    return MapEvaluator(gmap.sig, gmap.table).on_element(x)
+    return Extension(gmap.sig, gmap.table).on_element(x)
 
 
 def apply_homotopy(phi: GeneratorMap, f: GeneratorMap, g: GeneratorMap, x: Elem) -> Elem:
     if phi.map_degree != -1:
         raise ValueError("homotopy extension needs a degree -1 map")
-    f_ev = MapEvaluator(f.sig, f.table)
-    g_ev = MapEvaluator(g.sig, g.table)
-    return HomotopyEvaluator(phi.sig, phi.table, f_ev, g_ev).on_element(x)
+    f_ev, g_ev = Extension(f.sig, f.table), Extension(g.sig, g.table)
+    return homotopy_extension(phi.sig, phi.table, f_ev, g_ev).on_element(x)
 
 
 @dataclass(frozen=True)
@@ -223,11 +167,11 @@ def _pack(copies: List[int]) -> Mono:
 def check_contraction(c: FullContraction, max_degree: int) -> ContractionReport:
     """Evaluate every contraction identity on basis monomials up to the cap."""
     sig = c.sig
-    f_ev = MapEvaluator(sig, c.f.table)
-    g_ev = MapEvaluator(sig, c.g.table)
-    phi_ev = HomotopyEvaluator(sig, c.phi.table, f_ev, g_ev)
-    d_ev = DiffEvaluator(sig, c.source.diff)
-    dw_ev = DiffEvaluator(sig, c.dW)
+    f_ev = Extension(sig, c.f.table)
+    g_ev = Extension(sig, c.g.table)
+    phi_ev = homotopy_extension(sig, c.phi.table, f_ev, g_ev)
+    d_ev = Extension(sig, c.source.diff, mono_elem)
+    dw_ev = Extension(sig, c.dW, mono_elem)
 
     v_basis: List[Mono] = []
     w_basis: List[Mono] = []
@@ -269,28 +213,29 @@ def check_contraction(c: FullContraction, max_degree: int) -> ContractionReport:
         # dW dW = 0
         record("dW dW = 0", dw_ev.on_element(dwm), m)
 
+    def rule(u: Mono, v: Mono) -> Elem:
+        # phi(u*v) = (-1)^{|u|} u*phi(v) + phi(u)*gf(v), gf read from phi's right leg
+        left = elem_mul(sig, mono_elem(u), phi_ev.on_monomial(v))
+        if mono_degree(sig, u) % 2:
+            left = elem_neg(left)
+        phi_u = phi_ev.on_monomial(u)
+        if not phi_u:
+            return left
+        return elem_add(left, elem_mul(sig, phi_u, phi_ev.right(v)))
+
     # extension coherence: both maps agree with every factorization of a product
     for m in v_basis:
+        fm = f_ev.on_monomial(m)
+        phim = phi_ev.on_monomial(m)
         for x, y in _mono_splits(m):
             dx = mono_degree(sig, x)
             dy = mono_degree(sig, y)
             swap = -1 if (dx % 2 and dy % 2) else 1
             fx, fy = f_ev.on_monomial(x), f_ev.on_monomial(y)
-            fm = f_ev.on_monomial(m)
             record("f mu = mu (f x f)",
                    elem_sub(fm, elem_mul(sig, fx, fy)), m)
             record("f mu = mu (f x f)",
                    elem_sub(elem_scale(fm, swap), elem_mul(sig, fy, fx)), m)
-            # phi(x*y) = (-1)^{|x|} x*phi(y) + phi(x)*gf(y), in both factor orders
-            phim = phi_ev.on_monomial(m)
-
-            def rule(u: Mono, v: Mono) -> Elem:
-                left = elem_mul(sig, mono_elem(u), phi_ev.on_monomial(v))
-                if mono_degree(sig, u) % 2:
-                    left = {mm: -cc for mm, cc in left.items()}
-                gf_v = g_ev.on_element(f_ev.on_monomial(v))
-                return elem_add(left, elem_mul(sig, phi_ev.on_monomial(u), gf_v))
-
             record("phi mu rule", elem_sub(phim, rule(x, y)), m)
             record("phi mu rule", elem_sub(elem_scale(phim, swap), rule(y, x)), m)
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .at_model import DGModule, Lin
-from .differential import DGAlgebra, DiffEvaluator
+from .differential import DGAlgebra, Extension
 from .graded_algebra import (
     Elem,
     Signature,
@@ -36,7 +36,7 @@ def _cocycle_space(sig: Signature, diff: Dict[int, Elem], earlier: List[int],
         return []
     target = basis_monomials(sig, degree + 1, earlier)
     index = {m: k for k, m in enumerate(target)}
-    ev = DiffEvaluator(sig, diff)
+    ev = Extension(sig, diff, mono_elem)
     cols = []
     for m in basis:
         img = ev.on_monomial(m)

@@ -97,6 +97,22 @@ def test_verify_passes_on_single_pair_inputs():
         assert "cohomology match" in out
 
 
+@pytest.mark.parametrize("text", [
+    "gen a1:1\ngen b2:2\nd b2 = a1\n",
+    "mode module\ngen a:0\ngen b:1\nd b = a\n",
+    "gen x3:3\ngen y2:2\nd y2 = x3\ngen z5:5\nd z5 = y2^3\n",
+], ids=["degree", "module-degree", "d-squared"])
+def test_homology_rejects_invalid_input_as_validate_does(tmp_path, text):
+    # the oracle must never run on an input that fails validation, given
+    # directly or through --against
+    bad = tmp_path / "bad.sul"
+    bad.write_text(text)
+    code, out, report = invoke("validate", bad)
+    assert code == 2 and out == "" and report
+    assert invoke("homology", bad) == (2, "", report)
+    assert invoke("homology", EXAMPLE_FILES["ex1"], against_path=str(bad)) == (2, "", report)
+
+
 def test_verify_reports_homotopy_extension_limit_on_even_ladder():
     # interacting pairs leave the two homotopy-extension identities
     # unsatisfiable, so verify reports the breach through exit code 3

@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sulmin.differential import DGAlgebra, DiffEvaluator, apply_d, validate_sullivan
+from sulmin.differential import DGAlgebra, Extension, apply_d, validate_sullivan
 from sulmin.dsl import parse, parse_expression
 from sulmin.graded_algebra import (
     Signature,
@@ -13,6 +13,7 @@ from sulmin.graded_algebra import (
     elem_mul,
     elem_one,
     elem_scale,
+    mono_elem,
 )
 
 
@@ -101,7 +102,7 @@ d u3 = v2^2
 def test_d_squared_vanishes_on_basis_up_to_cap(algebras):
     for name in ("ex3", "ex4"):
         dga = algebras[name]
-        ev = DiffEvaluator(dga.sig, dga.diff)
+        ev = Extension(dga.sig, dga.diff, mono_elem)
         for p in range(9):
             for m in basis_monomials(dga.sig, p):
                 assert ev.on_element(ev.on_monomial(m)) == {}

@@ -3,15 +3,23 @@ from fractions import Fraction
 
 import pytest
 
-from sulmin.differential import DiffEvaluator
+from sulmin.differential import Extension
 from sulmin.dsl import parse, parse_expression
-from sulmin.graded_algebra import elem_gen, elem_sub, in_lambda_geq2
+from sulmin.graded_algebra import (
+    elem_add,
+    elem_gen,
+    elem_mul,
+    elem_scale,
+    elem_sub,
+    in_lambda_geq2,
+    mono_elem,
+)
 from sulmin.minimal_model import (
     SullivanValidationError,
     compute_minimal_model,
     contractible_summand,
 )
-from sulmin.morphisms import HomotopyEvaluator, MapEvaluator, check_contraction
+from sulmin.morphisms import FullContraction, GeneratorMap, check_contraction, homotopy_extension
 from sulmin.random_inputs import random_sullivan_algebra
 
 # identities that hold for every run; the homotopy-side ones involving the
@@ -161,10 +169,10 @@ def test_validation_failure_raises():
 def test_finalization_invariants(contractions):
     for c in contractions.values():
         sig = c.sig
-        f_ev = MapEvaluator(sig, c.f.table)
-        g_ev = MapEvaluator(sig, c.g.table)
-        d_ev = DiffEvaluator(sig, c.source.diff)
-        dw_ev = DiffEvaluator(sig, c.dW)
+        f_ev = Extension(sig, c.f.table)
+        g_ev = Extension(sig, c.g.table)
+        d_ev = Extension(sig, c.source.diff, mono_elem)
+        dw_ev = Extension(sig, c.dW, mono_elem)
         for w in c.W:
             assert c.f.table[w] == elem_gen(sig, w)
             dw = c.dW.get(w, {})
@@ -238,10 +246,10 @@ def test_homotopy_extension_obstruction_on_even_ladder(contractions):
     """
     c = contractions["ex4"]
     sig = c.sig
-    f_ev = MapEvaluator(sig, c.f.table)
-    g_ev = MapEvaluator(sig, c.g.table)
-    phi_ev = HomotopyEvaluator(sig, c.phi.table, f_ev, g_ev)
-    d_ev = DiffEvaluator(sig, c.source.diff)
+    f_ev = Extension(sig, c.f.table)
+    g_ev = Extension(sig, c.g.table)
+    phi_ev = homotopy_extension(sig, c.phi.table, f_ev, g_ev)
+    d_ev = Extension(sig, c.source.diff, mono_elem)
     m = parse_expression(sig, "x1*x3")
     lhs = elem_sub(m, g_ev.on_element(f_ev.on_element(m)))
     rhs_sum = phi_ev.on_element(d_ev.on_element(m))
@@ -259,7 +267,7 @@ def test_even_ladder_obstruction_holds_for_every_table(contractions):
     e = lambda t: parse_expression(sig, t)
     rng = random.Random(5150)
     m = e("x1*x3")
-    d_ev = DiffEvaluator(sig, c.source.diff)
+    d_ev = Extension(sig, c.source.diff, mono_elem)
 
     def coin():
         return Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
@@ -296,9 +304,9 @@ def test_even_ladder_obstruction_holds_for_every_table(contractions):
             idx["x5"]: span("v2^2", "v2*w2", "v4", "w4"),
             idx["x7"]: span("v2*v4", "v4*w2"),
         }
-        f_ev = MapEvaluator(sig, f_table)
-        g_ev = MapEvaluator(sig, g_table)
-        phi_ev = HomotopyEvaluator(sig, phi_table, f_ev, g_ev)
+        f_ev = Extension(sig, f_table)
+        g_ev = Extension(sig, g_table)
+        phi_ev = homotopy_extension(sig, phi_table, f_ev, g_ev)
         lhs = elem_sub(m, g_ev.on_element(f_ev.on_element(m)))
         rhs = phi_ev.on_element(d_ev.on_element(m))
         for mm, cc in d_ev.on_element(phi_ev.on_element(m)).items():
@@ -306,3 +314,48 @@ def test_even_ladder_obstruction_holds_for_every_table(contractions):
             if not rhs[mm]:
                 del rhs[mm]
         assert elem_sub(lhs, rhs) == m
+
+
+def test_phi_mu_rule_cannot_hold_on_one_even_killer_pair():
+    """No homotopy satisfies both the identity and the phi mu rule.
+
+    On Lambda(v3, a2) with d a2 = v3 the pair (a2, v3) collapses: f and g
+    vanish off the unit, and phi(a2) lies in degree 1, which is empty.
+    1. With phi(v3) = t*a2 the identity on v3 reads v3 = d(t*a2) = t*v3,
+       so it forces t = 1 (as does the identity on a2, a2 = phi(v3)).
+    2. With t = 1 the rule gives phi(a2*v3) = a2*phi(v3) = a2^2 and
+       phi(a2^2) = 0, while the identity on a2^2 needs
+       a2^2 = phi(d(a2^2)) + d(phi(a2^2)) = 2*phi(a2*v3) = 2*a2^2.
+    One pair with an even killer is enough; no interaction is involved.
+    """
+    dga = parse("gen v3:3\ngen a2:2\nd a2 = v3\n")
+    sig = dga.sig
+    e = lambda t: parse_expression(sig, t)
+    V3, A2 = 0, 1
+    d_ev = Extension(sig, dga.diff, mono_elem)
+    c = compute_minimal_model(dga)
+    assert c.W == () and c.pairs == ((A2, V3),)
+    assert c.f.table == {V3: {}, A2: {}} and c.phi.table == {V3: e("a2"), A2: {}}
+
+    def failures(phi_v3):
+        phi = GeneratorMap(sig, {V3: phi_v3, A2: {}}, -1)
+        report = check_contraction(FullContraction(
+            source=dga, W=(), dW={}, f=c.f, g=c.g, phi=phi, pairs=c.pairs), 6)
+        return {ch.name: ch.counterexample for ch in report.checks if not ch.ok}
+
+    # 1. the residual of the identity on v3 is (1 - t)*v3
+    for t in (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(7, 3)):
+        phi_v3 = elem_scale(e("a2"), t)
+        assert elem_sub(e("v3"), d_ev.on_element(phi_v3)) == elem_scale(e("v3"), 1 - t)
+        assert failures(phi_v3)["id - gf = phi d + d phi"] == ("a2^2" if t == 1 else "a2")
+
+    # 2. the rule's values on the two words of a2^2 and d(a2^2), with g f = 0
+    def rule(u, v):
+        return elem_scale(elem_mul(sig, elem_gen(sig, u), c.phi.table[v]), (-1) ** sig.degree(u))
+
+    assert rule(A2, V3) == e("a2^2") and rule(A2, A2) == {}
+    d_square = d_ev.on_element(e("a2^2"))
+    assert d_square == e("2*a2*v3")
+    rhs = elem_add(elem_scale(rule(A2, V3), 2), d_ev.on_element(rule(A2, A2)))
+    assert elem_sub(e("a2^2"), rhs) == e("-a2^2")
+    assert failures(e("a2")) == {"id - gf = phi d + d phi": "a2^2", "phi mu rule": "v3*a2"}

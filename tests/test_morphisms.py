@@ -2,10 +2,11 @@ import copy
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sulmin.differential import DGAlgebra, DiffEvaluator
+from sulmin.differential import DGAlgebra, Extension
 from sulmin.dsl import parse_expression
 from sulmin.graded_algebra import (
     Signature,
@@ -15,6 +16,7 @@ from sulmin.graded_algebra import (
     elem_mul,
     elem_one,
     elem_scale,
+    mono_elem,
 )
 from sulmin.homology_oracle import rank_of_columns
 from sulmin.minimal_model import compute_minimal_model
@@ -22,11 +24,10 @@ from sulmin.random_inputs import random_sullivan_algebra
 from sulmin.morphisms import (
     FullContraction,
     GeneratorMap,
-    HomotopyEvaluator,
-    MapEvaluator,
     apply_homotopy,
     apply_multiplicative,
     check_contraction,
+    homotopy_extension,
 )
 
 SIG = Signature.from_pairs([("b1", 1), ("c1", 1), ("v2", 2), ("a1", 1), ("u3", 3)])
@@ -149,12 +150,33 @@ def test_corrupted_inclusion_is_detected(contractions):
     assert failing["id - gf = phi d + d phi"] == "u3"
 
 
+def test_missing_homotopy_entry_is_zero_and_missing_map_entry_raises(contractions):
+    # phi is a twisted derivation, so a generator absent from its table maps
+    # to zero and the checker reports the broken identity; f and g are
+    # algebra maps, which raise KeyError naming the absent generator
+    c = contractions["ex1"]
+    sig = c.sig
+
+    def without_v2(gmap):
+        return GeneratorMap(sig, {k: v for k, v in gmap.table.items() if k != V2},
+                            gmap.map_degree)
+
+    no_phi = FullContraction(source=c.source, W=c.W, dW=c.dW, f=c.f, g=c.g,
+                             phi=without_v2(c.phi), pairs=c.pairs)
+    report = check_contraction(no_phi, 8)
+    failing = {ch.name: ch.counterexample for ch in report.checks if not ch.ok}
+    assert failing["id - gf = phi d + d phi"] == "a1"
+    no_f = FullContraction(source=c.source, W=c.W, dW=c.dW, f=without_v2(c.f), g=c.g,
+                           phi=c.phi, pairs=c.pairs)
+    with pytest.raises(KeyError, match="no image for generator v2"):
+        check_contraction(no_f, 8)
+
+
 def test_inclusion_injective_on_surviving_basis(contractions):
     for name in ("ex1", "ex3"):
         c = contractions[name]
         sig = c.sig
-        from sulmin.morphisms import MapEvaluator
-        g_ev = MapEvaluator(sig, c.g.table)
+        g_ev = Extension(sig, c.g.table)
         for p in range(1, 8):
             basis = basis_monomials(sig, p, c.W)
             target = {m: k for k, m in enumerate(basis_monomials(sig, p))}
@@ -188,13 +210,24 @@ def test_checker_leaves_shared_tables_untouched():
         for table in tables:
             for image in table.values():
                 assert all(type(v) is Fraction for v in image.values())
-        # scaling a one-term element must not touch the cached monomial image
-        f_ev, g_ev = MapEvaluator(c.sig, c.f.table), MapEvaluator(c.sig, c.g.table)
-        v_basis, w_basis = basis_monomials(c.sig, 4), basis_monomials(c.sig, 4, c.W)
-        for ev, basis in ((f_ev, v_basis), (g_ev, w_basis), (DiffEvaluator(c.sig, c.dW), w_basis),
-                          (HomotopyEvaluator(c.sig, c.phi.table, f_ev, g_ev), v_basis)):
+        # scaling a one-term element must not touch the cached monomial image,
+        # under both rules of the one evaluator: algebra maps (f, g and a
+        # pair-collapse substitution) and twisted derivations (dW with right
+        # leg mono_elem, phi with right leg g f, and a pair homotopy whose
+        # right leg is the substitution)
+        sig = c.sig
+        f_ev, g_ev = Extension(sig, c.f.table), Extension(sig, c.g.table)
+        subst_table = {k: elem_gen(sig, k) for k in range(len(sig))}
+        subst_table[0] = elem_scale(subst_table[0], Fraction(-1, 2))
+        subst = Extension(sig, subst_table)
+        pair_phi = Extension(sig, {j: elem_gen(sig, i) for i, j in c.pairs}, subst.on_monomial)
+        v_basis, w_basis = basis_monomials(sig, 4), basis_monomials(sig, 4, c.W)
+        for ev, basis in ((f_ev, v_basis), (g_ev, w_basis), (Extension(sig, c.dW, mono_elem), w_basis),
+                          (homotopy_extension(sig, c.phi.table, f_ev, g_ev), v_basis),
+                          (subst, v_basis), (pair_phi, v_basis)):
             for m in basis:
                 image = copy.deepcopy(ev.on_monomial(m))
                 for coeff in (Fraction(-3, 2), Fraction(1), Fraction(2)):
                     assert ev.on_element({m: coeff}) == elem_scale(image, coeff)
                 assert ev.on_monomial(m) == image
+        assert tables == before
