@@ -9,8 +9,10 @@ elimination.
 
 ``lin_apply`` is the one linear extension of a generator table: the module
 differential, the sweep's ``f`` and ``phi`` and the identity checker all go
-through it.  It accumulates in place, with ``lin_axpy``, on a dict that it
-creates and hands to the caller, so no stored table entry is ever written.
+through it.  It accumulates in place on a dict that it creates and hands to
+the caller, so no stored table entry is ever written.  The accumulate itself,
+``lin_axpy``, belongs to ``graded_algebra``: the module layer sits under the
+algebra layer and owns no kernel of its own.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
+
+from .graded_algebra import lin_axpy
 
 Lin = Dict[int, Fraction]
 
@@ -37,24 +41,6 @@ def lin_apply(table: Mapping[int, Lin], x: Lin) -> Lin:
         img = table.get(i)
         if img and c:
             lin_axpy(out, c, img)
-    return out
-
-
-def lin_axpy(out: Lin, c: Fraction, y: Lin) -> Lin:
-    """Add c * y into ``out`` in place and return ``out``; y is only read."""
-    unit = c == 1
-    for j, v in y.items():
-        if not unit:
-            v = c * v
-        s = out.get(j)
-        if s is None:
-            out[j] = v
-        else:
-            s += v
-            if s:
-                out[j] = s
-            else:
-                del out[j]
     return out
 
 
@@ -107,6 +93,15 @@ def validate_module(M: DGModule) -> List[str]:
     return problems
 
 
+class ModuleValidationError(ValueError):
+    """The input fails the ordered DG-module contract; ``problems`` lists
+    every violation, as ``validate_module`` returns them."""
+
+    def __init__(self, problems: List[str]):
+        super().__init__("invalid DG-module: " + "; ".join(problems))
+        self.problems = problems
+
+
 @dataclass(frozen=True)
 class ATModel:
     """Contraction of a DG-module onto its homology (zero differential)."""
@@ -121,7 +116,7 @@ class ATModel:
 def compute_at_model(M: DGModule) -> ATModel:
     problems = validate_module(M)
     if problems:
-        raise ValueError("invalid DG-module: " + "; ".join(problems))
+        raise ModuleValidationError(problems)
 
     H: List[int] = []
     in_h = set()

@@ -12,11 +12,12 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .at_model import DGModule, compute_at_model, validate_module
+from .at_model import DGModule, ModuleValidationError, compute_at_model, validate_module
 from .differential import DGAlgebra, validate_sullivan
 from .dsl import DslError, emit_machine, emit_report, format_linear, parse
 from .graded_algebra import in_lambda_geq2
-from .homology_oracle import NotClosedError, cohomology_dims, compare_cohomology, module_homology_dims
+from .homology_oracle import (
+    NotClosedError, cohomology_dims, compare_cohomology, compare_dims, module_homology_dims)
 from .minimal_model import InternalInvariantError, SullivanValidationError, compute_minimal_model
 from .morphisms import check_contraction
 
@@ -68,6 +69,8 @@ def run(config: RunConfig) -> Tuple[int, str, str]:
             return _cmd_verify(parsed, config)
     except SullivanValidationError as exc:
         return EXIT_USER, "", f"{config.input_path}: invalid input:\n{exc}\n"
+    except ModuleValidationError as exc:
+        return _module_problems(exc.problems)
     except InternalInvariantError as exc:
         return EXIT_INTERNAL, "", f"internal invariant breach: {exc}\n"
     except NotClosedError as exc:
@@ -78,11 +81,15 @@ def run(config: RunConfig) -> Tuple[int, str, str]:
     return EXIT_USER, "", f"unknown command {config.command!r}\n"
 
 
+def _module_problems(problems) -> Tuple[int, str, str]:
+    return EXIT_USER, "", "".join(p + "\n" for p in problems)
+
+
 def _cmd_validate(parsed, config: RunConfig) -> Tuple[int, str, str]:
     if isinstance(parsed, DGModule):
         problems = validate_module(parsed)
         if problems:
-            return EXIT_USER, "", "".join(p + "\n" for p in problems)
+            return _module_problems(problems)
         return EXIT_OK, "valid\n", ""
     report = validate_sullivan(parsed)
     if report.ok:
@@ -141,22 +148,13 @@ def _cmd_homology(parsed, config: RunConfig) -> Tuple[int, str, str]:
         return EXIT_USER, "", f"cannot read {config.against_path}: {exc.strerror}\n"
     except DslError as exc:
         return EXIT_USER, "", f"{config.against_path}: {exc}\n"
+    except RecursionError:
+        return EXIT_USER, "", f"{config.against_path}: input nests too deeply to parse\n"
     checked = _cmd_validate(other, config)
     if checked[0] != EXIT_OK:
         return checked
-    other_dims = _dims_of(other, config)
-    lines = []
-    first_mismatch = None
-    for (p, da), (_, db) in zip(dims, other_dims):
-        mark = "" if da == db else "   <- mismatch"
-        if da != db and first_mismatch is None:
-            first_mismatch = p
-        lines.append(f"H^{p}: {da} vs {db}{mark}")
-    if first_mismatch is None:
-        lines.append("equal")
-        return EXIT_OK, "\n".join(lines) + "\n", ""
-    lines.append(f"first mismatch at degree {first_mismatch}")
-    return EXIT_USER, "\n".join(lines) + "\n", ""
+    comparison = compare_dims(dims, _dims_of(other, config))
+    return EXIT_OK if comparison.equal else EXIT_USER, str(comparison) + "\n", ""
 
 
 def _cmd_verify(parsed, config: RunConfig) -> Tuple[int, str, str]:

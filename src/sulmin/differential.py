@@ -13,24 +13,28 @@ were declared earlier (the declaration order encodes the filtration).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional
 
 from .graded_algebra import (
     Elem,
     Mono,
     Signature,
-    elem_add,
     elem_gen,
     elem_is_zero,
     elem_mul,
-    elem_neg,
     elem_one,
     elem_scale,
+    lin_axpy,
     mono_degree,
     mono_elem,
     mono_str,
     mono_valid,
 )
+
+
+_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 def _clean_table(table: Mapping[int, Elem]) -> Dict[int, Elem]:
@@ -95,11 +99,9 @@ class Extension:
             head = self.table.get(i)
             out = elem_mul(sig, head, self.right(rest)) if head else {}
             tail = self.on_monomial(rest)
-            if tail:
-                term = elem_mul(sig, elem_gen(sig, i), tail)
-                if sig.odd[i]:
-                    term = elem_neg(term)
-                out = elem_add(out, term) if out else term
+            if tail:  # out is a fresh product, so the sign term adds in place
+                lin_axpy(out, _MINUS_ONE if sig.odd[i] else _ONE,
+                         elem_mul(sig, elem_gen(sig, i), tail))
         self._cache[m] = out
         return out
 
@@ -114,7 +116,7 @@ class Extension:
         for m, c in x.items():
             img = self.on_monomial(m)
             if img:
-                out = elem_add(out, elem_scale(img, c))
+                lin_axpy(out, c, img)
         return out
 
 

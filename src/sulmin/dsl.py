@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
-from .at_model import DGModule, Lin, lin_axpy
+from .at_model import DGModule, Lin
 from .differential import DGAlgebra
 from .graded_algebra import (
     Elem,
@@ -36,6 +36,7 @@ from .graded_algebra import (
     elem_mul,
     elem_pow,
     elem_scale,
+    lin_axpy,
     mono_degree,
 )
 from .morphisms import FullContraction

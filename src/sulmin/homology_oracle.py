@@ -21,11 +21,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .at_model import DGModule
 from .differential import DGAlgebra, Extension
-from .graded_algebra import Signature, basis_monomials, mono_elem, mono_str
+from .graded_algebra import Signature, basis_monomials, lin_axpy, mono_elem, mono_str
 
 SparseVec = Dict[int, Fraction]
-
-_ZERO = Fraction(0)
 
 
 def column_reduce(columns: Sequence[SparseVec]) -> Tuple[int, List[Dict[int, Fraction]]]:
@@ -46,19 +44,9 @@ def column_reduce(columns: Sequence[SparseVec]) -> Tuple[int, List[Dict[int, Fra
                 pivots[lead] = (vec, combo)
                 break
             pvec, pcombo = hit
-            factor = vec[lead] / pvec[lead]
-            for r, c in pvec.items():
-                s = vec.get(r, _ZERO) - factor * c
-                if s:
-                    vec[r] = s
-                elif r in vec:
-                    del vec[r]
-            for k, c in pcombo.items():
-                s = combo.get(k, _ZERO) - factor * c
-                if s:
-                    combo[k] = s
-                elif k in combo:
-                    del combo[k]
+            factor = -vec[lead] / pvec[lead]
+            lin_axpy(vec, factor, pvec)
+            lin_axpy(combo, factor, pcombo)
         else:
             kernel.append(combo)
     return len(pivots), kernel
@@ -90,14 +78,7 @@ def rank_of_columns(columns: Sequence[SparseVec]) -> int:
             p //= common
             v //= common
             # p * vec - v * pvec clears the lead entry
-            out = {r: p * c for r, c in vec.items()}
-            for r, c in pvec.items():
-                s = out.get(r, 0) - v * c
-                if s:
-                    out[r] = s
-                else:
-                    del out[r]
-            vec = out
+            vec = lin_axpy({r: p * c for r, c in vec.items()}, -v, pvec)
     return len(pivots)
 
 
@@ -187,11 +168,12 @@ class ComparisonReport:
 def compare_cohomology(a: Tuple[DGAlgebra, object], b: Tuple[DGAlgebra, object],
                        max_degree: int = 10) -> ComparisonReport:
     """Degreewise dimension comparison of two (algebra, subset) sides."""
-    dims_a = cohomology_dims(a[0], a[1], max_degree)
-    dims_b = cohomology_dims(b[0], b[1], max_degree)
-    first = None
-    for (p, da), (_, db) in zip(dims_a, dims_b):
-        if da != db:
-            first = p
-            break
+    return compare_dims(cohomology_dims(a[0], a[1], max_degree),
+                        cohomology_dims(b[0], b[1], max_degree))
+
+
+def compare_dims(dims_a: Sequence[Tuple[int, int]],
+                 dims_b: Sequence[Tuple[int, int]]) -> ComparisonReport:
+    """Compare two (degree, dimension) lists degree by degree."""
+    first = next((p for (p, da), (_, db) in zip(dims_a, dims_b) if da != db), None)
     return ComparisonReport(tuple(dims_a), tuple(dims_b), first)

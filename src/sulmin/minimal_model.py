@@ -77,11 +77,8 @@ def _d_preimage(sig: Signature, diff, degree: int, earlier, target: Elem) -> Ele
     for combo in kernel:
         c_last = combo.get(last)
         if c_last:
-            out: Elem = {}
-            for pos, c in combo.items():
-                if pos != last:
-                    out = elem_add(out, mono_elem(basis[pos], -c / c_last))
-            return out
+            # kernel positions are distinct and their coefficients nonzero
+            return {basis[pos]: -c / c_last for pos, c in combo.items() if pos != last}
     raise InternalInvariantError("no derivative preimage for a chain correction")
 
 

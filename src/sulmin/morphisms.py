@@ -52,12 +52,6 @@ class GeneratorMap:
     def __post_init__(self):
         object.__setattr__(self, "table", {i: dict(e) for i, e in self.table.items()})
 
-    def image(self, index: int) -> Elem:
-        try:
-            return self.table[index]
-        except KeyError:
-            raise KeyError(f"no image for generator {self.sig.name(index)}") from None
-
     def validate(self) -> List[str]:
         problems = []
         for i, img in sorted(self.table.items()):

@@ -18,8 +18,7 @@ from .graded_algebra import (
     Elem,
     Signature,
     basis_monomials,
-    elem_add,
-    elem_scale,
+    lin_axpy,
     mono_elem,
 )
 from .homology_oracle import column_reduce
@@ -42,13 +41,8 @@ def _cocycle_space(sig: Signature, diff: Dict[int, Elem], earlier: List[int],
         img = ev.on_monomial(m)
         cols.append({index[mm]: c for mm, c in img.items()})
     _, kernel = column_reduce(cols)
-    out = []
-    for combo in kernel:
-        e: Elem = {}
-        for pos, c in combo.items():
-            e = elem_add(e, mono_elem(basis[pos], c))
-        out.append(e)
-    return out
+    # kernel positions are distinct and their coefficients nonzero
+    return [{basis[pos]: c for pos, c in combo.items()} for combo in kernel]
 
 
 def random_sullivan_algebra(rng: random.Random, max_gens: int = 8,
@@ -72,7 +66,7 @@ def random_sullivan_algebra(rng: random.Random, max_gens: int = 8,
         chosen = rng.sample(space, picks)
         value: Elem = {}
         for vec in chosen:
-            value = elem_add(value, elem_scale(vec, rng.choice(_COEFF_POOL)))
+            lin_axpy(value, rng.choice(_COEFF_POOL), vec)
         if value:
             diff[i] = value
     return DGAlgebra(sig, diff)
@@ -86,18 +80,6 @@ def random_dg_module(rng: random.Random, max_gens: int = 30,
     for i in range(n):
         gens.append((f"m{i}", rng.randint(0, max_degree)))
     diff: Dict[int, Lin] = {}
-
-    def d_of(x: Lin) -> Lin:
-        out: Lin = {}
-        for k, c in x.items():
-            for j, cj in diff.get(k, {}).items():
-                s = out.get(j, Fraction(0)) + c * cj
-                if s:
-                    out[j] = s
-                elif j in out:
-                    del out[j]
-        return out
-
     for i in range(n):
         if rng.random() < closed_probability:
             continue
@@ -117,14 +99,8 @@ def random_dg_module(rng: random.Random, max_gens: int = 30,
         picks = rng.randint(1, min(3, len(kernel)))
         value: Lin = {}
         for combo in rng.sample(kernel, picks):
-            c = rng.choice(_COEFF_POOL)
-            for t, coef in combo.items():
-                k = earlier[t]
-                s = value.get(k, Fraction(0)) + c * coef
-                if s:
-                    value[k] = s
-                elif k in value:
-                    del value[k]
+            lin_axpy(value, rng.choice(_COEFF_POOL),
+                     {earlier[t]: coef for t, coef in combo.items()})
         if value:
             diff[i] = value
     return DGModule(tuple(gens), diff)
@@ -136,7 +112,5 @@ def random_homogeneous_element(rng: random.Random, sig: Signature, degree: int,
     if not basis:
         return {}
     count = rng.randint(1, min(max_terms, len(basis)))
-    out: Elem = {}
-    for m in rng.sample(basis, count):
-        out = elem_add(out, mono_elem(m, rng.choice(_COEFF_POOL)))
-    return out
+    # sampled monomials are distinct and pool coefficients nonzero
+    return {m: rng.choice(_COEFF_POOL) for m in rng.sample(basis, count)}

@@ -80,14 +80,19 @@ def test_homology_comparison_equal():
     code, out, _ = invoke("homology", EXAMPLE_FILES["ex1"],
                           against_path=str(EXAMPLE_FILES["ex2"]), max_degree=8)
     assert code == 0
-    assert out.rstrip().endswith("equal")
+    assert out == (
+        "H^0: 1 vs 1\nH^1: 2 vs 2\nH^2: 1 vs 1\nH^3: 1 vs 1\nH^4: 2 vs 2\n"
+        "H^5: 1 vs 1\nH^6: 0 vs 0\nH^7: 0 vs 0\nH^8: 0 vs 0\nequal\n")
 
 
 def test_homology_comparison_mismatch():
     code, out, _ = invoke("homology", EXAMPLE_FILES["ex1"],
                           against_path=str(EXAMPLE_FILES["minimal"]), max_degree=6)
     assert code == 2
-    assert "first mismatch at degree" in out
+    assert out == (
+        "H^0: 1 vs 1\nH^1: 2 vs 2\nH^2: 1 vs 2   <- mismatch\n"
+        "H^3: 1 vs 2   <- mismatch\nH^4: 2 vs 2\nH^5: 1 vs 2   <- mismatch\n"
+        "H^6: 0 vs 1   <- mismatch\nfirst mismatch at degree 2\n")
 
 
 def test_verify_passes_on_single_pair_inputs():
@@ -138,6 +143,27 @@ def test_parentheses_deeper_than_the_parser_exit_two(tmp_path):
     code, out, err = invoke("validate", src)
     assert (code, out) == (2, "")
     assert err == f"{src}: input nests too deeply to parse\n"
+
+
+def test_against_nested_past_the_parser_names_the_against_file(tmp_path):
+    src = tmp_path / "parens.sul"
+    src.write_text("gen v2:2\ngen u3:3\nd u3 = " + "(" * 3000 + "v2" + ")" * 3000 + "*v2\n")
+    code, out, err = invoke("homology", EXAMPLE_FILES["ex1"], against_path=str(src))
+    assert (code, out) == (2, "")
+    assert err == f"{src}: input nests too deeply to parse\n"
+
+
+@pytest.mark.parametrize("text", [
+    "mode module\ngen a:0\ngen b:0\nd b = a\n",
+    "mode module\ngen a:1\ngen b:0\nd a = b\n",
+    "mode module\ngen a:2\ngen b:1\ngen c:0\nd b = a\nd c = b\n",
+], ids=["degree", "order", "d-squared"])
+def test_at_model_rejects_invalid_module_as_validate_does(tmp_path, text):
+    bad = tmp_path / "bad.sul"
+    bad.write_text(text)
+    code, out, report = invoke("validate", bad)
+    assert code == 2 and out == "" and report
+    assert invoke("at-model", bad) == (2, "", report)
 
 
 @pytest.mark.parametrize("text,where", [

@@ -11,6 +11,7 @@ from sulmin.dsl import parse_expression
 from sulmin.graded_algebra import (
     Signature,
     basis_monomials,
+    elem_add,
     elem_degree,
     elem_gen,
     elem_mul,
@@ -231,3 +232,49 @@ def test_checker_leaves_shared_tables_untouched():
                     assert ev.on_element({m: coeff}) == elem_scale(image, coeff)
                 assert ev.on_monomial(m) == image
         assert tables == before
+
+
+def _copy_fold(ev, x):
+    # the linear extension on_element replaced: one copy of the sum per term
+    out = {}
+    for m, c in x.items():
+        img = ev.on_monomial(m)
+        if img:
+            out = elem_add(out, elem_scale(img, c))
+    return out
+
+
+@given(st.integers(0, 10**9), st.data())
+@settings(max_examples=30, deadline=None)
+def test_on_element_folds_into_a_fresh_dict(seed, data):
+    # on_element accumulates multi-term elements in place, so it must equal
+    # the copy-per-term fold, hand back no table entry or cached image, and
+    # leave the table and every cached image as they were; checked for an
+    # algebra map (f, a pair-collapse substitution) and for derivations
+    # (d, phi with right leg g f, a pair homotopy with the substitution as
+    # its right leg)
+    c = compute_minimal_model(random_sullivan_algebra(random.Random(seed), max_gens=7))
+    sig = c.sig
+    f_ev, g_ev = Extension(sig, c.f.table), Extension(sig, c.g.table)
+    subst_table = {k: elem_gen(sig, k) for k in range(len(sig))}
+    subst_table[0] = elem_scale(subst_table[0], Fraction(-1, 2))
+    subst = Extension(sig, subst_table)
+    coeffs = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 3)])
+    bases = [b for b in (basis_monomials(sig, p) for p in range(1, 5)) if len(b) > 1]
+    for ev in (f_ev, Extension(sig, c.source.diff, mono_elem),
+               homotopy_extension(sig, c.phi.table, f_ev, g_ev), subst,
+               Extension(sig, {j: elem_gen(sig, i) for i, j in c.pairs}, subst.on_monomial)):
+        table = copy.deepcopy(dict(ev.table))
+        elements = []
+        for basis in bases:
+            monos = data.draw(st.lists(st.sampled_from(basis), min_size=2, max_size=4, unique=True))
+            elements.append({m: data.draw(coeffs) for m in monos})
+        wants = [_copy_fold(ev, x) for x in elements]  # caches every image used
+        cache = copy.deepcopy(ev._cache)
+        for x, want in zip(elements, wants):
+            got = ev.on_element(x)
+            assert got == want
+            assert all(got is not img for img in ev._cache.values())
+            assert all(got is not img for img in ev.table.values())
+        assert ev._cache == cache
+        assert dict(ev.table) == table
