@@ -25,9 +25,6 @@ from .differential import DGAlgebra, ValidationReport, apply_d, validate_sulliva
 from .morphisms import (
     ContractionReport,
     FullContraction,
-    GeneratorMap,
-    apply_homotopy,
-    apply_multiplicative,
     check_contraction,
 )
 from .at_model import ATModel, DGModule, check_at_model, compute_at_model, validate_module

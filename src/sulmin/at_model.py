@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .graded_algebra import lin_axpy
+from .morphisms import IdentityCheck
 
 Lin = Dict[int, Fraction]
 
@@ -156,17 +157,7 @@ def compute_at_model(M: DGModule) -> ATModel:
     return ATModel(tuple(H), f, g, phi, tuple(pairs))
 
 
-@dataclass(frozen=True)
-class ModuleIdentityCheck:
-    name: str
-    ok: bool
-    counterexample: Optional[str] = None
-
-    def __str__(self) -> str:
-        return f"{self.name}: {'pass' if self.ok else 'FAIL at ' + str(self.counterexample)}"
-
-
-def check_at_model(M: DGModule, A: ATModel) -> Tuple[ModuleIdentityCheck, ...]:
+def check_at_model(M: DGModule, A: ATModel) -> Tuple[IdentityCheck, ...]:
     """Verify the nine contraction identities on every generator, exactly."""
 
     failures: Dict[str, str] = {}
@@ -207,7 +198,7 @@ def check_at_model(M: DGModule, A: ATModel) -> Tuple[ModuleIdentityCheck, ...]:
         "id - gf = phi d + d phi", "f g = id", "phi d phi = phi", "d phi d = d",
     ]
     return tuple(
-        ModuleIdentityCheck(n, n not in failures, failures.get(n)) for n in names)
+        IdentityCheck(n, n not in failures, failures.get(n)) for n in names)
 
 
 def homology_class_dims(M: DGModule, A: ATModel) -> Dict[int, int]:

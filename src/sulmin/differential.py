@@ -152,9 +152,6 @@ def validate_sullivan(dga: DGAlgebra) -> ValidationReport:
     """Report every violation of the ordered-input contract; never raises."""
     sig = dga.sig
     bad: List[Violation] = []
-    for g in sig.generators:
-        if g.degree < 1:
-            bad.append(Violation("generator-degree", g.name, f"degree {g.degree} < 1"))
     ev = Extension(sig, dga.diff, mono_elem)
     for i, dx in sorted(dga.diff.items()):
         g = sig.generators[i]

@@ -434,10 +434,10 @@ def emit_machine(c: FullContraction) -> str:
     sig = c.sig
     doc = MachineDocument(
         W=tuple(c.W),
-        dW={w: dict(c.dW.get(w, {})) for w in c.W},
-        f={i: dict(c.f.table[i]) for i in range(len(sig))},
-        g={w: dict(c.g.table[w]) for w in c.W},
-        phi={i: dict(c.phi.table[i]) for i in range(len(sig))},
+        dW={w: c.dW.get(w, {}) for w in c.W},
+        f=c.f,
+        g={w: c.g[w] for w in c.W},
+        phi=c.phi,
         pairs=tuple(c.pairs),
     )
     return render_machine(sig, doc)
@@ -533,9 +533,9 @@ def emit_report(c: FullContraction) -> str:
             f"{gen.name} (deg {gen.degree})",
             gen.name if i in in_w else "",
             format_element(sig, c.dW.get(i, {})) if i in in_w else "",
-            format_element(sig, c.f.table[i]),
-            format_element(sig, c.g.table[i]) if i in in_w else "",
-            format_element(sig, c.phi.table[i]),
+            format_element(sig, c.f[i]),
+            format_element(sig, c.g[i]) if i in in_w else "",
+            format_element(sig, c.phi[i]),
         ])
     widths = [max(len(headers[k]), *(len(r[k]) for r in rows)) if rows else len(headers[k])
               for k in range(len(headers))]

@@ -47,7 +47,7 @@ from .graded_algebra import (
     mono_elem,
     mono_str,
 )
-from .morphisms import FullContraction, GeneratorMap, homotopy_extension
+from .morphisms import FullContraction, homotopy_extension
 
 
 class SullivanValidationError(ValueError):
@@ -209,15 +209,8 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
             raise InternalInvariantError(
                 f"induced derivative does not square to zero on {sig.name(w)}")
 
-    return FullContraction(
-        source=dga,
-        W=tuple(W),
-        dW=dW,
-        f=GeneratorMap(sig, f, 0),
-        g=GeneratorMap(sig, g, 0),
-        phi=GeneratorMap(sig, phi, -1),
-        pairs=tuple(pairs),
-    )
+    return FullContraction(source=dga, W=tuple(W), dW=dW, f=f, g=g, phi=phi,
+                           pairs=tuple(pairs))
 
 
 def contractible_summand(c: FullContraction) -> List[Tuple[Generator, Elem]]:

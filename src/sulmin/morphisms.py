@@ -28,7 +28,6 @@ from .graded_algebra import (
     Signature,
     basis_monomials,
     elem_add,
-    elem_degree,
     elem_is_zero,
     elem_mul,
     elem_neg,
@@ -40,51 +39,11 @@ from .graded_algebra import (
 )
 
 
-@dataclass(frozen=True)
-class GeneratorMap:
-    """Table of generator images; degree 0 maps extend multiplicatively,
-    degree -1 maps through the homotopy rule."""
-
-    sig: Signature
-    table: Mapping[int, Elem]
-    map_degree: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "table", {i: dict(e) for i, e in self.table.items()})
-
-    def validate(self) -> List[str]:
-        problems = []
-        for i, img in sorted(self.table.items()):
-            want = self.sig.degree(i) + self.map_degree
-            try:
-                d = elem_degree(self.sig, img)
-            except ValueError:
-                problems.append(f"image of {self.sig.name(i)} is not homogeneous")
-                continue
-            if d is not None and d != want:
-                problems.append(
-                    f"image of {self.sig.name(i)} has degree {d}, expected {want}")
-        return problems
-
-
 def homotopy_extension(sig: Signature, phi_table: Mapping[int, Elem],
                        f_ev: Extension, g_ev: Extension) -> Extension:
     """``phi`` extended by the two-leg rule, its right leg ``g f`` read through
     the given cached ``f`` and ``g`` evaluators."""
     return Extension(sig, phi_table, lambda r: g_ev.on_element(f_ev.on_monomial(r)))
-
-
-def apply_multiplicative(gmap: GeneratorMap, x: Elem) -> Elem:
-    if gmap.map_degree != 0:
-        raise ValueError("multiplicative extension needs a degree-0 map")
-    return Extension(gmap.sig, gmap.table).on_element(x)
-
-
-def apply_homotopy(phi: GeneratorMap, f: GeneratorMap, g: GeneratorMap, x: Elem) -> Elem:
-    if phi.map_degree != -1:
-        raise ValueError("homotopy extension needs a degree -1 map")
-    f_ev, g_ev = Extension(f.sig, f.table), Extension(g.sig, g.table)
-    return homotopy_extension(phi.sig, phi.table, f_ev, g_ev).on_element(x)
 
 
 @dataclass(frozen=True)
@@ -93,16 +52,18 @@ class FullContraction:
 
     ``W`` lists the surviving generator indices in declaration order, ``dW``
     their induced derivatives; ``f`` (projection) and ``phi`` (homotopy) are
-    defined on every source generator, ``g`` (inclusion) on ``W`` only.
-    ``pairs`` records each (killer, killed) generator pair.
+    defined on every source generator, ``g`` (inclusion) on ``W`` only.  The
+    four tables are plain ``{generator index: element}`` dicts, the sweep's
+    own, and nothing writes to them afterwards.  ``pairs`` records each
+    (killer, killed) generator pair.
     """
 
     source: DGAlgebra
     W: Tuple[int, ...]
     dW: Mapping[int, Elem]
-    f: GeneratorMap
-    g: GeneratorMap
-    phi: GeneratorMap
+    f: Mapping[int, Elem]
+    g: Mapping[int, Elem]
+    phi: Mapping[int, Elem]
     pairs: Tuple[Tuple[int, int], ...]
 
     @property
@@ -161,17 +122,17 @@ def _pack(copies: List[int]) -> Mono:
 def check_contraction(c: FullContraction, max_degree: int) -> ContractionReport:
     """Evaluate every contraction identity on basis monomials up to the cap."""
     sig = c.sig
-    f_ev = Extension(sig, c.f.table)
-    g_ev = Extension(sig, c.g.table)
-    phi_ev = homotopy_extension(sig, c.phi.table, f_ev, g_ev)
+    f_ev = Extension(sig, c.f)
+    g_ev = Extension(sig, c.g)
+    phi_ev = homotopy_extension(sig, c.phi, f_ev, g_ev)
     d_ev = Extension(sig, c.source.diff, mono_elem)
     dw_ev = Extension(sig, c.dW, mono_elem)
 
     v_basis: List[Mono] = []
-    w_basis: List[Mono] = []
     for p in range(max_degree + 1):
         v_basis.extend(basis_monomials(sig, p))
-        w_basis.extend(basis_monomials(sig, p, c.W))
+    in_w = set(c.W)
+    w_basis = [m for m in v_basis if all(i in in_w for i, _ in m)]
 
     failures: Dict[str, str] = {}
 

@@ -68,6 +68,17 @@ def test_corrupted_homotopy_detected():
     report = check_at_model(M, bad)
     failing = [ch.name for ch in report if not ch.ok]
     assert "id - gf = phi d + d phi" in failing
+    assert [str(ch) for ch in report] == [
+        "f d = 0: pass",
+        "d g = 0: pass",
+        "f phi = 0: pass",
+        "phi g = 0: pass",
+        "phi phi = 0: pass",
+        "id - gf = phi d + d phi: FAIL at v1",
+        "f g = id: pass",
+        "phi d phi = phi: pass",
+        "d phi d = d: FAIL at e",
+    ]
 
 
 def test_empty_module_passes_vacuously():

@@ -86,7 +86,7 @@ def test_report_even_ladder_row(contractions):
     c = contractions["ex4"]
     sig = c.sig
     x5 = sig.by_name("x5").index
-    assert format_element(sig, c.g.table[x5]) == "v2^2*x1 - v2*x3 - v4*x1 + x5"
+    assert format_element(sig, c.g[x5]) == "v2^2*x1 - v2*x3 - v4*x1 + x5"
     assert "v2^2*x1 - v2*x3 - v4*x1 + x5" in emit_report(c)
 
 

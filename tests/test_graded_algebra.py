@@ -53,6 +53,13 @@ def test_odd_even_commute_without_sign():
     assert mono_mul(sig, ((1, 1),), ((0, 1),)) == (1, ((0, 1), (1, 1)))
 
 
+def test_signature_rejects_degree_below_one():
+    # no DGAlgebra can hold a generator of degree < 1, so validate_sullivan
+    # needs no check of its own for it
+    with pytest.raises(SignatureError, match="expected >= 1"):
+        Signature.from_pairs([("a0", 0)])
+
+
 def test_signature_mismatch_rejected():
     with pytest.raises(SignatureError):
         mono_mul(SIG, ((7, 1),), ())

@@ -19,7 +19,7 @@ from sulmin.minimal_model import (
     compute_minimal_model,
     contractible_summand,
 )
-from sulmin.morphisms import FullContraction, GeneratorMap, check_contraction, homotopy_extension
+from sulmin.morphisms import FullContraction, check_contraction, homotopy_extension
 from sulmin.random_inputs import random_sullivan_algebra
 
 # identities that hold for every run; the homotopy-side ones involving the
@@ -38,7 +38,7 @@ def names(c, indices):
 def table(c, kind, name):
     sig = c.sig
     idx = sig.by_name(name).index
-    return {"f": c.f.table, "g": c.g.table, "phi": c.phi.table, "dW": c.dW}[kind].get(idx, {})
+    return {"f": c.f, "g": c.g, "phi": c.phi, "dW": c.dW}[kind].get(idx, {})
 
 
 def test_five_generator_golden_table(contractions):
@@ -113,9 +113,9 @@ def test_already_minimal_input_is_untouched(contractions):
     assert names(c, c.W) == ["a1", "b1", "y1", "u3"]
     assert c.pairs == ()
     for i in range(len(sig)):
-        assert c.f.table[i] == elem_gen(sig, i)
-        assert c.phi.table[i] == {}
-        assert c.g.table[i] == elem_gen(sig, i)
+        assert c.f[i] == elem_gen(sig, i)
+        assert c.phi[i] == {}
+        assert c.g[i] == elem_gen(sig, i)
     assert c.dW == {k: v for k, v in c.source.diff.items()}
 
 
@@ -169,12 +169,12 @@ def test_validation_failure_raises():
 def test_finalization_invariants(contractions):
     for c in contractions.values():
         sig = c.sig
-        f_ev = Extension(sig, c.f.table)
-        g_ev = Extension(sig, c.g.table)
+        f_ev = Extension(sig, c.f)
+        g_ev = Extension(sig, c.g)
         d_ev = Extension(sig, c.source.diff, mono_elem)
         dw_ev = Extension(sig, c.dW, mono_elem)
         for w in c.W:
-            assert c.f.table[w] == elem_gen(sig, w)
+            assert c.f[w] == elem_gen(sig, w)
             dw = c.dW.get(w, {})
             assert in_lambda_geq2(sig, dw, c.W)
             assert dw_ev.on_element(dw) == {}
@@ -246,9 +246,9 @@ def test_homotopy_extension_obstruction_on_even_ladder(contractions):
     """
     c = contractions["ex4"]
     sig = c.sig
-    f_ev = Extension(sig, c.f.table)
-    g_ev = Extension(sig, c.g.table)
-    phi_ev = homotopy_extension(sig, c.phi.table, f_ev, g_ev)
+    f_ev = Extension(sig, c.f)
+    g_ev = Extension(sig, c.g)
+    phi_ev = homotopy_extension(sig, c.phi, f_ev, g_ev)
     d_ev = Extension(sig, c.source.diff, mono_elem)
     m = parse_expression(sig, "x1*x3")
     lhs = elem_sub(m, g_ev.on_element(f_ev.on_element(m)))
@@ -335,12 +335,11 @@ def test_phi_mu_rule_cannot_hold_on_one_even_killer_pair():
     d_ev = Extension(sig, dga.diff, mono_elem)
     c = compute_minimal_model(dga)
     assert c.W == () and c.pairs == ((A2, V3),)
-    assert c.f.table == {V3: {}, A2: {}} and c.phi.table == {V3: e("a2"), A2: {}}
+    assert c.f == {V3: {}, A2: {}} and c.phi == {V3: e("a2"), A2: {}}
 
     def failures(phi_v3):
-        phi = GeneratorMap(sig, {V3: phi_v3, A2: {}}, -1)
         report = check_contraction(FullContraction(
-            source=dga, W=(), dW={}, f=c.f, g=c.g, phi=phi, pairs=c.pairs), 6)
+            source=dga, W=(), dW={}, f=c.f, g=c.g, phi={V3: phi_v3, A2: {}}, pairs=c.pairs), 6)
         return {ch.name: ch.counterexample for ch in report.checks if not ch.ok}
 
     # 1. the residual of the identity on v3 is (1 - t)*v3
@@ -351,7 +350,7 @@ def test_phi_mu_rule_cannot_hold_on_one_even_killer_pair():
 
     # 2. the rule's values on the two words of a2^2 and d(a2^2), with g f = 0
     def rule(u, v):
-        return elem_scale(elem_mul(sig, elem_gen(sig, u), c.phi.table[v]), (-1) ** sig.degree(u))
+        return elem_scale(elem_mul(sig, elem_gen(sig, u), c.phi[v]), (-1) ** sig.degree(u))
 
     assert rule(A2, V3) == e("a2^2") and rule(A2, A2) == {}
     d_square = d_ev.on_element(e("a2^2"))

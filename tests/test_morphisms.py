@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sulmin.differential import DGAlgebra, Extension
-from sulmin.dsl import parse_expression
+from sulmin.dsl import emit_machine, emit_report, parse_expression, parse_machine
 from sulmin.graded_algebra import (
     Signature,
     basis_monomials,
@@ -22,14 +22,7 @@ from sulmin.graded_algebra import (
 from sulmin.homology_oracle import rank_of_columns
 from sulmin.minimal_model import compute_minimal_model
 from sulmin.random_inputs import random_sullivan_algebra
-from sulmin.morphisms import (
-    FullContraction,
-    GeneratorMap,
-    apply_homotopy,
-    apply_multiplicative,
-    check_contraction,
-    homotopy_extension,
-)
+from sulmin.morphisms import FullContraction, check_contraction, homotopy_extension
 
 SIG = Signature.from_pairs([("b1", 1), ("c1", 1), ("v2", 2), ("a1", 1), ("u3", 3)])
 B1, C1, V2, A1, U3 = range(5)
@@ -40,57 +33,55 @@ def expr(text, sig=SIG):
 
 
 def _ex1_state():
-    # projection/inclusion/homotopy tables right after the only pair step
-    f = GeneratorMap(SIG, {
-        B1: expr("b1"), C1: expr("c1"), V2: {}, A1: {}, U3: expr("u3")})
-    g = GeneratorMap(SIG, {B1: expr("b1"), C1: expr("c1"), U3: expr("u3 - a1*v2")})
-    phi = GeneratorMap(SIG, {B1: {}, C1: {}, V2: expr("a1"), A1: {}, U3: {}},
-                       map_degree=-1)
+    # projection/inclusion evaluators and the homotopy evaluator built on
+    # them, from the tables right after the only pair step
+    f = Extension(SIG, {B1: expr("b1"), C1: expr("c1"), V2: {}, A1: {}, U3: expr("u3")})
+    g = Extension(SIG, {B1: expr("b1"), C1: expr("c1"), U3: expr("u3 - a1*v2")})
+    phi = homotopy_extension(SIG, {B1: {}, C1: {}, V2: expr("a1"), A1: {}, U3: {}}, f, g)
     return f, g, phi
 
 
 def test_multiplicative_kills_square_of_killed_generator():
     f, _, _ = _ex1_state()
-    assert apply_multiplicative(f, expr("v2^2")) == {}
+    assert f.on_element(expr("v2^2")) == {}
 
 
 def test_multiplicative_reads_table_verbatim_on_generators():
     _, g, _ = _ex1_state()
-    assert apply_multiplicative(g, expr("u3", )) == expr("u3 - a1*v2")
+    assert g.on_element(expr("u3", )) == expr("u3 - a1*v2")
 
 
 def test_identity_table_acts_as_identity():
     table = {i: elem_gen(SIG, i) for i in range(len(SIG))}
-    ident = GeneratorMap(SIG, table)
     x = expr("u3 - a1*v2 + 2*b1*c1")
-    assert apply_multiplicative(ident, x) == x
+    assert Extension(SIG, table).on_element(x) == x
 
 
 def test_homotopy_on_even_square():
-    f, g, phi = _ex1_state()
+    _, _, phi = _ex1_state()
     # phi(v2^2) = v2*phi(v2) + phi(v2)*g(f(v2)) with f(v2) = 0
-    assert apply_homotopy(phi, f, g, expr("v2^2")) == expr("a1*v2")
+    assert phi.on_element(expr("v2^2")) == expr("a1*v2")
 
 
 def test_homotopy_kills_scalars():
-    f, g, phi = _ex1_state()
-    assert apply_homotopy(phi, f, g, elem_one()) == {}
-    assert apply_homotopy(phi, f, g, {(): 3}) == {}
+    _, _, phi = _ex1_state()
+    assert phi.on_element(elem_one()) == {}
+    assert phi.on_element({(): 3}) == {}
 
 
 def test_homotopy_on_single_generator_is_table_entry():
-    f, g, phi = _ex1_state()
-    assert apply_homotopy(phi, f, g, expr("v2")) == expr("a1")
+    _, _, phi = _ex1_state()
+    assert phi.on_element(expr("v2")) == expr("a1")
 
 
 def test_degree_discipline():
-    f, g, phi = _ex1_state()
+    f, _, phi = _ex1_state()
     for p in range(1, 8):
         for m in basis_monomials(SIG, p):
-            img = apply_multiplicative(f, {m: 1})
+            img = f.on_element({m: 1})
             if img:
                 assert elem_degree(SIG, img) == p
-            low = apply_homotopy(phi, f, g, {m: 1})
+            low = phi.on_element({m: 1})
             if low:
                 assert elem_degree(SIG, low) == p - 1
 
@@ -100,7 +91,7 @@ def test_degree_discipline():
 def test_homotopy_commutes_with_canonicalization(seed):
     # evaluating on a product equals evaluating on the sign-normalized product
     rng = random.Random(seed)
-    f, g, phi = _ex1_state()
+    _, _, phi = _ex1_state()
     p = rng.randint(1, 4)
     q = rng.randint(1, 4)
 
@@ -116,8 +107,8 @@ def test_homotopy_commutes_with_canonicalization(seed):
     x = rand_homog(p)
     y = rand_homog(q)
     swap = -1 if (p % 2 and q % 2) else 1
-    lhs = apply_homotopy(phi, f, g, elem_mul(SIG, x, y))
-    rhs = apply_homotopy(phi, f, g, elem_scale(elem_mul(SIG, y, x), swap))
+    lhs = phi.on_element(elem_mul(SIG, x, y))
+    rhs = phi.on_element(elem_scale(elem_mul(SIG, y, x), swap))
     assert lhs == rhs
 
 
@@ -133,18 +124,17 @@ def test_identity_contraction_passes():
     zero = {i: {} for i in range(len(sig))}
     c = FullContraction(
         source=dga, W=(0, 1), dW={},
-        f=GeneratorMap(sig, table), g=GeneratorMap(sig, table),
-        phi=GeneratorMap(sig, zero, -1), pairs=())
+        f=table, g=table, phi=zero, pairs=())
     assert check_contraction(c, 8).ok
 
 
 def test_corrupted_inclusion_is_detected(contractions):
     c = contractions["ex1"]
-    bad_g = dict(c.g.table)
+    bad_g = dict(c.g)
     bad_g[U3] = expr("u3", c.sig)
     corrupted = FullContraction(
         source=c.source, W=c.W, dW=c.dW, f=c.f,
-        g=GeneratorMap(c.sig, bad_g), phi=c.phi, pairs=c.pairs)
+        g=bad_g, phi=c.phi, pairs=c.pairs)
     report = check_contraction(corrupted, 8)
     failing = {ch.name: ch.counterexample for ch in report.checks if not ch.ok}
     assert "id - gf = phi d + d phi" in failing
@@ -156,11 +146,9 @@ def test_missing_homotopy_entry_is_zero_and_missing_map_entry_raises(contraction
     # to zero and the checker reports the broken identity; f and g are
     # algebra maps, which raise KeyError naming the absent generator
     c = contractions["ex1"]
-    sig = c.sig
 
-    def without_v2(gmap):
-        return GeneratorMap(sig, {k: v for k, v in gmap.table.items() if k != V2},
-                            gmap.map_degree)
+    def without_v2(table):
+        return {k: v for k, v in table.items() if k != V2}
 
     no_phi = FullContraction(source=c.source, W=c.W, dW=c.dW, f=c.f, g=c.g,
                              phi=without_v2(c.phi), pairs=c.pairs)
@@ -177,7 +165,7 @@ def test_inclusion_injective_on_surviving_basis(contractions):
     for name in ("ex1", "ex3"):
         c = contractions[name]
         sig = c.sig
-        g_ev = Extension(sig, c.g.table)
+        g_ev = Extension(sig, c.g)
         for p in range(1, 8):
             basis = basis_monomials(sig, p, c.W)
             target = {m: k for k, m in enumerate(basis_monomials(sig, p))}
@@ -188,25 +176,22 @@ def test_inclusion_injective_on_surviving_basis(contractions):
             assert rank_of_columns(cols) == len(basis)
 
 
-def test_generator_map_validation_flags_degree_drift():
-    gmap = GeneratorMap(SIG, {B1: expr("v2")}, map_degree=0)
-    assert gmap.validate()
-    good = GeneratorMap(SIG, {V2: expr("a1")}, map_degree=-1)
-    assert not good.validate()
-
-
 def test_checker_leaves_shared_tables_untouched():
-    # the evaluators hand out cached images and tables without copying, so a
-    # caller that mutated one would corrupt later results; two checks of one
-    # model must agree and leave every table as it was, in exact Fractions
+    # the evaluators hand out cached images and tables without copying, and
+    # the contraction holds the sweep's own dicts, so a caller that mutated
+    # one would corrupt later results; two checks of one model must agree,
+    # and neither the checks nor emitting and re-reading the model may change
+    # any table, whose coefficients stay exact Fractions
     rng = random.Random(20261018)
     for _ in range(6):
         c = compute_minimal_model(random_sullivan_algebra(rng, max_gens=7))
-        tables = (c.f.table, c.g.table, c.phi.table, c.dW)
+        tables = (c.f, c.g, c.phi, c.dW)
         before = copy.deepcopy(tables)
         first = check_contraction(c, 6)
         second = check_contraction(c, 6)
         assert first == second
+        emit_report(c)
+        parse_machine(emit_machine(c), c.sig)
         assert tables == before
         for table in tables:
             for image in table.values():
@@ -217,14 +202,14 @@ def test_checker_leaves_shared_tables_untouched():
         # leg mono_elem, phi with right leg g f, and a pair homotopy whose
         # right leg is the substitution)
         sig = c.sig
-        f_ev, g_ev = Extension(sig, c.f.table), Extension(sig, c.g.table)
+        f_ev, g_ev = Extension(sig, c.f), Extension(sig, c.g)
         subst_table = {k: elem_gen(sig, k) for k in range(len(sig))}
         subst_table[0] = elem_scale(subst_table[0], Fraction(-1, 2))
         subst = Extension(sig, subst_table)
         pair_phi = Extension(sig, {j: elem_gen(sig, i) for i, j in c.pairs}, subst.on_monomial)
         v_basis, w_basis = basis_monomials(sig, 4), basis_monomials(sig, 4, c.W)
         for ev, basis in ((f_ev, v_basis), (g_ev, w_basis), (Extension(sig, c.dW, mono_elem), w_basis),
-                          (homotopy_extension(sig, c.phi.table, f_ev, g_ev), v_basis),
+                          (homotopy_extension(sig, c.phi, f_ev, g_ev), v_basis),
                           (subst, v_basis), (pair_phi, v_basis)):
             for m in basis:
                 image = copy.deepcopy(ev.on_monomial(m))
@@ -255,14 +240,14 @@ def test_on_element_folds_into_a_fresh_dict(seed, data):
     # its right leg)
     c = compute_minimal_model(random_sullivan_algebra(random.Random(seed), max_gens=7))
     sig = c.sig
-    f_ev, g_ev = Extension(sig, c.f.table), Extension(sig, c.g.table)
+    f_ev, g_ev = Extension(sig, c.f), Extension(sig, c.g)
     subst_table = {k: elem_gen(sig, k) for k in range(len(sig))}
     subst_table[0] = elem_scale(subst_table[0], Fraction(-1, 2))
     subst = Extension(sig, subst_table)
     coeffs = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 3)])
     bases = [b for b in (basis_monomials(sig, p) for p in range(1, 5)) if len(b) > 1]
     for ev in (f_ev, Extension(sig, c.source.diff, mono_elem),
-               homotopy_extension(sig, c.phi.table, f_ev, g_ev), subst,
+               homotopy_extension(sig, c.phi, f_ev, g_ev), subst,
                Extension(sig, {j: elem_gen(sig, i) for i, j in c.pairs}, subst.on_monomial)):
         table = copy.deepcopy(dict(ev.table))
         elements = []
