@@ -11,8 +11,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from sulmin import DGAlgebra, compare_cohomology, compute_minimal_model
-from sulmin.morphisms import check_contraction
+from sulmin.cli import verify_algebra
 from sulmin.random_inputs import random_sullivan_algebra
 
 
@@ -24,15 +23,11 @@ def main():
     cohomology_ok = 0
     t0 = time.time()
     for k in range(count):
-        dga = random_sullivan_algebra(rng)
-        contraction = compute_minimal_model(dga)
-        report = check_contraction(contraction, 10)
-        for check in report.checks:
+        verification = verify_algebra(random_sullivan_algebra(rng), 10)
+        for check in verification.report.checks:
             ok_count, total = tallies.get(check.name, (0, 0))
             tallies[check.name] = (ok_count + check.ok, total + 1)
-        comparison = compare_cohomology(
-            (dga, None), (DGAlgebra(dga.sig, contraction.dW), contraction.W), 10)
-        cohomology_ok += comparison.equal
+        cohomology_ok += verification.comparison.equal
     elapsed = time.time() - t0
     print(f"{count} random inputs, seed {seed}, {elapsed:.1f}s")
     print(f"cohomology equal: {cohomology_ok}/{count}")

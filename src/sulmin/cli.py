@@ -17,9 +17,10 @@ from .differential import DGAlgebra, validate_sullivan
 from .dsl import DslError, emit_machine, emit_report, format_linear, parse
 from .graded_algebra import in_lambda_geq2
 from .homology_oracle import (
-    NotClosedError, cohomology_dims, compare_cohomology, compare_dims, module_homology_dims)
+    ComparisonReport, NotClosedError, cohomology_dims, compare_cohomology, compare_dims,
+    module_homology_dims)
 from .minimal_model import InternalInvariantError, SullivanValidationError, compute_minimal_model
-from .morphisms import check_contraction
+from .morphisms import ContractionReport, FullContraction, check_contraction
 
 EXIT_OK = 0
 EXIT_USER = 2
@@ -157,32 +158,46 @@ def _cmd_homology(parsed, config: RunConfig) -> Tuple[int, str, str]:
     return EXIT_OK if comparison.equal else EXIT_USER, str(comparison) + "\n", ""
 
 
+@dataclass(frozen=True)
+class Verification:
+    """One ``verify`` job: the contraction, its identity report, whether its
+    induced derivative is minimal, and the oracle's cohomology comparison."""
+    contraction: FullContraction
+    report: ContractionReport
+    minimal: bool
+    comparison: ComparisonReport
+
+    @property
+    def ok(self) -> bool:
+        return self.report.ok and self.minimal and self.comparison.equal
+
+
+def verify_algebra(dga: DGAlgebra, max_degree: int) -> Verification:
+    """Minimize ``dga``, then check the contraction identities, minimality and
+    the cohomology of the model up to ``max_degree``.  The sweep, the checker
+    and the oracle's source side read ``d`` through ``dga.ev``, and the
+    checker and the oracle read the signature's memoised bases."""
+    c = compute_minimal_model(dga)
+    report = check_contraction(c, max_degree)
+    minimal = all(in_lambda_geq2(c.sig, c.dW.get(w, {}), c.W) for w in c.W)
+    comparison = compare_cohomology(
+        (dga, None), (DGAlgebra(c.sig, c.dW), c.W), max_degree)
+    return Verification(c, report, minimal, comparison)
+
+
 def _cmd_verify(parsed, config: RunConfig) -> Tuple[int, str, str]:
     _require_algebra(parsed, "verify")
-    contraction = compute_minimal_model(parsed)
-    lines = [f"minimize: ok ({len(contraction.W)} surviving generators, "
-             f"{len(contraction.pairs)} pairs)"]
-    ok = True
-    report = check_contraction(contraction, config.max_degree)
-    for check in report.checks:
-        lines.append(f"identity {check}")
-        ok = ok and check.ok
-    sig = contraction.sig
-    minimal = all(
-        in_lambda_geq2(sig, contraction.dW.get(w, {}), contraction.W)
-        for w in contraction.W)
-    lines.append(f"minimality: {'pass' if minimal else 'FAIL'}")
-    ok = ok and minimal
-    comparison = compare_cohomology(
-        (parsed, None), (DGAlgebra(sig, contraction.dW), contraction.W),
-        config.max_degree)
+    v = verify_algebra(parsed, config.max_degree)
+    lines = [f"minimize: ok ({len(v.contraction.W)} surviving generators, "
+             f"{len(v.contraction.pairs)} pairs)"]
+    lines += [f"identity {check}" for check in v.report.checks]
+    lines.append(f"minimality: {'pass' if v.minimal else 'FAIL'}")
     lines.append(f"cohomology match (degree <= {config.max_degree}): "
-                 f"{'pass' if comparison.equal else 'FAIL'}")
-    if not comparison.equal:
-        lines.append(str(comparison))
-    ok = ok and comparison.equal
+                 f"{'pass' if v.comparison.equal else 'FAIL'}")
+    if not v.comparison.equal:
+        lines.append(str(v.comparison))
     out = "\n".join(lines) + "\n"
-    if ok:
+    if v.ok:
         return EXIT_OK, out, ""
     return EXIT_INTERNAL, out, "verification failed\n"
 

@@ -1,6 +1,8 @@
 """Differential structure on a free graded-commutative algebra.
 
-A ``DGAlgebra`` stores the derivative of each generator.  ``Extension`` is
+A ``DGAlgebra`` stores the derivative of each generator, and carries the one
+evaluator of its differential, ``ev``, that every reader of ``d`` on
+monomials shares.  ``Extension`` is
 the one evaluator that extends a generator table along monomials: as an
 algebra map (the projection, the inclusion, a pair-collapse substitution) or
 as a derivation twisted by a right leg (the differential, whose right leg is
@@ -43,8 +45,16 @@ def _clean_table(table: Mapping[int, Elem]) -> Dict[int, Elem]:
 
 @dataclass(frozen=True)
 class DGAlgebra:
+    """Generator derivatives over ``sig``.  ``ev`` extends them along monomials
+    as the differential; it is built with the algebra, caches every image it
+    computes for the algebra's lifetime, and is left out of ``==`` and
+    ``repr``.  The validator, the sweep, the checker (through
+    ``FullContraction.source``), the oracle and ``apply_d`` all read ``d``
+    through it, so one job evaluates ``d`` once per monomial."""
+
     sig: Signature
     diff: Mapping[int, Elem] = field(default_factory=dict)
+    ev: Extension = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "diff", _clean_table(self.diff))
@@ -55,6 +65,7 @@ class DGAlgebra:
                 if not mono_valid(self.sig, m):
                     raise ValueError(
                         f"derivative of {self.sig.name(i)} has a non-canonical term")
+        object.__setattr__(self, "ev", Extension(self.sig, self.diff, mono_elem))
 
     def d_of(self, index: int) -> Elem:
         return self.diff.get(index, {})
@@ -121,7 +132,7 @@ class Extension:
 
 
 def apply_d(dga: DGAlgebra, x: Elem) -> Elem:
-    return Extension(dga.sig, dga.diff, mono_elem).on_element(x)
+    return dga.ev.on_element(x)
 
 
 @dataclass(frozen=True)
@@ -152,7 +163,7 @@ def validate_sullivan(dga: DGAlgebra) -> ValidationReport:
     """Report every violation of the ordered-input contract; never raises."""
     sig = dga.sig
     bad: List[Violation] = []
-    ev = Extension(sig, dga.diff, mono_elem)
+    ev = dga.ev
     for i, dx in sorted(dga.diff.items()):
         g = sig.generators[i]
         want = g.degree + 1

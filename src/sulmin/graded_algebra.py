@@ -9,7 +9,10 @@ coefficients, so dict equality is exactly equality in the algebra.
 Every value here is immutable by convention: no function mutates an element
 it received or returned, so values can be shared freely across threads.  The
 one exception is the ``out`` dict handed to ``lin_axpy``, the package's
-in-place sparse accumulate, which its caller creates and owns.
+in-place sparse accumulate, which its caller creates and owns.  A
+``Signature`` has one lazily filled member, its memo of full degree bases:
+``basis_monomials(sig, p)`` enumerates the degree-``p`` basis once and hands
+the same list to every later caller, who must not mutate it.
 """
 
 from __future__ import annotations
@@ -58,6 +61,8 @@ class Signature:
         self.generators = gens
         self.odd = tuple(g.degree % 2 for g in gens)
         self._by_name = {g.name: g for g in gens}
+        # degree -> the full basis, filled by basis_monomials
+        self._bases: Dict[int, List[Mono]] = {}
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Tuple[str, int]]) -> "Signature":
@@ -350,10 +355,23 @@ def in_lambda_geq2(sig: Signature, x: Elem, subset=None) -> bool:
 
 def basis_monomials(sig: Signature, p: int, subset=None) -> List[Mono]:
     """All canonical monomials of total degree ``p`` over ``subset`` generators,
-    sorted lexicographically by factor list."""
+    sorted lexicographically by factor list.
+
+    The full basis (``subset`` None) is memoised on ``sig``: every call
+    returns the same list, which callers must not mutate.  A call with a
+    subset enumerates afresh and caches nothing.
+    """
     if p < 0:
         raise ValueError("degree must be >= 0")
-    idxs = _as_indices(sig, subset)
+    if subset is not None:
+        return _enumerate_basis(sig, p, _as_indices(sig, subset))
+    basis = sig._bases.get(p)
+    if basis is None:
+        basis = sig._bases[p] = _enumerate_basis(sig, p, tuple(range(len(sig))))
+    return basis
+
+
+def _enumerate_basis(sig: Signature, p: int, idxs: Tuple[int, ...]) -> List[Mono]:
     out: List[Mono] = []
     acc: List[Tuple[int, int]] = []
 

@@ -6,6 +6,12 @@ degree, and read off dim H^p = dim ker d^p - rank d^{p-1} from exact column
 elimination.  Used to cross-check that a minimization run preserves
 cohomology, and to validate module contractions.
 
+Within one ``verify`` job the oracle shares two things with the checker: the
+signature's memoised full bases (``basis_monomials``; a subset side filters
+them) and the source algebra's differential evaluator ``DGAlgebra.ev``.  It
+never reads the contraction's ``f``, ``g`` or ``phi``: the survivor side is
+the algebra of ``dW`` on ``W``, with an evaluator of its own.
+
 The ranks come from ``rank_of_columns``, a fraction-free integer elimination
 that builds no kernel.  ``column_reduce`` is the separate rational
 elimination that also returns kernel combinations; the sweep's chain
@@ -21,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .at_model import DGModule
 from .differential import DGAlgebra, Extension
-from .graded_algebra import Signature, basis_monomials, lin_axpy, mono_elem, mono_str
+from .graded_algebra import Signature, _as_indices, basis_monomials, lin_axpy, mono_str
 
 SparseVec = Dict[int, Fraction]
 
@@ -106,15 +112,16 @@ def cohomology_dims(dga: DGAlgebra, subset=None, max_degree: int = 10) -> List[T
     if max_degree < 0:
         raise ValueError("degree cap must be >= 0")
     sig = dga.sig
-    subset_idx = sorted({g.index if hasattr(g, "index") else int(g) for g in subset}) \
-        if subset is not None else list(range(len(sig)))
-    subset_set = set(subset_idx)
-    ev = Extension(sig, dga.diff, mono_elem)
-    bases = [basis_monomials(sig, p, subset_idx) for p in range(max_degree + 2)]
+    subset_set = set(_as_indices(sig, subset))
+    bases = [basis_monomials(sig, p) for p in range(max_degree + 2)]
+    if subset is not None:
+        # filtering the sorted full basis keeps its order
+        bases = [[m for m in basis if all(i in subset_set for i, _ in m)]
+                 for basis in bases]
     ranks = []
     for p in range(max_degree + 1):
         index_next = {m: k for k, m in enumerate(bases[p + 1])}
-        cols = _degree_columns(sig, ev, bases[p], index_next, subset_set)
+        cols = _degree_columns(sig, dga.ev, bases[p], index_next, subset_set)
         ranks.append(rank_of_columns(cols))
     dims = []
     for p in range(max_degree + 1):

@@ -62,15 +62,15 @@ class InternalInvariantError(RuntimeError):
     """State corruption inside the sweep; indicates a bug, never bad input."""
 
 
-def _d_preimage(sig: Signature, diff, degree: int, earlier, target: Elem) -> Elem:
+def _d_preimage(sig: Signature, d_ev: Extension, degree: int, earlier,
+                target: Elem) -> Elem:
     """Deterministic solution u of d(u) = target over the earlier generators."""
     basis = basis_monomials(sig, degree, earlier)
     up = basis_monomials(sig, degree + 1, earlier)
     index = {m: k for k, m in enumerate(up)}
-    ev = Extension(sig, diff, mono_elem)
     cols = []
     for m in basis:
-        cols.append({index[mm]: c for mm, c in ev.on_monomial(m).items()})
+        cols.append({index[mm]: c for mm, c in d_ev.on_monomial(m).items()})
     cols.append({index[mm]: c for mm, c in target.items()})
     _, kernel = column_reduce(cols)
     last = len(basis)
@@ -97,7 +97,7 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
     dw_current: Dict[int, Elem] = {}   # running f-projection of each survivor's derivative
     pairs: List[Tuple[int, int]] = []
 
-    d_ev = Extension(sig, dga.diff, mono_elem)
+    d_ev = dga.ev
     for i in range(n):
         di = dga.d_of(i)
         f_ev = Extension(sig, f)
@@ -118,7 +118,7 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
         # (never triggers on inputs whose pairs do not interact)
         residual = elem_sub(d_ev.on_element(b), g_ev.on_element(a))
         if residual:
-            delta = _d_preimage(sig, dga.diff, sig.degree(i), range(i), residual)
+            delta = _d_preimage(sig, d_ev, sig.degree(i), range(i), residual)
             delta = elem_sub(delta, g_ev.on_element(f_ev.on_element(delta)))
             b = elem_sub(b, delta)
             if elem_sub(d_ev.on_element(b), g_ev.on_element(a)):

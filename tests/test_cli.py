@@ -2,6 +2,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sulmin.cli import RunConfig, run
 
@@ -202,3 +204,55 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "pair a1 v2" in proc.stdout
+
+
+# -- the exit-code contract on fuzzed text ------------------------------------
+
+_NAMES = ("a1", "b1", "v2", "w2", "x3", "e")
+_HUGE = ("123456789012345678901234567890", "9" * 5000)
+_TOKENS = _NAMES + _HUGE + (
+    "gen", "d", "mode", "algebra", "module", "zz", ":", "=", "+", "-", "*", "^",
+    "/", "(", ")", ",", "#", "\n", " ", "0", "1", "2", "3", "1/2", "3999",
+    "2000", "\u00b2", "@")
+
+_factors = st.one_of(
+    st.sampled_from(_NAMES + _HUGE + ("0", "1", "1/2", "0/1", "1/0")),
+    st.builds("{}^{}".format, st.sampled_from(_NAMES),
+              st.sampled_from(("0", "1", "2", "3", "2000", "4000"))))
+# a power applies to a generator or to one group of plain factors, never to a
+# nested power, so no drawn text expands past a few thousand terms
+_groups = st.builds(
+    lambda xs, depth, power: "(" * depth + " + ".join(xs) + ")" * depth + power,
+    st.lists(_factors, min_size=1, max_size=3), st.sampled_from((1, 2, 600)),
+    st.sampled_from(("", "^2", "^3")))
+_expressions = st.recursive(
+    st.one_of(_factors, _groups),
+    lambda inner: st.builds("{} {} {}".format, inner, st.sampled_from("+-*"), inner),
+    max_leaves=6)
+_declarations = st.lists(
+    st.sampled_from(("1", "2", "3", "4", "1", "2", "3", "0", "3999", _HUGE[0])),
+    min_size=len(_NAMES), max_size=len(_NAMES))
+_junk = st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join)
+# every name is declared, in a drawn order, so that most documents get past
+# the parser; one document in four also carries a line of random tokens
+_documents = st.builds(
+    lambda header, names, degrees, diffs, junk: header + "".join(
+        f"gen {n}:{k}\n" for n, k in zip(names, degrees)) + "".join(diffs) + junk,
+    st.sampled_from(("", "mode algebra\n", "mode module\n")),
+    st.permutations(_NAMES), _declarations,
+    st.lists(st.builds("d {} = {}\n".format, st.sampled_from(_NAMES), _expressions),
+             max_size=4),
+    st.one_of(st.just(""), st.just(""), st.just(""), _junk.map(lambda line: line + "\n")))
+
+
+@given(text=_documents, max_degree=st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_every_command_exits_zero_two_or_three_on_fuzzed_text(tmp_path_factory, text, max_degree):
+    # the CLI contract: any input text, including huge literals, exponents
+    # past the evaluators' word depth and parentheses past the parser's
+    # recursion, ends in exit 0, 2 or 3 and never raises
+    src = tmp_path_factory.mktemp("fuzz") / "input.sul"
+    src.write_text(text, encoding="utf-8")
+    for command in ("validate", "minimize", "homology", "verify", "at-model"):
+        code, _, _ = invoke(command, src, max_degree=max_degree)
+        assert code in (0, 2, 3), (command, code)

@@ -23,7 +23,9 @@ from sulmin.graded_algebra import (
     mono_from_factors,
     mono_mul,
 )
+from sulmin.cli import verify_algebra
 from sulmin.dsl import parse_expression
+from sulmin.random_inputs import random_sullivan_algebra
 
 SIG = Signature.from_pairs([("a1", 1), ("b1", 1), ("c1", 1), ("v2", 2), ("u3", 3)])
 A, B, C, V, U = range(5)
@@ -197,6 +199,44 @@ def test_basis_monomials_distinct_and_homogeneous():
         for m in basis:
             assert mono_degree(SIG, m) == p
             assert elem_is_homogeneous(SIG, {m: Fraction(1)})
+
+
+def _random_signature(rng):
+    return Signature.from_pairs(
+        (f"x{i}", rng.randint(1, 4)) for i in range(rng.randint(1, 7)))
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=40, deadline=None)
+def test_memoised_basis_is_the_fresh_enumeration(seed):
+    # the full basis is memoised on the signature; an explicit subset still
+    # enumerates afresh, and filtering the memoised list by the subset gives
+    # the same monomials in the same order
+    rng = random.Random(seed)
+    sig = _random_signature(rng)
+    everything = range(len(sig))
+    subset = rng.sample(everything, rng.randint(0, len(sig)))
+    for p in range(9):
+        basis = basis_monomials(sig, p)
+        assert basis == basis_monomials(sig, p, everything)
+        assert basis_monomials(sig, p) is basis
+        chosen = set(subset)
+        assert [m for m in basis if all(i in chosen for i, _ in m)] \
+            == basis_monomials(sig, p, subset)
+    assert sorted(sig._bases) == list(range(9))
+
+
+def test_verify_leaves_the_memoised_bases_unchanged():
+    # the sweep, the checker and the oracle all read the memoised lists,
+    # which none of them may change
+    rng = random.Random(20261018)
+    for _ in range(6):
+        dga = random_sullivan_algebra(rng, max_gens=8)
+        lists = [basis_monomials(dga.sig, p) for p in range(8)]
+        copies = [list(basis) for basis in lists]
+        verify_algebra(dga, 6)
+        assert all(basis_monomials(dga.sig, p) is lists[p] for p in range(8))
+        assert lists == copies
 
 
 # -- the unit-coefficient fast paths against the plain definitions ----------

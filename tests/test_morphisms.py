@@ -1,5 +1,6 @@
 import copy
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,15 +15,26 @@ from sulmin.graded_algebra import (
     elem_add,
     elem_degree,
     elem_gen,
+    elem_is_zero,
     elem_mul,
+    elem_neg,
     elem_one,
     elem_scale,
+    elem_sub,
+    mono_degree,
     mono_elem,
+    mono_str,
 )
-from sulmin.homology_oracle import rank_of_columns
+from sulmin.homology_oracle import compare_cohomology, rank_of_columns
 from sulmin.minimal_model import compute_minimal_model
 from sulmin.random_inputs import random_sullivan_algebra
-from sulmin.morphisms import FullContraction, check_contraction, homotopy_extension
+from sulmin.morphisms import (
+    ContractionReport,
+    FullContraction,
+    IdentityCheck,
+    check_contraction,
+    homotopy_extension,
+)
 
 SIG = Signature.from_pairs([("b1", 1), ("c1", 1), ("v2", 2), ("a1", 1), ("u3", 3)])
 B1, C1, V2, A1, U3 = range(5)
@@ -185,11 +197,20 @@ def test_checker_leaves_shared_tables_untouched():
     rng = random.Random(20261018)
     for _ in range(6):
         c = compute_minimal_model(random_sullivan_algebra(rng, max_gens=7))
+        sig = c.sig
         tables = (c.f, c.g, c.phi, c.dW)
         before = copy.deepcopy(tables)
+        # the sweep, the checker and the oracle share the source algebra's
+        # d evaluator, so none of them may change an image another cached
+        d_images = c.source.ev._cache
+        swept = copy.deepcopy(d_images)
         first = check_contraction(c, 6)
+        assert {m: d_images[m] for m in swept} == swept
+        checked = copy.deepcopy(d_images)
         second = check_contraction(c, 6)
         assert first == second
+        compare_cohomology((c.source, None), (DGAlgebra(sig, c.dW), c.W), 6)
+        assert {m: d_images[m] for m in checked} == checked
         emit_report(c)
         parse_machine(emit_machine(c), c.sig)
         assert tables == before
@@ -201,7 +222,6 @@ def test_checker_leaves_shared_tables_untouched():
         # pair-collapse substitution) and twisted derivations (dW with right
         # leg mono_elem, phi with right leg g f, and a pair homotopy whose
         # right leg is the substitution)
-        sig = c.sig
         f_ev, g_ev = Extension(sig, c.f), Extension(sig, c.g)
         subst_table = {k: elem_gen(sig, k) for k in range(len(sig))}
         subst_table[0] = elem_scale(subst_table[0], Fraction(-1, 2))
@@ -263,3 +283,123 @@ def test_on_element_folds_into_a_fresh_dict(seed, data):
             assert all(got is not img for img in ev.table.values())
         assert ev._cache == cache
         assert dict(ev.table) == table
+
+
+def _reference_splits(m):
+    copies = []
+    for i, e in m:
+        copies.extend([i] * e)
+    for t in range(1, len(copies)):
+        yield _reference_pack(copies[:t]), _reference_pack(copies[t:])
+
+
+def _reference_pack(copies):
+    out = []
+    for i in copies:
+        if out and out[-1][0] == i:
+            out[-1] = (i, out[-1][1] + 1)
+        else:
+            out.append((i, 1))
+    return tuple(out)
+
+
+def _reference_check_contraction(c, max_degree):
+    # the subtract-and-test checker: every identity builds its residual and
+    # tests it for zero, with fresh evaluators of its own and g f recomputed
+    # wherever it is used
+    sig = c.sig
+    f_ev = Extension(sig, c.f)
+    g_ev = Extension(sig, c.g)
+    phi_ev = Extension(sig, c.phi, lambda r: g_ev.on_element(f_ev.on_monomial(r)))
+    d_ev = Extension(sig, c.source.diff, mono_elem)
+    dw_ev = Extension(sig, c.dW, mono_elem)
+    v_basis = []
+    for p in range(max_degree + 1):
+        v_basis.extend(basis_monomials(sig, p, range(len(sig))))
+    w_basis = [m for p in range(max_degree + 1) for m in basis_monomials(sig, p, c.W)]
+    failures = {}
+
+    def record(name, residual, m):
+        if name not in failures and not elem_is_zero(residual):
+            failures[name] = mono_str(sig, m)
+
+    for m in v_basis:
+        me = mono_elem(m)
+        fm = f_ev.on_monomial(m)
+        dm = d_ev.on_monomial(m)
+        phim = phi_ev.on_monomial(m)
+        record("f phi = 0", f_ev.on_element(phim), m)
+        record("phi phi = 0", phi_ev.on_element(phim), m)
+        lhs = elem_sub(me, g_ev.on_element(fm))
+        rhs = elem_add(phi_ev.on_element(dm), d_ev.on_element(phim))
+        record("id - gf = phi d + d phi", elem_sub(lhs, rhs), m)
+        record("f d = dW f", elem_sub(f_ev.on_element(dm), dw_ev.on_element(fm)), m)
+    for m in w_basis:
+        gm = g_ev.on_monomial(m)
+        record("f g = id", elem_sub(f_ev.on_element(gm), mono_elem(m)), m)
+        record("phi g = 0", phi_ev.on_element(gm), m)
+        dwm = dw_ev.on_monomial(m)
+        record("d g = g dW", elem_sub(d_ev.on_element(gm), g_ev.on_element(dwm)), m)
+        record("dW dW = 0", dw_ev.on_element(dwm), m)
+
+    def rule(u, v):
+        left = elem_mul(sig, mono_elem(u), phi_ev.on_monomial(v))
+        if mono_degree(sig, u) % 2:
+            left = elem_neg(left)
+        phi_u = phi_ev.on_monomial(u)
+        if not phi_u:
+            return left
+        return elem_add(left, elem_mul(sig, phi_u, g_ev.on_element(f_ev.on_monomial(v))))
+
+    for m in v_basis:
+        fm = f_ev.on_monomial(m)
+        phim = phi_ev.on_monomial(m)
+        for x, y in _reference_splits(m):
+            swap = -1 if (mono_degree(sig, x) % 2 and mono_degree(sig, y) % 2) else 1
+            fx, fy = f_ev.on_monomial(x), f_ev.on_monomial(y)
+            record("f mu = mu (f x f)", elem_sub(fm, elem_mul(sig, fx, fy)), m)
+            record("f mu = mu (f x f)", elem_sub(elem_scale(fm, swap), elem_mul(sig, fy, fx)), m)
+            record("phi mu rule", elem_sub(phim, rule(x, y)), m)
+            record("phi mu rule", elem_sub(elem_scale(phim, swap), rule(y, x)), m)
+
+    names = [
+        "f g = id", "f phi = 0", "phi g = 0", "phi phi = 0",
+        "id - gf = phi d + d phi", "f d = dW f", "d g = g dW", "dW dW = 0",
+        "f mu = mu (f x f)", "phi mu rule",
+    ]
+    return ContractionReport(tuple(
+        IdentityCheck(n, n not in failures, failures.get(n)) for n in names))
+
+
+def _mutants(c, rng):
+    # one perturbed entry each in f, g, phi and dW: a survivor generator w is
+    # added to the image, so every evaluator the checker runs stays defined
+    # (f and dW images stay in the surviving subalgebra) and the perturbed
+    # contraction breaks at least one identity
+    sig = c.sig
+    w = elem_gen(sig, rng.choice(c.W))
+    for field, keys in (("f", sorted(c.f)), ("g", sorted(c.g)),
+                        ("phi", sorted(c.phi)), ("dW", list(c.W))):
+        table = dict(getattr(c, field))
+        k = rng.choice(keys)
+        table[k] = elem_add(table.get(k, {}), w)
+        yield field, replace(c, **{field: table})
+
+
+def test_equality_checker_matches_subtract_and_test_reference():
+    # every identity now compares canonical elements instead of testing a
+    # residual for zero, and reads d, the bases and g f from shared caches;
+    # on random models and on one-entry mutants of each table the reports
+    # must agree in every flag and every first counterexample
+    rng = random.Random(20261018)
+    models = 0
+    while models < 15:
+        c = compute_minimal_model(random_sullivan_algebra(rng, max_gens=7))
+        if not c.W:
+            continue
+        models += 1
+        assert check_contraction(c, 6) == _reference_check_contraction(c, 6)
+        for field, mutant in _mutants(c, rng):
+            report = check_contraction(mutant, 6)
+            assert report == _reference_check_contraction(mutant, 6), field
+            assert not report.ok, field
