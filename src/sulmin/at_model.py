@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Set, Tuple
 
 from .graded_algebra import lin_axpy
 from .morphisms import IdentityCheck
@@ -120,11 +120,13 @@ def compute_at_model(M: DGModule) -> ATModel:
         raise ModuleValidationError(problems)
 
     H: List[int] = []
-    in_h = set()
     f: Dict[int, Lin] = {}
     g: Dict[int, Lin] = {}
     phi: Dict[int, Lin] = {}
     pairs: List[Tuple[int, int]] = []
+    # users[k]: the generators whose f image mentions the class k, for
+    # exactly the classes k still in H
+    users: Dict[int, Set[int]] = {}
 
     for i in range(len(M.generators)):
         di = M.d_of(i)
@@ -132,27 +134,31 @@ def compute_at_model(M: DGModule) -> ATModel:
         b = lin_axpy({i: _ONE}, _MINUS_ONE, lin_apply(phi, di))
         if not a:
             H.append(i)
-            in_h.add(i)
             f[i] = {i: _ONE}
             g[i] = b
             phi[i] = {}
+            users[i] = {i}
         else:
-            j = max(k for k in a if k in in_h)
+            j = max(k for k in a if k in users)
             alpha = a[j]
             H.remove(j)
-            in_h.discard(j)
             f[i] = {}
             phi[i] = {}
             g.pop(j, None)
             pairs.append((i, j))
-            # corrections store new dicts: no entry is written once stored
-            for m in range(i):
+            # corrections store new dicts: no entry is written once stored;
+            # each one cancels j and can only add or cancel the classes of a
+            for m in sorted(users.pop(j)):
                 fm = f[m]
-                if j not in fm:
-                    continue
                 lam = fm[j] / alpha
-                f[m] = lin_axpy(dict(fm), -lam, a)
+                fm = f[m] = lin_axpy(dict(fm), -lam, a)
                 phi[m] = lin_axpy(dict(phi[m]), lam, b)
+                for k in a:
+                    if k != j:
+                        if k in fm:
+                            users[k].add(m)
+                        else:
+                            users[k].discard(m)
 
     return ATModel(tuple(H), f, g, phi, tuple(pairs))
 

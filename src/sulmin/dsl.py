@@ -15,13 +15,23 @@ graded-commutativity sign, so for odd a and b the text ``b*a`` denotes
 ``-1 * a*b``.  In module mode an expression must be a linear combination of
 generator names.
 
-Every error carries a 1-based line and column.
+Lexing runs no Python code per character.  One compiled-regex ``findall``
+splits the document into tokens, each match skipping the blanks and the
+comment in front of its token; the kind of a token comes from a table keyed
+by its first character, and only a non-ASCII or stray first character takes
+a slow path through the ``isdecimal`` / ``isalpha`` rule.  The parsers read
+the resulting parallel lists of kinds and texts by index.  No offset, line or
+column is kept: an error lexes the document again to find the 1-based line
+and column of the one token it names, and every error carries them.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from operator import itemgetter
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .at_model import DGModule, Lin
@@ -53,7 +63,31 @@ class DslError(ValueError):
 
 # -- lexer --------------------------------------------------------------------
 
-_SYMBOLS = set(":=+-*^/(){},")
+_SYMBOLS = frozenset(":=+-*^/(){},")
+
+
+def _char_kind(ch: str) -> Optional[str]:
+    """The kind of token that ``ch`` starts, or None if it starts none."""
+    if ch.isdecimal():  # exactly the digits int() accepts
+        return "INT"
+    if ch.isalpha() or ch == "_":
+        return "IDENT"
+    if ch in _SYMBOLS:
+        return "SYM"
+    if ch == "\n":
+        return "NEWLINE"
+    return None
+
+
+# One match per token: blanks and a comment are skipped in front of it, and
+# the token is a run of decimal digits, a word (``\w`` is exactly ``isalnum``
+# or ``_``), a newline or any other single character.  Lexing ``text + "\n"``
+# ends every comment at a newline, so the skip never has to give text back.
+# A token's kind is the kind of its first character; a non-ASCII first
+# character misses the table and takes the slow path in ``_lex``.
+_TOKEN = re.compile(r"[ \t\r]*(?:#[^\n]*)?(\d+|[^\W\d]\w*|\n|.)")
+_KIND = {ch: _char_kind(ch) for ch in map(chr, range(128))}
+_first_char = itemgetter(0)
 
 
 class Token(NamedTuple):
@@ -63,102 +97,128 @@ class Token(NamedTuple):
     col: int
 
 
-def _lex(text: str) -> List[Token]:
-    tokens: List[Token] = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            tokens.append(Token("NEWLINE", "\n", line, col))
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-        elif ch.isdecimal():  # exactly the digits int() accepts
-            start = i
-            startcol = col
-            while i < n and text[i].isdecimal():
-                i += 1
-                col += 1
-            tokens.append(Token("INT", text[start:i], line, startcol))
-        elif ch.isalpha() or ch == "_":
-            start = i
-            startcol = col
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-                col += 1
-            tokens.append(Token("IDENT", text[start:i], line, startcol))
-        elif ch in _SYMBOLS:
-            tokens.append(Token("SYM", ch, line, col))
-            i += 1
-            col += 1
-        else:
-            raise DslError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("NEWLINE", "\n", line, col))
-    tokens.append(Token("EOF", "", line + 1, 1))
-    return tokens
+def _position(source: str, i: int) -> Tuple[int, int]:
+    """Line and column of token ``i`` of ``source``, found by lexing again."""
+    m = next(islice(_TOKEN.finditer(source + "\n"), i, None), None)
+    if m is None:  # the EOF token, one line past the last
+        return source.count("\n") + 2, 1
+    offset = m.start(1)
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+
+
+class _Tokens:
+    """A lexed document: parallel lists of token kinds and texts.
+
+    Lexing tracks no offset, line or column; ``_position`` finds them for
+    the one token an error names.  Indexing yields a ``Token``.
+    """
+
+    __slots__ = ("source", "kinds", "texts")
+
+    def __init__(self, source: str, kinds: List[str], texts: List[str]):
+        self.source = source
+        self.kinds = kinds
+        self.texts = texts
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, i: int) -> Token:
+        return Token(self.kinds[i], self.texts[i], *_position(self.source, i))
+
+
+def _lex(text: str) -> _Tokens:
+    texts = _TOKEN.findall(text + "\n")
+    kinds = list(map(_KIND.get, map(_first_char, texts)))
+    if None in kinds:  # non-ASCII, or a character that starts no token
+        for i, piece in enumerate(texts):
+            if kinds[i] is None:
+                kinds[i] = _char_kind(piece[0])
+                if kinds[i] is None:
+                    raise DslError(f"unexpected character {piece[0]!r}",
+                                   *_position(text, i))
+    kinds.append("EOF")
+    texts.append("")
+    return _Tokens(text, kinds, texts)
 
 
 class _Cursor:
-    def __init__(self, tokens: List[Token]):
-        self.tokens = tokens
+    """Reads a lexed document by index.
+
+    The parsers read ``kinds`` and ``texts`` at ``pos`` directly.  Only a SYM
+    token has a symbol as its text, so a symbol test reads ``texts`` alone.
+    ``pos`` never moves past the final EOF.
+    """
+
+    __slots__ = ("source", "kinds", "texts", "pos")
+
+    def __init__(self, text: str):
+        tokens = _lex(text)
+        self.source = text
+        self.kinds = tokens.kinds
+        self.texts = tokens.texts
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        t = self.tokens[self.pos]
-        if t.kind != "EOF":
-            self.pos += 1
-        return t
+    def error(self, message: str, i: Optional[int] = None) -> DslError:
+        """An error at token ``i``, by default the current one."""
+        return DslError(message, *_position(self.source, self.pos if i is None else i))
 
     def at_sym(self, ch: str) -> bool:
-        t = self.peek()
-        return t.kind == "SYM" and t.text == ch
+        return self.texts[self.pos] == ch
 
-    def expect_sym(self, ch: str) -> Token:
-        t = self.peek()
-        if not self.at_sym(ch):
-            raise DslError(f"expected {ch!r}", t.line, t.col)
-        return self.next()
+    def expect_sym(self, ch: str) -> None:
+        if self.texts[self.pos] != ch:
+            raise self.error(f"expected {ch!r}")
+        self.pos += 1
 
     def skip_newlines(self) -> None:
-        while self.peek().kind == "NEWLINE":
-            self.next()
+        kinds = self.kinds
+        pos = self.pos
+        while kinds[pos] == "NEWLINE":
+            pos += 1
+        self.pos = pos
+
+    def end_of_statement(self) -> None:
+        kind = self.kinds[self.pos]
+        if kind == "NEWLINE":
+            self.pos += 1
+        elif kind != "EOF":
+            raise self.error("expected end of statement")
+
+    def name_at(self, i: int) -> str:
+        """The text of token ``i``, which must be an identifier."""
+        if self.kinds[i] != "IDENT":
+            raise self.error("expected a generator name", i)
+        return self.texts[i]
 
 
 # -- expression parsing -------------------------------------------------------
 
-def _parse_uint(cur: _Cursor) -> Tuple[int, Token]:
-    t = cur.peek()
-    if t.kind != "INT":
-        raise DslError("expected an unsigned integer", t.line, t.col)
-    cur.next()
+def _parse_uint(cur: _Cursor) -> int:
+    i = cur.pos
+    if cur.kinds[i] != "INT":
+        raise cur.error("expected an unsigned integer")
+    cur.pos = i + 1
     try:
-        return int(t.text), t
+        return int(cur.texts[i])
     except ValueError:  # past the interpreter's limit on int string digits
-        raise DslError("integer literal too long", t.line, t.col) from None
+        raise cur.error("integer literal too long", i) from None
 
 
-def _parse_coeff(cur: _Cursor) -> Fraction:
-    num, _ = _parse_uint(cur)
-    if cur.at_sym("/"):
-        cur.next()
-        den, t = _parse_uint(cur)
+def _parse_coeff(cur: _Cursor, sign: int = 1) -> Fraction:
+    """A coefficient literal, times ``sign`` (1 or -1)."""
+    num = sign * _parse_uint(cur)
+    if cur.texts[cur.pos] == "/":
+        cur.pos += 1
+        i = cur.pos
+        den = _parse_uint(cur)
         if den == 0:
-            raise DslError("zero denominator", t.line, t.col)
+            raise cur.error("zero denominator", i)
         return Fraction(num, den)
     return Fraction(num)
+
+
+_ADD_OPS = frozenset("+-")
 
 
 class _AlgebraEval:
@@ -169,60 +229,50 @@ class _AlgebraEval:
         self.declared = declared
 
     def factor(self, cur: _Cursor) -> Elem:
-        t = cur.peek()
-        if t.kind == "IDENT":
-            cur.next()
-            if t.text not in self.declared:
-                raise DslError(f"undeclared identifier {t.text!r}", t.line, t.col)
-            base = elem_gen(self.sig, self.declared[t.text])
-            if cur.at_sym("^"):
-                cur.next()
-                e, _ = _parse_uint(cur)
-                return elem_pow(self.sig, base, e)
-            return base
-        if t.kind == "SYM" and t.text == "(":
-            cur.next()
-            inner = self.expr(cur)
+        i = cur.pos
+        if cur.kinds[i] == "IDENT":
+            name = cur.texts[i]
+            cur.pos = i + 1
+            if name not in self.declared:
+                raise cur.error(f"undeclared identifier {name!r}", i)
+            base = elem_gen(self.sig, self.declared[name])
+        elif cur.texts[i] == "(":
+            cur.pos = i + 1
+            base = self.expr(cur)
             cur.expect_sym(")")
-            if cur.at_sym("^"):
-                cur.next()
-                e, _ = _parse_uint(cur)
-                return elem_pow(self.sig, inner, e)
-            return inner
-        raise DslError("expected a generator or '('", t.line, t.col)
+        else:
+            raise cur.error("expected a generator or '('")
+        if cur.at_sym("^"):
+            cur.pos += 1
+            return elem_pow(self.sig, base, _parse_uint(cur))
+        return base
 
     def term(self, cur: _Cursor) -> Elem:
-        t = cur.peek()
-        acc: Optional[Elem] = None
-        if t.kind == "INT":
+        if cur.kinds[cur.pos] == "INT":
             acc = elem_const(_parse_coeff(cur))
             if cur.at_sym("*"):
-                cur.next()
-                acc = elem_mul(self.sig, acc, self.factor(cur))
-            elif cur.peek().kind == "IDENT" or cur.at_sym("("):
-                acc = elem_mul(self.sig, acc, self.factor(cur))
-            else:
+                cur.pos += 1
+            elif cur.kinds[cur.pos] != "IDENT" and not cur.at_sym("("):
                 return acc
+            acc = elem_mul(self.sig, acc, self.factor(cur))
         else:
             acc = self.factor(cur)
         while cur.at_sym("*"):
-            cur.next()
+            cur.pos += 1
             acc = elem_mul(self.sig, acc, self.factor(cur))
         return acc
 
     def expr(self, cur: _Cursor) -> Elem:
-        t = cur.peek()
-        negate = False
-        if cur.at_sym("-"):
-            cur.next()
-            negate = True
-        elif cur.at_sym("+"):
-            cur.next()
+        negate = cur.at_sym("-")
+        if negate or cur.at_sym("+"):
+            cur.pos += 1
         acc = self.term(cur)
         if negate:
             acc = elem_scale(acc, -1)
-        while cur.at_sym("+") or cur.at_sym("-"):
-            op = cur.next().text
+        texts = cur.texts
+        while texts[cur.pos] in _ADD_OPS:
+            op = texts[cur.pos]
+            cur.pos += 1
             nxt = self.term(cur)
             if op == "-":
                 nxt = elem_scale(nxt, -1)
@@ -232,6 +282,7 @@ class _AlgebraEval:
 
 _ONE = Fraction(1)
 _MINUS_ONE = Fraction(-1)
+_NONLINEAR = frozenset("*^(")
 
 
 class _ModuleEval:
@@ -240,149 +291,126 @@ class _ModuleEval:
     def __init__(self, declared: Dict[str, int]):
         self.declared = declared
 
-    def term(self, cur: _Cursor) -> Lin:
-        t = cur.peek()
-        coeff = _ONE
-        saw_coeff = False
-        if t.kind == "INT":
-            coeff = _parse_coeff(cur)
-            saw_coeff = True
+    def term(self, cur: _Cursor, sign: int) -> Lin:
+        """One term, times ``sign`` (1 or -1)."""
+        kinds = cur.kinds
+        saw_coeff = kinds[cur.pos] == "INT"
+        if saw_coeff:
+            coeff = _parse_coeff(cur, sign)
             if cur.at_sym("*"):
-                cur.next()
-        t = cur.peek()
-        if t.kind == "IDENT":
-            cur.next()
-            if t.text not in self.declared:
-                raise DslError(f"undeclared identifier {t.text!r}", t.line, t.col)
-            nxt = cur.peek()
-            if nxt.kind == "SYM" and nxt.text in "*^(":
-                raise DslError("nonlinear expression in module mode", nxt.line, nxt.col)
-            return {self.declared[t.text]: coeff} if coeff else {}
+                cur.pos += 1
+        else:
+            coeff = _ONE if sign == 1 else _MINUS_ONE
+        i = cur.pos
+        if kinds[i] == "IDENT":
+            name = cur.texts[i]
+            cur.pos = i + 1
+            idx = self.declared.get(name)
+            if idx is None:
+                raise cur.error(f"undeclared identifier {name!r}", i)
+            if cur.texts[i + 1] in _NONLINEAR:
+                raise cur.error("nonlinear expression in module mode")
+            return {idx: coeff} if coeff else {}
         if saw_coeff:
             if coeff:
-                raise DslError("constant term in a module differential", t.line, t.col)
+                raise cur.error("constant term in a module differential")
             return {}
-        raise DslError("expected a generator name", t.line, t.col)
+        raise cur.error("expected a generator name")
 
     def expr(self, cur: _Cursor) -> Lin:
-        sign = _ONE
-        if cur.at_sym("-"):
-            cur.next()
-            sign = _MINUS_ONE
-        elif cur.at_sym("+"):
-            cur.next()
-        acc: Lin = lin_axpy({}, sign, self.term(cur))
-        while cur.at_sym("+") or cur.at_sym("-"):
-            sign = _MINUS_ONE if cur.next().text == "-" else _ONE
-            lin_axpy(acc, sign, self.term(cur))
-        return acc
+        texts = cur.texts
+        sign = -1 if texts[cur.pos] == "-" else 1
+        if texts[cur.pos] in _ADD_OPS:
+            cur.pos += 1
+        acc: Lin = {}
+        while True:
+            lin_axpy(acc, _ONE, self.term(cur, sign))
+            op = texts[cur.pos]
+            if op not in _ADD_OPS:
+                return acc
+            sign = -1 if op == "-" else 1
+            cur.pos += 1
 
 
 # -- document parsing ---------------------------------------------------------
 
 def parse(text: str) -> Union[DGAlgebra, DGModule]:
     """Parse a source document into an algebra or module description."""
-    cur = _Cursor(_lex(text))
+    cur = _Cursor(text)
+    kinds, texts = cur.kinds, cur.texts
     mode = "algebra"
     names: Dict[str, int] = {}
     degrees: List[Tuple[str, int]] = []
-    diffs_a: Dict[int, Elem] = {}
-    diffs_m: Dict[int, Lin] = {}
+    diffs: Dict[int, Union[Elem, Lin]] = {}
     has_diff: set = set()
-    seen_statement = False
+    module_eval = _ModuleEval(names)
 
     cur.skip_newlines()
-    first = cur.peek()
-    if first.kind == "IDENT" and first.text == "mode":
-        cur.next()
-        t = cur.peek()
-        if t.kind != "IDENT" or t.text not in ("algebra", "module"):
-            raise DslError("expected 'algebra' or 'module'", t.line, t.col)
-        mode = t.text
-        cur.next()
-        _end_of_statement(cur)
+    if texts[cur.pos] == "mode" and kinds[cur.pos] == "IDENT":
+        cur.pos += 1
+        i = cur.pos
+        if kinds[i] != "IDENT" or texts[i] not in ("algebra", "module"):
+            raise cur.error("expected 'algebra' or 'module'")
+        mode = texts[i]
+        cur.pos = i + 1
+        cur.end_of_statement()
 
     while True:
         cur.skip_newlines()
-        t = cur.peek()
-        if t.kind == "EOF":
+        i = cur.pos
+        if kinds[i] == "EOF":
             break
-        if t.kind != "IDENT":
-            raise DslError("expected a statement", t.line, t.col)
-        if t.text == "gen":
-            cur.next()
-            name_tok = cur.peek()
-            if name_tok.kind != "IDENT":
-                raise DslError("expected a generator name", name_tok.line, name_tok.col)
-            cur.next()
-            if name_tok.text in names:
-                raise DslError(f"duplicate declaration of {name_tok.text!r}",
-                               name_tok.line, name_tok.col)
+        if kinds[i] != "IDENT":
+            raise cur.error("expected a statement")
+        word = texts[i]
+        if word == "gen":
+            name = cur.name_at(i + 1)
+            cur.pos = i + 2
+            if name in names:
+                raise cur.error(f"duplicate declaration of {name!r}", i + 1)
             cur.expect_sym(":")
-            deg, deg_tok = _parse_uint(cur)
+            deg_i = cur.pos
+            deg = _parse_uint(cur)
             if mode == "algebra" and deg < 1:
-                raise DslError("degree 0 generator in algebra mode",
-                               deg_tok.line, deg_tok.col)
-            _end_of_statement(cur)
-            names[name_tok.text] = len(degrees)
-            degrees.append((name_tok.text, deg))
-        elif t.text == "d":
-            cur.next()
-            name_tok = cur.peek()
-            if name_tok.kind != "IDENT":
-                raise DslError("expected a generator name", name_tok.line, name_tok.col)
-            cur.next()
-            if name_tok.text not in names:
-                raise DslError(f"undeclared identifier {name_tok.text!r}",
-                               name_tok.line, name_tok.col)
-            idx = names[name_tok.text]
+                raise cur.error("degree 0 generator in algebra mode", deg_i)
+            cur.end_of_statement()
+            names[name] = len(degrees)
+            degrees.append((name, deg))
+        elif word == "d":
+            name = cur.name_at(i + 1)
+            cur.pos = i + 2
+            if name not in names:
+                raise cur.error(f"undeclared identifier {name!r}", i + 1)
+            idx = names[name]
             if idx in has_diff:
-                raise DslError(f"duplicate differential for {name_tok.text!r}",
-                               name_tok.line, name_tok.col)
+                raise cur.error(f"duplicate differential for {name!r}", i + 1)
             cur.expect_sym("=")
             if mode == "algebra":
-                sig = Signature.from_pairs(degrees)
-                value = _AlgebraEval(sig, names).expr(cur)
-                _end_of_statement(cur)
-                has_diff.add(idx)
-                if value:
-                    diffs_a[idx] = value
+                value = _AlgebraEval(Signature.from_pairs(degrees), names).expr(cur)
             else:
-                value = _ModuleEval(names).expr(cur)
-                _end_of_statement(cur)
-                has_diff.add(idx)
-                if value:
-                    diffs_m[idx] = value
-        elif t.text == "mode":
-            raise DslError("mode header must be the first statement", t.line, t.col)
+                value = module_eval.expr(cur)
+            cur.end_of_statement()
+            has_diff.add(idx)
+            if value:
+                diffs[idx] = value
+        elif word == "mode":
+            raise cur.error("mode header must be the first statement")
         else:
-            raise DslError(f"unknown statement {t.text!r}", t.line, t.col)
+            raise cur.error(f"unknown statement {word!r}")
 
     if mode == "algebra":
-        sig = Signature.from_pairs(degrees)
-        return DGAlgebra(sig, diffs_a)
-    return DGModule(tuple(degrees), diffs_m)
-
-
-def _end_of_statement(cur: _Cursor) -> None:
-    t = cur.peek()
-    if t.kind == "NEWLINE":
-        cur.next()
-        return
-    if t.kind == "EOF":
-        return
-    raise DslError("expected end of statement", t.line, t.col)
+        return DGAlgebra(Signature.from_pairs(degrees), diffs)
+    return DGModule(tuple(degrees), diffs)
 
 
 def parse_expression(sig: Signature, text: str) -> Elem:
     """Parse a single expression against an existing signature (test helper)."""
-    cur = _Cursor(_lex(text))
+    cur = _Cursor(text)
     cur.skip_newlines()
     declared = {g.name: g.index for g in sig.generators}
     value = _AlgebraEval(sig, declared).expr(cur)
-    t = cur.peek()
-    if t.kind not in ("NEWLINE", "EOF"):
-        raise DslError("trailing input after expression", t.line, t.col)
+    if cur.kinds[cur.pos] not in ("NEWLINE", "EOF"):
+        raise cur.error("trailing input after expression")
     return value
 
 
@@ -393,40 +421,41 @@ def _term_key(sig: Signature, m: Mono):
     return (mono_degree(sig, m), expanded)
 
 
+def _signed_term(c: Fraction, body: str) -> str:
+    """``c * body`` as ``"+ ..."`` or ``"- ..."``, the magnitude as
+    ``str(Fraction)`` writes it; an empty ``body`` stands for the unit."""
+    n, d = c.as_integer_ratio()
+    sign = "+ " if n > 0 else "- "
+    n = abs(n)
+    if d != 1:
+        return f"{sign}{n}/{d}*{body}" if body else f"{sign}{n}/{d}"
+    if not body:
+        return f"{sign}{n}"
+    return sign + body if n == 1 else f"{sign}{n}*{body}"
+
+
+def _join_terms(parts: List[str]) -> str:
+    """Signed terms as one sum; the first term's sign loses its space, or
+    disappears if it is a plus."""
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
 def format_element(sig: Signature, x: Elem) -> str:
     """Canonical text for an element: ascending degree, then lexicographic."""
     if not x:
         return "0"
-    parts: List[str] = []
-    for m in sorted(x, key=lambda mm: _term_key(sig, mm)):
-        c = x[m]
-        mag = abs(c)
-        if not m:
-            body = str(mag)
-        else:
-            factors = "*".join(
-                sig.name(i) if e == 1 else f"{sig.name(i)}^{e}" for i, e in m)
-            body = factors if mag == 1 else f"{mag}*{factors}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"{'+' if c > 0 else '-'} {body}")
-    return " ".join(parts)
+    name = sig.name
+    return _join_terms([
+        _signed_term(x[m], "*".join(name(i) if e == 1 else f"{name(i)}^{e}" for i, e in m))
+        for m in sorted(x, key=lambda mm: _term_key(sig, mm))])
 
 
 def format_linear(M: DGModule, x: Lin) -> str:
     if not x:
         return "0"
-    parts: List[str] = []
-    for i in sorted(x):
-        c = x[i]
-        mag = abs(c)
-        body = M.name(i) if mag == 1 else f"{mag}*{M.name(i)}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"{'+' if c > 0 else '-'} {body}")
-    return " ".join(parts)
+    gens = M.generators
+    return _join_terms([_signed_term(x[i], gens[i][0]) for i in sorted(x)])
 
 
 def emit_machine(c: FullContraction) -> str:
@@ -470,7 +499,8 @@ def render_machine(sig: Signature, doc: MachineDocument) -> str:
 
 def parse_machine(text: str, sig: Signature) -> MachineDocument:
     """Re-read a machine document against the signature it was emitted for."""
-    cur = _Cursor(_lex(text))
+    cur = _Cursor(text)
+    kinds, texts = cur.kinds, cur.texts
     declared = {g.name: g.index for g in sig.generators}
     ev = _AlgebraEval(sig, declared)
     W: List[int] = []
@@ -479,45 +509,44 @@ def parse_machine(text: str, sig: Signature) -> MachineDocument:
     g: Dict[int, Elem] = {}
     phi: Dict[int, Elem] = {}
     pairs: List[Tuple[int, int]] = []
+    tables = {"dW": dW, "f": f, "g": g, "phi": phi}
 
-    def read_name(cur: _Cursor) -> int:
-        t = cur.peek()
-        if t.kind != "IDENT" or t.text not in declared:
-            raise DslError("expected a generator name", t.line, t.col)
-        cur.next()
-        return declared[t.text]
+    def read_name() -> int:
+        i = cur.pos
+        if kinds[i] != "IDENT" or texts[i] not in declared:
+            raise cur.error("expected a generator name")
+        cur.pos = i + 1
+        return declared[texts[i]]
 
     while True:
         cur.skip_newlines()
-        t = cur.peek()
-        if t.kind == "EOF":
+        i = cur.pos
+        if kinds[i] == "EOF":
             break
-        if t.kind != "IDENT":
-            raise DslError("expected a result statement", t.line, t.col)
-        kw = t.text
-        cur.next()
+        if kinds[i] != "IDENT":
+            raise cur.error("expected a result statement")
+        kw = texts[i]
+        cur.pos = i + 1
         if kw == "W":
             cur.expect_sym("=")
             cur.expect_sym("{")
             while not cur.at_sym("}"):
-                W.append(read_name(cur))
+                W.append(read_name())
                 if cur.at_sym(","):
-                    cur.next()
+                    cur.pos += 1
             cur.expect_sym("}")
-            _end_of_statement(cur)
-        elif kw in ("dW", "f", "g", "phi"):
-            idx = read_name(cur)
+            cur.end_of_statement()
+        elif kw in tables:
+            idx = read_name()
             cur.expect_sym("=")
             value = ev.expr(cur)
-            _end_of_statement(cur)
-            {"dW": dW, "f": f, "g": g, "phi": phi}[kw][idx] = value
+            cur.end_of_statement()
+            tables[kw][idx] = value
         elif kw == "pair":
-            i = read_name(cur)
-            j = read_name(cur)
-            _end_of_statement(cur)
-            pairs.append((i, j))
+            pairs.append((read_name(), read_name()))
+            cur.end_of_statement()
         else:
-            raise DslError(f"unknown result statement {kw!r}", t.line, t.col)
+            raise cur.error(f"unknown result statement {kw!r}", i)
     return MachineDocument(tuple(W), dW, f, g, phi, tuple(pairs))
 
 

@@ -300,9 +300,15 @@ def elem_mul(sig: Signature, x: Elem, y: Elem) -> Elem:
 def elem_pow(sig: Signature, x: Elem, e: int) -> Elem:
     if e < 0:
         raise ValueError("negative exponent")
+    # square and multiply: O(log e) products, the same canonical element as
+    # e repeated products, since the product is associative
     acc = elem_one()
-    for _ in range(e):
-        acc = elem_mul(sig, acc, x)
+    while e:
+        if e & 1:
+            acc = elem_mul(sig, acc, x)
+        e >>= 1
+        if e:
+            x = elem_mul(sig, x, x)
     return acc
 
 def mono_elem(m: Mono, c=_ONE) -> Elem:

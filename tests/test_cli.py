@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -138,6 +139,17 @@ def test_word_deeper_than_the_evaluator_exits_two(tmp_path):
     assert (code, out) == (2, "")
     assert err == f"{src}: input exceeds the evaluator's word depth\n"
 
+
+def test_huge_exponent_exits_two_at_once(tmp_path):
+    # the parser builds v2^(10^10) in a few dozen products (square and
+    # multiply), and the evaluators then refuse the word at once
+    src = tmp_path / "huge.sul"
+    src.write_text("gen v2:2\ngen u:19999999999\nd u = v2^10000000000\n")
+    start = time.perf_counter()
+    code, out, err = invoke("minimize", src)
+    assert (code, out) == (2, "")
+    assert err == f"{src}: input exceeds the evaluator's word depth\n"
+    assert time.perf_counter() - start < 2
 
 def test_parentheses_deeper_than_the_parser_exit_two(tmp_path):
     src = tmp_path / "parens.sul"

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sulmin.at_model import DGModule
 from sulmin.differential import DGAlgebra
@@ -12,12 +14,13 @@ from sulmin.dsl import (
     emit_machine,
     emit_report,
     format_element,
+    format_linear,
     parse,
     parse_expression,
     parse_machine,
     render_machine,
 )
-from sulmin.graded_algebra import Signature, basis_monomials
+from sulmin.graded_algebra import Signature, basis_monomials, mono_degree
 from sulmin.minimal_model import compute_minimal_model
 from sulmin.random_inputs import random_sullivan_algebra
 
@@ -197,3 +200,67 @@ def test_mode_header_must_come_first():
         parse("gen a1:1\nmode module\n")
     assert err.value.line == 2
     assert "first statement" in err.value.message
+
+
+def _reference_format_element(sig, x):
+    """The formatter as it was before coefficients were read as integer
+    ratios: Fraction operators on every term."""
+    if not x:
+        return "0"
+    parts = []
+    key = lambda m: (mono_degree(sig, m), tuple(i for i, e in m for _ in range(e)))
+    for m in sorted(x, key=key):
+        c = x[m]
+        mag = abs(c)
+        if not m:
+            body = str(mag)
+        else:
+            factors = "*".join(
+                sig.name(i) if e == 1 else f"{sig.name(i)}^{e}" for i, e in m)
+            body = factors if mag == 1 else f"{mag}*{factors}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"{'+' if c > 0 else '-'} {body}")
+    return " ".join(parts)
+
+
+def _reference_format_linear(M, x):
+    if not x:
+        return "0"
+    parts = []
+    for i in sorted(x):
+        c = x[i]
+        mag = abs(c)
+        body = M.name(i) if mag == 1 else f"{mag}*{M.name(i)}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"{'+' if c > 0 else '-'} {body}")
+    return " ".join(parts)
+
+
+_FORMAT_SIG = Signature.from_pairs([("a1", 1), ("b1", 1), ("v2", 2), ("u3", 3)])
+_FORMAT_MODULE = DGModule(tuple((f"m{i}", i % 3) for i in range(6)), {})
+# units of both signs, proper and improper fractions, and numerators and
+# denominators far past a machine word
+_COEFFS = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3),
+                     Fraction(7, 2), Fraction(-5)]),
+    st.builds(Fraction, st.integers(-10**30, 10**30).filter(bool),
+              st.integers(1, 10**30)),
+)
+_MONOS = st.sampled_from(
+    [m for p in range(5) for m in basis_monomials(_FORMAT_SIG, p)])  # () is the constant
+
+
+@given(st.dictionaries(_MONOS, _COEFFS, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_format_element_matches_the_fraction_formatter(x):
+    assert format_element(_FORMAT_SIG, x) == _reference_format_element(_FORMAT_SIG, x)
+
+
+@given(st.dictionaries(st.integers(0, 5), _COEFFS, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_format_linear_matches_the_fraction_formatter(x):
+    assert format_linear(_FORMAT_MODULE, x) == _reference_format_linear(_FORMAT_MODULE, x)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -15,6 +16,7 @@ from sulmin.graded_algebra import (
     elem_is_homogeneous,
     elem_mul,
     elem_one,
+    elem_pow,
     elem_scale,
     elem_sub,
     in_lambda_geq2,
@@ -191,6 +193,27 @@ def test_linear_plus_products_decomposition(seed):
     assert in_lambda_geq2(SIG, rest, None)
     assert elem_add(elem_add(rebuilt, constant), rest) == x
 
+
+
+@given(st.integers(0, 10**9), st.integers(0, 12))
+@settings(max_examples=200, deadline=None)
+def test_power_is_the_repeated_product(seed, e):
+    # square and multiply gives the same canonical element as e products,
+    # on inhomogeneous elements too
+    rng = random.Random(seed)
+    x = elem_add(_random_homogeneous(rng, SIG, rng.randint(0, 3), max_terms=2),
+                 _random_homogeneous(rng, SIG, rng.randint(0, 2), max_terms=2))
+    repeated = elem_one()
+    for _ in range(e):
+        repeated = elem_mul(SIG, repeated, x)
+    assert elem_pow(SIG, x, e) == repeated
+
+
+def test_large_exponent_parses_in_log_many_products():
+    sig = Signature.from_pairs([("v2", 2)])
+    start = time.perf_counter()
+    assert expr("v2^1000000", sig) == {((0, 1000000),): 1}
+    assert time.perf_counter() - start < 0.5
 
 def test_basis_monomials_distinct_and_homogeneous():
     for p in range(7):
