@@ -18,16 +18,12 @@ algebra layer and owns no kernel of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Mapping, Set, Tuple
 
-from .graded_algebra import lin_axpy
+from .graded_algebra import Coeff, lin_axpy, q_div, q_table
 from .morphisms import IdentityCheck
 
-Lin = Dict[int, Fraction]
-
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
+Lin = Dict[int, Coeff]
 
 
 def lin_apply(table: Mapping[int, Lin], x: Lin) -> Lin:
@@ -54,8 +50,7 @@ class DGModule:
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(
-            self, "diff", {i: dict(v) for i, v in self.diff.items() if v})
+        object.__setattr__(self, "diff", q_table(self.diff))
 
     def degree(self, index: int) -> int:
         return self.generators[index][1]
@@ -131,10 +126,10 @@ def compute_at_model(M: DGModule) -> ATModel:
     for i in range(len(M.generators)):
         di = M.d_of(i)
         a = lin_apply(f, di)
-        b = lin_axpy({i: _ONE}, _MINUS_ONE, lin_apply(phi, di))
+        b = lin_axpy({i: 1}, -1, lin_apply(phi, di))
         if not a:
             H.append(i)
-            f[i] = {i: _ONE}
+            f[i] = {i: 1}
             g[i] = b
             phi[i] = {}
             users[i] = {i}
@@ -150,7 +145,7 @@ def compute_at_model(M: DGModule) -> ATModel:
             # each one cancels j and can only add or cancel the classes of a
             for m in sorted(users.pop(j)):
                 fm = f[m]
-                lam = fm[j] / alpha
+                lam = q_div(fm[j], alpha)
                 fm = f[m] = lin_axpy(dict(fm), -lam, a)
                 phi[m] = lin_axpy(dict(phi[m]), lam, b)
                 for k in a:
@@ -174,7 +169,7 @@ def check_at_model(M: DGModule, A: ATModel) -> Tuple[IdentityCheck, ...]:
 
     for i in range(len(M.generators)):
         name = M.name(i)
-        unit: Lin = {i: _ONE}
+        unit: Lin = {i: 1}
         di = M.d_of(i)
         phii = A.phi[i]
         record("f d = 0", lin_apply(A.f, di), name)
@@ -185,17 +180,17 @@ def check_at_model(M: DGModule, A: ATModel) -> Tuple[IdentityCheck, ...]:
             record("id - gf = phi d + d phi", fm, name)  # f escapes the span of H
         else:
             # the residual up to sign: gf + phi d + d phi - id
-            residual = lin_axpy(lin_apply(A.g, fm), _MINUS_ONE, unit)
-            lin_axpy(residual, _ONE, lin_apply(A.phi, di))
-            lin_axpy(residual, _ONE, M.apply_d(phii))
+            residual = lin_axpy(lin_apply(A.g, fm), -1, unit)
+            lin_axpy(residual, 1, lin_apply(A.phi, di))
+            lin_axpy(residual, 1, M.apply_d(phii))
             record("id - gf = phi d + d phi", residual, name)
         record("phi d phi = phi",
-               lin_axpy(lin_apply(A.phi, M.apply_d(phii)), _MINUS_ONE, phii), name)
-        record("d phi d = d", lin_axpy(M.apply_d(lin_apply(A.phi, di)), _MINUS_ONE, di), name)
+               lin_axpy(lin_apply(A.phi, M.apply_d(phii)), -1, phii), name)
+        record("d phi d = d", lin_axpy(M.apply_d(lin_apply(A.phi, di)), -1, di), name)
     for h in A.H:
         name = M.name(h)
-        unit: Lin = {h: _ONE}
-        record("f g = id", lin_axpy(lin_apply(A.f, A.g[h]), _MINUS_ONE, unit), name)
+        unit: Lin = {h: 1}
+        record("f g = id", lin_axpy(lin_apply(A.f, A.g[h]), -1, unit), name)
         record("phi g = 0", lin_apply(A.phi, A.g[h]), name)
         record("d g = 0", M.apply_d(A.g[h]), name)
 

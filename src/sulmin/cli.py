@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .at_model import DGModule, ModuleValidationError, compute_at_model, validate_module
-from .differential import DGAlgebra, validate_sullivan
+from .differential import DGAlgebra, WordTooLongError, validate_sullivan
 from .dsl import DslError, emit_machine, emit_report, format_linear, parse
 from .graded_algebra import in_lambda_geq2
 from .homology_oracle import (
@@ -76,9 +76,12 @@ def run(config: RunConfig) -> Tuple[int, str, str]:
         return EXIT_INTERNAL, "", f"internal invariant breach: {exc}\n"
     except NotClosedError as exc:
         return EXIT_USER, "", f"{config.input_path}: {exc}\n"
-    except RecursionError:
-        # differential.Extension recurses once per factor of a monomial
+    except WordTooLongError:
         return EXIT_USER, "", f"{config.input_path}: input exceeds the evaluator's word depth\n"
+    except RecursionError:
+        # the degree basis enumeration recurses once per generator
+        return EXIT_USER, "", (f"{config.input_path}: input has too many generators "
+                               "to enumerate a degree basis\n")
     return EXIT_USER, "", f"unknown command {config.command!r}\n"
 
 

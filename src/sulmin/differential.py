@@ -15,14 +15,12 @@ were declared earlier (the declaration order encodes the filtration).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional
 
 from .graded_algebra import (
     Elem,
     Mono,
     Signature,
-    elem_gen,
     elem_is_zero,
     elem_mul,
     elem_one,
@@ -30,17 +28,22 @@ from .graded_algebra import (
     lin_axpy,
     mono_degree,
     mono_elem,
+    mono_mul_into,
     mono_str,
     mono_valid,
+    q_table,
 )
 
 
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
+# The most factors of a word that an Extension evaluates.  Each factor costs
+# a cached image, so a word of 10^10 factors (``v2^10000000000`` parses in
+# microseconds) must be refused before its walk, not after.
+MAX_WORD = 10_000
 
 
-def _clean_table(table: Mapping[int, Elem]) -> Dict[int, Elem]:
-    return {i: dict(e) for i, e in table.items() if e}
+class WordTooLongError(ValueError):
+    """A monomial has more than ``MAX_WORD`` factors whose images are not
+    cached yet."""
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,7 @@ class DGAlgebra:
     ev: Extension = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "diff", _clean_table(self.diff))
+        object.__setattr__(self, "diff", q_table(self.diff))
         for i, dx in self.diff.items():
             if not 0 <= i < len(self.sig):
                 raise ValueError(f"differential table mentions index {i} outside signature")
@@ -74,7 +77,7 @@ class DGAlgebra:
 class Extension:
     """Extension of a generator-indexed table along monomials.
 
-    Both rules recurse on the left factor of the canonical order, ``m = x*r``
+    Both rules split off the left factor of the canonical order, ``m = x*r``
     with ``x`` a single generator, and cache the image of every monomial met,
     so sweeping a whole degreewise basis costs little more than one pass.
 
@@ -84,6 +87,9 @@ class Extension:
       elements: ``E(x*r) = table[x]*right(r) + (-1)^{|x|} x*E(r)``,
       ``E(1) = 0``.  A generator missing from the table maps to zero.  The
       differential is the case ``right = mono_elem``.
+
+    ``on_monomial`` runs in a loop, not by recursion, so a word's length is
+    bounded by ``MAX_WORD`` and not by the interpreter's stack.
     """
 
     def __init__(self, sig: Signature, table: Mapping[int, Elem],
@@ -94,38 +100,62 @@ class Extension:
         self._cache: Dict[Mono, Elem] = {(): elem_one() if right is None else {}}
 
     def on_monomial(self, m: Mono) -> Elem:
-        cached = self._cache.get(m)
-        if cached is not None:
-            return cached
-        sig = self.sig
-        (i, e) = m[0]
-        rest: Mono = ((i, e - 1),) + m[1:] if e > 1 else m[1:]
-        if self.right is None:
-            try:
-                head = self.table[i]
-            except KeyError:
-                raise KeyError(f"no image for generator {sig.name(i)}") from None
-            out = elem_mul(sig, head, self.on_monomial(rest))
-        else:
-            head = self.table.get(i)
-            out = elem_mul(sig, head, self.right(rest)) if head else {}
-            tail = self.on_monomial(rest)
-            if tail:  # out is a fresh product, so the sign term adds in place
-                lin_axpy(out, _MINUS_ONE if sig.odd[i] else _ONE,
-                         elem_mul(sig, elem_gen(sig, i), tail))
-        self._cache[m] = out
+        cache = self._cache
+        out = cache.get(m)
+        if out is not None:
+            return out
+        sig, table, right = self.sig, self.table, self.right
+        word = m
+        # Walk the suffixes down to the first cached one, then fold the images
+        # back up.  Each step keeps the part of its image that needs no
+        # suffix image: the head's image for a map, the head's product with
+        # the right leg for a derivation.  Parts are read on the way down,
+        # left factor first, so a generator missing from a map's table
+        # raises for the leftmost one.
+        steps = []
+        while out is None:
+            if len(steps) == MAX_WORD:
+                raise WordTooLongError(
+                    f"word {mono_str(sig, word)} has more than {MAX_WORD} factors")
+            i, e = m[0]
+            rest: Mono = ((i, e - 1),) + m[1:] if e > 1 else m[1:]
+            if right is None:
+                try:
+                    part = table[i]
+                except KeyError:
+                    raise KeyError(f"no image for generator {sig.name(i)}") from None
+            else:
+                head = table.get(i)
+                part = elem_mul(sig, head, right(rest)) if head else {}
+            steps.append((m, i, part))
+            m = rest
+            out = cache.get(m)
+        odd = sig.odd
+        for m, i, part in reversed(steps):
+            if right is None:
+                out = elem_mul(sig, part, out)
+            else:
+                # part is a fresh product, so the sign term adds in place
+                if out:
+                    mono_mul_into(sig, part, -1 if odd[i] else 1, ((i, 1),), out)
+                out = part
+            cache[m] = out
         return out
 
     def on_element(self, x: Elem) -> Elem:
         """Linear extension of ``on_monomial``.  A one-term element returns the
         scaled monomial image directly, which is the cached image itself when
         the coefficient is 1."""
+        cache = self._cache
         if len(x) == 1:
             ((m, c),) = x.items()
-            return elem_scale(self.on_monomial(m), c)
+            img = cache.get(m)
+            return elem_scale(self.on_monomial(m) if img is None else img, c)
         out: Elem = {}
         for m, c in x.items():
-            img = self.on_monomial(m)
+            img = cache.get(m)
+            if img is None:
+                img = self.on_monomial(m)
             if img:
                 lin_axpy(out, c, img)
         return out

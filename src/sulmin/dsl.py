@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from operator import itemgetter
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
@@ -37,6 +36,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 from .at_model import DGModule, Lin
 from .differential import DGAlgebra
 from .graded_algebra import (
+    Coeff,
     Elem,
     Mono,
     Signature,
@@ -48,6 +48,7 @@ from .graded_algebra import (
     elem_scale,
     lin_axpy,
     mono_degree,
+    q_div,
 )
 from .morphisms import FullContraction
 from .minimal_model import contractible_summand
@@ -205,7 +206,7 @@ def _parse_uint(cur: _Cursor) -> int:
         raise cur.error("integer literal too long", i) from None
 
 
-def _parse_coeff(cur: _Cursor, sign: int = 1) -> Fraction:
+def _parse_coeff(cur: _Cursor, sign: int = 1) -> Coeff:
     """A coefficient literal, times ``sign`` (1 or -1)."""
     num = sign * _parse_uint(cur)
     if cur.texts[cur.pos] == "/":
@@ -214,8 +215,8 @@ def _parse_coeff(cur: _Cursor, sign: int = 1) -> Fraction:
         den = _parse_uint(cur)
         if den == 0:
             raise cur.error("zero denominator", i)
-        return Fraction(num, den)
-    return Fraction(num)
+        return q_div(num, den)
+    return num
 
 
 _ADD_OPS = frozenset("+-")
@@ -280,8 +281,6 @@ class _AlgebraEval:
         return acc
 
 
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
 _NONLINEAR = frozenset("*^(")
 
 
@@ -300,7 +299,7 @@ class _ModuleEval:
             if cur.at_sym("*"):
                 cur.pos += 1
         else:
-            coeff = _ONE if sign == 1 else _MINUS_ONE
+            coeff = sign
         i = cur.pos
         if kinds[i] == "IDENT":
             name = cur.texts[i]
@@ -324,7 +323,7 @@ class _ModuleEval:
             cur.pos += 1
         acc: Lin = {}
         while True:
-            lin_axpy(acc, _ONE, self.term(cur, sign))
+            lin_axpy(acc, 1, self.term(cur, sign))
             op = texts[cur.pos]
             if op not in _ADD_OPS:
                 return acc
@@ -417,11 +416,13 @@ def parse_expression(sig: Signature, text: str) -> Elem:
 # -- emission -----------------------------------------------------------------
 
 def _term_key(sig: Signature, m: Mono):
-    expanded = tuple(i for i, e in m for _ in range(e))
-    return (mono_degree(sig, m), expanded)
+    """Ascending degree, then the expanded factor sequence in lexicographic
+    order, without expanding it: within one degree, comparing
+    ``(i, -e)`` pairs orders two monomials as their expanded sequences do."""
+    return (mono_degree(sig, m), tuple((i, -e) for i, e in m))
 
 
-def _signed_term(c: Fraction, body: str) -> str:
+def _signed_term(c: Coeff, body: str) -> str:
     """``c * body`` as ``"+ ..."`` or ``"- ..."``, the magnitude as
     ``str(Fraction)`` writes it; an empty ``body`` stands for the unit."""
     n, d = c.as_integer_ratio()

@@ -3,8 +3,15 @@
 Generators carry a positive degree and a declaration index.  A monomial is a
 tuple of ``(generator index, exponent)`` pairs, strictly increasing in index;
 a generator of odd degree never carries an exponent above 1 (its square is
-zero).  An element is a dict mapping monomials to nonzero ``Fraction``
-coefficients, so dict equality is exactly equality in the algebra.
+zero).  An element is a dict mapping monomials to nonzero rational
+coefficients, so dict equality is exactly equality in the algebra.  A
+coefficient is an ``int`` when it is integral and a ``Fraction`` with
+denominator > 1 otherwise (``Fraction(2) == 2`` and both hash alike, so the
+rule changes no equality, only the cost: most coefficients are integers, and
+an ``int`` product is some forty times cheaper than a ``Fraction`` one).
+Given coefficients in this form, every kernel here returns its results in
+this form.  ``q_norm`` brings any rational to it, and ``q_div`` is the one
+true division of the package, so no float can arise.
 
 Every value here is immutable by convention: no function mutates an element
 it received or returned, so values can be shared freely across threads.  The
@@ -19,14 +26,43 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Mono = Tuple[Tuple[int, int], ...]
-Elem = Dict[Mono, Fraction]
+Coeff = Union[int, Fraction]
+Elem = Dict[Mono, Coeff]
 
 ONE_MONO: Mono = ()
 
-_ONE = Fraction(1)
+
+def q_norm(c) -> Coeff:
+    """The rational ``c`` as a coefficient: an ``int`` when it is integral,
+    else a ``Fraction``."""
+    if c.__class__ is int:
+        return c
+    if c.__class__ is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def q_table(table: Mapping[int, Mapping]) -> Dict[int, Dict]:
+    """A copy of a generator table (of elements, or of the linear
+    combinations of modules) with every coefficient brought to the rule by
+    ``q_norm`` and every empty image dropped: how tables from outside the
+    package enter it."""
+    return {i: {k: q_norm(c) for k, c in image.items()}
+            for i, image in table.items() if image}
+
+
+def q_div(a: Coeff, b: Coeff) -> Coeff:
+    """The exact quotient ``a / b`` as a coefficient; raises
+    ``ZeroDivisionError`` on ``b = 0``."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    c = Fraction(a, b)
+    return c.numerator if c.denominator == 1 else c
 
 
 class SignatureError(ValueError):
@@ -130,15 +166,15 @@ def mono_mul(sig: Signature, a: Mono, b: Mono) -> Tuple[int, Optional[Mono]]:
     The sign is -1 to the number of odd/odd transpositions the merge performs;
     the product is None (with sign 0) when an odd generator would be squared.
     """
-    n = len(sig)
-    for m in (a, b):
-        if m and m[-1][0] >= n:
-            raise SignatureError(f"monomial {m} outside signature of {n} generators")
+    odd = sig.odd
+    n = len(odd)
+    if (a and a[-1][0] >= n) or (b and b[-1][0] >= n):
+        m = a if a and a[-1][0] >= n else b
+        raise SignatureError(f"monomial {m} outside signature of {n} generators")
     if not a:
         return 1, b
     if not b:
         return 1, a
-    odd = sig.odd
     # each odd factor of a that lands after an odd factor of b transposes
     # past it, so the sign flips with the odd factors of b merged so far
     out: List[Tuple[int, int]] = []
@@ -185,20 +221,25 @@ def mono_from_factors(sig: Signature, indices: Sequence[int]) -> Tuple[int, Opti
 
 
 # -- element arithmetic -------------------------------------------------------
+#
+# A product or sum of two ``int``s is an ``int``; one that involves a
+# ``Fraction`` is a ``Fraction``, and the kernels turn it back into an ``int``
+# when its denominator is 1 (the test ``c.__class__ is not int`` keeps that
+# check off the integer path).
 
 def elem_zero() -> Elem:
     return {}
 
 def elem_one() -> Elem:
-    return {ONE_MONO: _ONE}
+    return {ONE_MONO: 1}
 
 def elem_gen(sig: Signature, index: int) -> Elem:
     if not 0 <= index < len(sig):
         raise SignatureError(f"generator index {index} outside signature")
-    return {((index, 1),): _ONE}
+    return {((index, 1),): 1}
 
 def elem_const(c) -> Elem:
-    c = Fraction(c)
+    c = q_norm(c)
     return {ONE_MONO: c} if c else {}
 
 def elem_is_zero(x: Elem) -> bool:
@@ -212,12 +253,12 @@ def elem_scale(x: Elem, c) -> Elem:
     because elements are never mutated (see the module docstring)."""
     if c == 1:
         return x
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {m: c * v for m, v in x.items()}
+    if c == -1:
+        return elem_neg(x)
+    c = q_norm(c)
+    return lin_axpy({}, c, x) if c else {}
 
-def lin_axpy(out: Dict, c: Fraction, y: Dict) -> Dict:
+def lin_axpy(out: Dict, c: Coeff, y: Dict) -> Dict:
     """Add ``c * y`` into ``out`` in place and return ``out``.
 
     The sparse accumulate of every linear combination in the package, for
@@ -230,53 +271,35 @@ def lin_axpy(out: Dict, c: Fraction, y: Dict) -> Dict:
     for j, v in y.items():
         if not unit:
             v = c * v
+            if v.__class__ is not int and v.denominator == 1:
+                v = v.numerator
         s = out.get(j)
         if s is None:
             out[j] = v
         else:
             s += v
+            if s.__class__ is not int and s.denominator == 1:
+                s = s.numerator
             if s:
                 out[j] = s
             else:
                 del out[j]
     return out
 
-# elem_add, elem_sub and elem_mul keep their own loops.  Routing elem_add and
-# elem_sub through lin_axpy cost about 6% CPU on the verify path (one seed-3
-# certify-random pass, 15.51 s against 14.65 s, interleaved in-process A/B on
-# a 2-vCPU host); elem_mul adds one signed product at a time, not a scaled
-# element.
+# elem_add and elem_sub need no loops of their own: no hot path calls them.
+# A seed-3 certify-random verify job makes about 22 such calls, in the sweep
+# and the parser, against about 1.3k elem_mul calls (cProfile over every
+# third job of the pool).
 
 def elem_add(x: Elem, y: Elem) -> Elem:
-    out = dict(x)
-    for m, c in y.items():
-        old = out.get(m)
-        if old is None:  # a new term keeps its coefficient; no 0 + c
-            out[m] = c
-            continue
-        s = old + c
-        if s:
-            out[m] = s
-        else:
-            del out[m]
-    return out
+    return lin_axpy(dict(x), 1, y)
 
 def elem_sub(x: Elem, y: Elem) -> Elem:
-    out = dict(x)
-    for m, c in y.items():
-        old = out.get(m)
-        if old is None:
-            out[m] = -c
-            continue
-        s = old - c
-        if s:
-            out[m] = s
-        else:
-            del out[m]
-    return out
+    return lin_axpy(dict(x), -1, y)
 
-def elem_mul(sig: Signature, x: Elem, y: Elem) -> Elem:
-    out: Elem = {}
+def elem_mul_into(sig: Signature, out: Elem, x: Elem, y: Elem) -> Elem:
+    """Add ``x * y`` into ``out`` in place and return ``out``, which the
+    caller owns; ``x`` and ``y`` are only read."""
     for ma, ca in x.items():
         unit = ca == 1  # the generator factor of every gen * tail product
         for mb, cb in y.items():
@@ -288,13 +311,42 @@ def elem_mul(sig: Signature, x: Elem, y: Elem) -> Elem:
                 c = -c
             old = out.get(m)
             if old is None:
+                if c.__class__ is not int and c.denominator == 1:
+                    c = c.numerator
                 out[m] = c
                 continue
             s = old + c
+            if s.__class__ is not int and s.denominator == 1:
+                s = s.numerator
             if s:
                 out[m] = s
             else:
                 del out[m]
+    return out
+
+def elem_mul(sig: Signature, x: Elem, y: Elem) -> Elem:
+    return elem_mul_into(sig, {}, x, y)
+
+def mono_mul_into(sig: Signature, out: Elem, sign: int, u: Mono, y: Elem) -> Elem:
+    """Add ``sign * u * y`` into ``out`` in place and return ``out``, for a
+    monomial ``u`` and ``sign`` 1 or -1: ``elem_mul`` with the one-term left
+    factor ``sign * u``, without building it."""
+    for mb, cb in y.items():
+        k, m = mono_mul(sig, u, mb)
+        if m is None:
+            continue
+        c = cb if k == sign else -cb
+        old = out.get(m)
+        if old is None:
+            out[m] = c
+            continue
+        s = old + c
+        if s.__class__ is not int and s.denominator == 1:
+            s = s.numerator
+        if s:
+            out[m] = s
+        else:
+            del out[m]
     return out
 
 def elem_pow(sig: Signature, x: Elem, e: int) -> Elem:
@@ -311,10 +363,8 @@ def elem_pow(sig: Signature, x: Elem, e: int) -> Elem:
             x = elem_mul(sig, x, x)
     return acc
 
-def mono_elem(m: Mono, c=_ONE) -> Elem:
-    if c is _ONE:
-        return {m: _ONE}
-    c = Fraction(c)
+def mono_elem(m: Mono, c=1) -> Elem:
+    c = q_norm(c)
     return {m: c} if c else {}
 
 
@@ -334,7 +384,7 @@ def elem_is_homogeneous(sig: Signature, x: Elem) -> bool:
     return len(degs) <= 1
 
 
-def linear_part(sig: Signature, x: Elem, subset=None) -> Dict[Generator, Fraction]:
+def linear_part(sig: Signature, x: Elem, subset=None) -> Dict[Generator, Coeff]:
     """Coefficients of the bare exponent-1 generator monomials of ``x``."""
     idxs = set(_as_indices(sig, subset))
     out = {}

@@ -21,28 +21,28 @@ correction and the random input generators use it, the oracle does not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .at_model import DGModule
 from .differential import DGAlgebra, Extension
-from .graded_algebra import Signature, _as_indices, basis_monomials, lin_axpy, mono_str
+from .graded_algebra import (
+    Coeff, Signature, _as_indices, basis_monomials, lin_axpy, mono_str, q_div)
 
-SparseVec = Dict[int, Fraction]
+SparseVec = Dict[int, Coeff]
 
 
-def column_reduce(columns: Sequence[SparseVec]) -> Tuple[int, List[Dict[int, Fraction]]]:
+def column_reduce(columns: Sequence[SparseVec]) -> Tuple[int, List[SparseVec]]:
     """Exact incremental elimination over sparse rational columns.
 
     Returns (rank, kernel combinations): each kernel combination maps column
     positions to coefficients of a vanishing linear relation.
     """
-    pivots: Dict[int, Tuple[SparseVec, Dict[int, Fraction]]] = {}
-    kernel: List[Dict[int, Fraction]] = []
+    pivots: Dict[int, Tuple[SparseVec, SparseVec]] = {}
+    kernel: List[SparseVec] = []
     for pos, col in enumerate(columns):
         vec = dict(col)
-        combo: Dict[int, Fraction] = {pos: Fraction(1)}
+        combo: SparseVec = {pos: 1}
         while vec:
             lead = min(vec)
             hit = pivots.get(lead)
@@ -50,7 +50,7 @@ def column_reduce(columns: Sequence[SparseVec]) -> Tuple[int, List[Dict[int, Fra
                 pivots[lead] = (vec, combo)
                 break
             pvec, pcombo = hit
-            factor = -vec[lead] / pvec[lead]
+            factor = q_div(-vec[lead], pvec[lead])
             lin_axpy(vec, factor, pvec)
             lin_axpy(combo, factor, pcombo)
         else:

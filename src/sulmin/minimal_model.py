@@ -46,6 +46,7 @@ from .graded_algebra import (
     linear_part,
     mono_elem,
     mono_str,
+    q_div,
 )
 from .morphisms import FullContraction, homotopy_extension
 
@@ -78,7 +79,7 @@ def _d_preimage(sig: Signature, d_ev: Extension, degree: int, earlier,
         c_last = combo.get(last)
         if c_last:
             # kernel positions are distinct and their coefficients nonzero
-            return {basis[pos]: -c / c_last for pos, c in combo.items() if pos != last}
+            return {basis[pos]: q_div(-c, c_last) for pos, c in combo.items() if pos != last}
     raise InternalInvariantError("no derivative preimage for a chain correction")
 
 
@@ -146,8 +147,9 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
             f[i] = {}
             phi[i] = {}
 
-            replacement = elem_sub(elem_gen(sig, target), elem_scale(a, 1 / alpha))
-            kill_image = elem_scale(elem_gen(sig, i), 1 / alpha)
+            inverse = q_div(1, alpha)
+            replacement = elem_sub(elem_gen(sig, target), elem_scale(a, inverse))
+            kill_image = elem_scale(elem_gen(sig, i), inverse)
             # the collapse substitutes target -> replacement (an algebra map);
             # its homotopy sends target to kill_image, every other generator to
             # zero, and has the substitution as its right leg

@@ -7,7 +7,7 @@ homotopy extends to products through the two-term rule
 
     phi(x * y) = (-1)^{|x|} x * phi(y) + phi(x) * g(f(y))
 
-evaluated by left-factor recursion over the canonical monomial order: it is
+evaluated left factor by left factor over the canonical monomial order: it is
 the ``differential.Extension`` derivation whose right leg is ``g f``.
 ``homotopy_extension`` memoises that leg per monomial: ``g(f(r))`` is
 computed once per evaluator, and the checker reads the same memo for
@@ -24,7 +24,6 @@ exceptions.  It reads ``d`` through the source algebra's shared evaluator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .differential import DGAlgebra, Extension
@@ -34,15 +33,14 @@ from .graded_algebra import (
     Signature,
     basis_monomials,
     elem_mul,
-    elem_neg,
+    elem_mul_into,
     elem_scale,
     lin_axpy,
     mono_degree,
     mono_elem,
+    mono_mul_into,
     mono_str,
 )
-
-_ONE = Fraction(1)
 
 
 def homotopy_extension(sig: Signature, phi_table: Mapping[int, Elem],
@@ -115,25 +113,19 @@ class ContractionReport:
 
 def _mono_splits(sig: Signature, m: Mono):
     """Contiguous splits of the expanded factor sequence, both halves canonical,
-    as ``(left, |left|, right, |right|)``."""
-    copies: List[int] = []
-    for i, e in m:
-        copies.extend([i] * e)
+    as ``(left, |left|, right, |right|)``: the split inside factor ``(i, e)``
+    after ``p`` of its ``e`` copies, sliced straight from ``m``."""
     total = mono_degree(sig, m)
+    last = len(m) - 1
     left = 0
-    for t in range(1, len(copies)):
-        left += sig.degree(copies[t - 1])
-        yield _pack(copies[:t]), left, _pack(copies[t:]), total - left
-
-
-def _pack(copies: List[int]) -> Mono:
-    out = []
-    for i in copies:
-        if out and out[-1][0] == i:
-            out[-1] = (i, out[-1][1] + 1)
-        else:
-            out.append((i, 1))
-    return tuple(out)
+    for k, (i, e) in enumerate(m):
+        d = sig.degree(i)
+        for p in range(1, e):
+            left += d
+            yield m[:k] + ((i, p),), left, ((i, e - p),) + m[k + 1:], total - left
+        left += d
+        if k < last:
+            yield m[:k + 1], left, m[k + 1:], total - left
 
 
 def check_contraction(c: FullContraction, max_degree: int) -> ContractionReport:
@@ -166,12 +158,10 @@ def check_contraction(c: FullContraction, max_degree: int) -> ContractionReport:
 
     def rule(u: Mono, du: int, v: Mono) -> Elem:
         # phi(u*v) = (-1)^{|u|} u*phi(v) + phi(u)*gf(v)
-        out = elem_mul(sig, mono_elem(u), phi_ev.on_monomial(v))
-        if du % 2:
-            out = elem_neg(out)
+        out = mono_mul_into(sig, {}, -1 if du % 2 else 1, u, phi_ev.on_monomial(v))
         phi_u = phi_ev.on_monomial(u)
-        if phi_u:  # out is a fresh product, so the second leg adds in place
-            lin_axpy(out, _ONE, elem_mul(sig, phi_u, gf(v)))
+        if phi_u:
+            elem_mul_into(sig, out, phi_u, gf(v))
         return out
 
     for m in v_basis:
@@ -182,8 +172,8 @@ def check_contraction(c: FullContraction, max_degree: int) -> ContractionReport:
         record("phi phi = 0", not phi_ev.on_element(phim), m)
         # id - gf = phi d + d phi, read as gf + phi d + d phi = id
         total = dict(gf(m))
-        lin_axpy(total, _ONE, phi_ev.on_element(dm))
-        lin_axpy(total, _ONE, d_ev.on_element(phim))
+        lin_axpy(total, 1, phi_ev.on_element(dm))
+        lin_axpy(total, 1, d_ev.on_element(phim))
         record("id - gf = phi d + d phi", total == mono_elem(m), m)
         record("f d = dW f", f_ev.on_element(dm) == dw_ev.on_element(fm), m)
         # extension coherence: both maps agree with every factorization

@@ -23,8 +23,7 @@ from .graded_algebra import (
 )
 from .homology_oracle import column_reduce
 
-_COEFF_POOL = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
-               Fraction(3), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3)]
+_COEFF_POOL = [1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3)]
 
 
 def _cocycle_space(sig: Signature, diff: Dict[int, Elem], earlier: List[int],

@@ -1,4 +1,5 @@
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,12 @@ EXAMPLE_FILES = {
     "minimal": INPUTS / "minimal.sul",
     "module1": INPUTS / "module1.sul",
 }
+
+
+def is_coefficient(c) -> bool:
+    """The coefficient rule: an ``int``, or a ``Fraction`` with denominator > 1
+    (so neither ``Fraction(2, 1)`` nor a float)."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
 
 
 def load(name: str):

@@ -130,14 +130,26 @@ def test_verify_reports_homotopy_extension_limit_on_even_ladder():
     assert "cohomology match (degree <= 10): pass" in out
 
 
-def test_word_deeper_than_the_evaluator_exits_two(tmp_path):
-    # d u = v2^2000 needs a 2000-factor word, past the recursion limit of the
-    # evaluators; the contract wants exit 2 with a diagnostic, not a traceback
+def test_word_of_two_thousand_factors_is_evaluated(tmp_path):
+    # d u = v2^2000 needs a 2000-factor word, past the interpreter's recursion
+    # limit; the evaluators walk words in a loop, so it is an ordinary input
     src = tmp_path / "deep.sul"
     src.write_text("gen v2:2\ngen u3999:3999\nd u3999 = v2^2000\n")
-    code, out, err = invoke("minimize", src)
+    code, out, err = invoke("homology", src)
+    assert (code, err) == (0, "")
+    assert out == "".join(f"H^{p}: {1 - p % 2}\n" for p in range(11))
+    code, out, err = invoke("minimize", src, output_format="machine")
+    assert (code, err) == (0, "")
+    assert "dW u3999 = v2^2000\n" in out
+
+
+def test_too_many_generators_to_enumerate_exits_two(tmp_path):
+    # the degree basis enumeration recurses once per generator
+    src = tmp_path / "many.sul"
+    src.write_text("".join(f"gen a{i}:1\n" for i in range(1200)))
+    code, out, err = invoke("homology", src, max_degree=1)
     assert (code, out) == (2, "")
-    assert err == f"{src}: input exceeds the evaluator's word depth\n"
+    assert err == f"{src}: input has too many generators to enumerate a degree basis\n"
 
 
 def test_huge_exponent_exits_two_at_once(tmp_path):

@@ -1,0 +1,145 @@
+"""The coefficient rule: a coefficient is an ``int`` when it is integral and a
+``Fraction`` with denominator > 1 otherwise, and no float ever arises."""
+
+import ast
+import pathlib
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import is_coefficient
+from sulmin.at_model import DGModule, compute_at_model
+from sulmin.differential import DGAlgebra, Extension
+from sulmin.dsl import parse, parse_expression
+from sulmin.graded_algebra import Signature, basis_monomials, q_div, q_norm
+from sulmin.minimal_model import compute_minimal_model
+from sulmin.morphisms import homotopy_extension
+from sulmin.random_inputs import random_dg_module, random_sullivan_algebra
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sulmin"
+
+
+def _divisions(tree):
+    """Line numbers of every ``/`` (``ast.Div``, in a binary operation or an
+    augmented assignment) outside the body of ``q_div``."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "q_div":
+            return
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_no_true_division_outside_q_div():
+    # ``a / b`` on two ints is a float; every exact division goes through q_div
+    sources = sorted(SRC.glob("*.py"))
+    assert sources
+    offenders = []
+    for path in sources:
+        for line in _divisions(ast.parse(path.read_text(encoding="utf-8"))):
+            offenders.append(f"{path.name}:{line}")
+    assert offenders == []
+
+
+def test_the_guard_sees_divisions():
+    tree = ast.parse("def f(a, b):\n    a /= b\n    return a / b\n"
+                     "def q_div(a, b):\n    return a / b\n")
+    assert _divisions(tree) == [2, 3]
+
+
+@pytest.mark.parametrize("a, b, want", [
+    (6, 3, 2), (-6, 3, -2), (1, 3, Fraction(1, 3)), (-2, 4, Fraction(-1, 2)),
+    (Fraction(1, 2), Fraction(1, 4), 2), (Fraction(3, 2), 5, Fraction(3, 10)),
+    (4, Fraction(2, 3), 6), (0, 7, 0),
+])
+def test_q_div_is_exact_and_canonical(a, b, want):
+    got = q_div(a, b)
+    assert got == want
+    assert is_coefficient(got)
+
+
+def test_q_div_by_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        q_div(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        q_div(Fraction(1, 2), 0)
+
+
+@pytest.mark.parametrize("c, want", [
+    (3, 3), (Fraction(4, 2), 2), (Fraction(1, 2), Fraction(1, 2)), (True, 1), (0.5, Fraction(1, 2)),
+])
+def test_q_norm(c, want):
+    got = q_norm(c)
+    assert got == want
+    assert is_coefficient(got)
+
+
+def test_integral_literal_parses_to_an_int():
+    sig = Signature.from_pairs([("v2", 2)])
+    x = parse_expression(sig, "4/2*v2")
+    assert x == {((0, 1),): 2}
+    assert type(x[((0, 1),)]) is int
+    half = parse_expression(sig, "1/2*v2 + 1/2*v2")
+    assert type(half[((0, 1),)]) is int
+    assert type(parse_expression(sig, "3/6*v2")[((0, 1),)]) is Fraction
+    module = parse("mode module\ngen a:1\ngen b:0\nd b = 4/2*a - 3/6*a\n")
+    assert module.diff == {1: {0: Fraction(3, 2)}}
+    module = parse("mode module\ngen a:1\ngen b:0\nd b = 4/2*a\n")
+    assert module.diff == {1: {0: 2}} and type(module.diff[1][0]) is int
+
+
+def test_tables_from_outside_enter_under_the_rule():
+    # a caller may build inputs from Fractions with denominator 1
+    sig = Signature.from_pairs([("a1", 1), ("v2", 2), ("x1", 1)])
+    dga = DGAlgebra(sig, {2: {((1, 1),): Fraction(2)}, 0: {}})
+    assert dga.diff == {2: {((1, 1),): 2}} and type(dga.diff[2][((1, 1),)]) is int
+    c = compute_minimal_model(dga)
+    assert _all_canonical(c.f, c.g, c.phi, c.dW)
+    M = DGModule((("a", 1), ("b", 0)), {1: {0: Fraction(4, 2)}})
+    assert type(M.diff[1][0]) is int
+    A = compute_at_model(M)
+    assert A.phi == {0: {1: Fraction(1, 2)}, 1: {}}
+    assert _all_canonical(A.f, A.g, A.phi)
+
+
+def _all_canonical(*tables):
+    return all(is_coefficient(c) and c for table in tables for image in table.values()
+               for c in image.values())
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_algebra_coefficients_keep_the_rule(seed):
+    dga = random_sullivan_algebra(random.Random(seed), max_gens=7)
+    sig = dga.sig
+    assert _all_canonical(dga.diff)
+    c = compute_minimal_model(dga)
+    assert _all_canonical(c.f, c.g, c.phi, c.dW)
+    # and through every product kernel: the images of the degree bases
+    f_ev, g_ev = Extension(sig, c.f), Extension(sig, c.g)
+    phi_ev = homotopy_extension(sig, c.phi, f_ev, g_ev)
+    images = {}
+    for p in range(7):
+        for m in basis_monomials(sig, p):
+            images[len(images)] = phi_ev.on_monomial(m)
+            images[len(images)] = dga.ev.on_monomial(m)
+            images[len(images)] = g_ev.on_element(f_ev.on_monomial(m))
+    assert _all_canonical(images)
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_module_coefficients_keep_the_rule(seed):
+    M = random_dg_module(random.Random(seed), max_gens=40)
+    assert _all_canonical(M.diff)
+    A = compute_at_model(M)
+    assert _all_canonical(A.f, A.g, A.phi)

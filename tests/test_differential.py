@@ -1,9 +1,11 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sulmin.differential import DGAlgebra, Extension, apply_d, validate_sullivan
+from sulmin.differential import (
+    MAX_WORD, DGAlgebra, Extension, WordTooLongError, apply_d, validate_sullivan)
 from sulmin.dsl import parse, parse_expression
 from sulmin.graded_algebra import (
     Signature,
@@ -115,3 +117,28 @@ def test_derivative_raises_degree_by_one(algebras):
             img = apply_d(dga, {m: 1})
             if img:
                 assert elem_degree(dga.sig, img) == p + 1
+
+
+def test_long_words_evaluate_in_a_loop():
+    # words far past the interpreter's recursion limit, both rules
+    sig = Signature.from_pairs([("v2", 2), ("w3", 3)])
+    n = 3000
+    f = Extension(sig, {0: {((0, 1),): 2}, 1: {((1, 1),): -1}})
+    assert f.on_monomial(((0, n), (1, 1))) == {((0, n), (1, 1)): -(2 ** n)}
+    d = Extension(sig, {0: {((1, 1),): 1}}, mono_elem)
+    assert d.on_monomial(((0, n),)) == {((0, n - 1), (1, 1)): n}
+    # the walk stops at the first cached suffix: a longer word reuses them
+    assert d.on_monomial(((0, n + 1),)) == {((0, n), (1, 1)): n + 1}
+
+
+def test_word_past_the_limit_is_refused_before_its_walk():
+    sig = Signature.from_pairs([("v2", 2), ("w3", 3)])
+    d = Extension(sig, {0: {((1, 1),): 1}}, mono_elem)
+    assert d.on_monomial(((0, MAX_WORD),)) == {((0, MAX_WORD - 1), (1, 1)): MAX_WORD}
+    fresh = Extension(sig, {0: {((1, 1),): 1}}, mono_elem)
+    with pytest.raises(WordTooLongError, match="more than"):
+        fresh.on_monomial(((0, MAX_WORD + 1),))
+    with pytest.raises(WordTooLongError):
+        fresh.on_monomial(((0, 10**10),))
+    # cached suffixes do not count: only the uncached part of a word is walked
+    assert d.on_monomial(((0, MAX_WORD + 1),)) == {((0, MAX_WORD), (1, 1)): MAX_WORD + 1}

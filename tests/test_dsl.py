@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from sulmin.dsl import (
     DslError,
     Token,
     _lex,
+    _term_key,
     emit_machine,
     emit_report,
     format_element,
@@ -242,11 +244,11 @@ def _reference_format_linear(M, x):
 
 _FORMAT_SIG = Signature.from_pairs([("a1", 1), ("b1", 1), ("v2", 2), ("u3", 3)])
 _FORMAT_MODULE = DGModule(tuple((f"m{i}", i % 3) for i in range(6)), {})
-# units of both signs, proper and improper fractions, and numerators and
-# denominators far past a machine word
+# units of both signs, as ints and as Fractions, integers, proper and improper
+# fractions, and numerators and denominators far past a machine word
 _COEFFS = st.one_of(
     st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3),
-                     Fraction(7, 2), Fraction(-5)]),
+                     Fraction(7, 2), Fraction(-5), 1, -1, 4, -5]),
     st.builds(Fraction, st.integers(-10**30, 10**30).filter(bool),
               st.integers(1, 10**30)),
 )
@@ -264,3 +266,35 @@ def test_format_element_matches_the_fraction_formatter(x):
 @settings(max_examples=200, deadline=None)
 def test_format_linear_matches_the_fraction_formatter(x):
     assert format_linear(_FORMAT_MODULE, x) == _reference_format_linear(_FORMAT_MODULE, x)
+
+
+def _expanded_key(sig, m):
+    """The term order as first defined: degree, then the factor sequence with
+    every power written out."""
+    return (mono_degree(sig, m), tuple(i for i, e in m for _ in range(e)))
+
+
+_KEY_SIG = Signature.from_pairs([("a1", 1), ("v2", 2), ("w2", 2), ("b3", 3), ("x4", 4)])
+_KEY_MONOS = st.builds(
+    lambda exps: tuple((i, e) for i, e in enumerate(exps) if e),
+    st.tuples(st.integers(0, 1), st.integers(0, 7), st.integers(0, 7),
+              st.integers(0, 1), st.integers(0, 4)))
+
+
+@given(st.lists(_KEY_MONOS, unique=True, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_term_key_orders_as_the_expanded_key(monos):
+    by_key = sorted(monos, key=lambda m: _term_key(_KEY_SIG, m))
+    assert by_key == sorted(monos, key=lambda m: _expanded_key(_KEY_SIG, m))
+
+
+def test_huge_power_formats_at_once():
+    # the term key does not write the power out, so a billion factors cost
+    # no more than one
+    sig = Signature.from_pairs([("v2", 2), ("w2", 2)])
+    x = {((0, 10**9),): 1, ((1, 10**9),): Fraction(-1, 2)}
+    start = time.perf_counter()
+    assert format_element(sig, x) == "v2^1000000000 - 1/2*w2^1000000000"
+    assert format_element(sig, parse_expression(sig, "v2^3000000 + w2^3000000")) == \
+        "v2^3000000 + w2^3000000"
+    assert time.perf_counter() - start < 0.5

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import is_coefficient
 from sulmin.differential import DGAlgebra, Extension
 from sulmin.dsl import emit_machine, emit_report, parse_expression, parse_machine
 from sulmin.graded_algebra import (
@@ -32,6 +33,7 @@ from sulmin.morphisms import (
     ContractionReport,
     FullContraction,
     IdentityCheck,
+    _mono_splits,
     check_contraction,
     homotopy_extension,
 )
@@ -193,7 +195,7 @@ def test_checker_leaves_shared_tables_untouched():
     # the contraction holds the sweep's own dicts, so a caller that mutated
     # one would corrupt later results; two checks of one model must agree,
     # and neither the checks nor emitting and re-reading the model may change
-    # any table, whose coefficients stay exact Fractions
+    # any table, whose coefficients keep the coefficient rule
     rng = random.Random(20261018)
     for _ in range(6):
         c = compute_minimal_model(random_sullivan_algebra(rng, max_gens=7))
@@ -216,7 +218,7 @@ def test_checker_leaves_shared_tables_untouched():
         assert tables == before
         for table in tables:
             for image in table.values():
-                assert all(type(v) is Fraction for v in image.values())
+                assert all(is_coefficient(v) for v in image.values())
         # scaling a one-term element must not touch the cached monomial image,
         # under both rules of the one evaluator: algebra maps (f, g and a
         # pair-collapse substitution) and twisted derivations (dW with right
@@ -301,6 +303,21 @@ def _reference_pack(copies):
         else:
             out.append((i, 1))
     return tuple(out)
+
+
+_SPLIT_SIG = Signature.from_pairs([("a1", 1), ("v2", 2), ("b1", 1), ("w4", 4)])
+
+
+@given(st.tuples(st.integers(0, 1), st.integers(0, 5), st.integers(0, 1), st.integers(0, 4)))
+@settings(max_examples=200, deadline=None)
+def test_splits_slice_as_the_expanded_sequence_does(exps):
+    # the checker slices the canonical tuple; every split of the written-out
+    # factor sequence, powers included, in order, with both degrees
+    m = tuple((i, e) for i, e in enumerate(exps) if e)
+    total = mono_degree(_SPLIT_SIG, m)
+    want = [(x, mono_degree(_SPLIT_SIG, x), y, total - mono_degree(_SPLIT_SIG, x))
+            for x, y in _reference_splits(m)]
+    assert list(_mono_splits(_SPLIT_SIG, m)) == want
 
 
 def _reference_check_contraction(c, max_degree):
