@@ -16,12 +16,11 @@ from .graded_algebra import (
     elem_one,
     elem_scale,
     elem_sub,
-    elem_zero,
     in_lambda_geq2,
     linear_part,
     mono_mul,
 )
-from .differential import DGAlgebra, ValidationReport, apply_d, validate_sullivan
+from .differential import DGAlgebra, ValidationReport, validate_sullivan
 from .morphisms import (
     ContractionReport,
     FullContraction,

@@ -7,6 +7,11 @@ vanishes births a homology class, otherwise it kills the highest-index
 surviving class and the earlier tables are corrected by exact column
 elimination.
 
+This is the one pairing loop of the package.  It serves ``at-model`` on
+module inputs, and ``minimal_model`` on the linear part of an algebra's
+differential: the algebra sweep takes its pairs from here and only lifts the
+contraction to products.
+
 ``lin_apply`` is the one linear extension of a generator table: the module
 differential, the sweep's ``f`` and ``phi`` and the identity checker all go
 through it.  It accumulates in place on a dict that it creates and hands to
@@ -61,9 +66,6 @@ class DGModule:
     def d_of(self, index: int) -> Lin:
         return self.diff.get(index, {})
 
-    def apply_d(self, x: Lin) -> Lin:
-        return lin_apply(self.diff, x)
-
 
 def validate_module(M: DGModule) -> List[str]:
     """All violations of the ordered DG-module contract, as messages."""
@@ -84,7 +86,7 @@ def validate_module(M: DGModule) -> List[str]:
             if M.degree(j) != deg + 1:
                 problems.append(
                     f"d({name}) term {M.name(j)} has degree {M.degree(j)}, expected {deg + 1}")
-        if M.apply_d(dx):
+        if lin_apply(M.diff, dx):
             problems.append(f"d(d({name})) is nonzero")
     return problems
 
@@ -182,17 +184,17 @@ def check_at_model(M: DGModule, A: ATModel) -> Tuple[IdentityCheck, ...]:
             # the residual up to sign: gf + phi d + d phi - id
             residual = lin_axpy(lin_apply(A.g, fm), -1, unit)
             lin_axpy(residual, 1, lin_apply(A.phi, di))
-            lin_axpy(residual, 1, M.apply_d(phii))
+            lin_axpy(residual, 1, lin_apply(M.diff, phii))
             record("id - gf = phi d + d phi", residual, name)
         record("phi d phi = phi",
-               lin_axpy(lin_apply(A.phi, M.apply_d(phii)), -1, phii), name)
-        record("d phi d = d", lin_axpy(M.apply_d(lin_apply(A.phi, di)), -1, di), name)
+               lin_axpy(lin_apply(A.phi, lin_apply(M.diff, phii)), -1, phii), name)
+        record("d phi d = d", lin_axpy(lin_apply(M.diff, lin_apply(A.phi, di)), -1, di), name)
     for h in A.H:
         name = M.name(h)
         unit: Lin = {h: 1}
         record("f g = id", lin_axpy(lin_apply(A.f, A.g[h]), -1, unit), name)
         record("phi g = 0", lin_apply(A.phi, A.g[h]), name)
-        record("d g = 0", M.apply_d(A.g[h]), name)
+        record("d g = 0", lin_apply(M.diff, A.g[h]), name)
 
     names = [
         "f d = 0", "d g = 0", "f phi = 0", "phi g = 0", "phi phi = 0",

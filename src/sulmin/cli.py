@@ -37,9 +37,23 @@ class RunConfig:
     against_path: Optional[str] = None
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+class _LoadError(Exception):
+    """An input file that cannot be read or parsed; the message names it."""
+
+
+def _load(path: str):
+    """Read and parse one input file, the command's input or ``--against``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise _LoadError(f"cannot read {path}: {exc.strerror}") from None
+    try:
+        return parse(text)
+    except DslError as exc:
+        raise _LoadError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise _LoadError(f"{path}: input nests too deeply to parse") from None
 
 
 def run(config: RunConfig) -> Tuple[int, str, str]:
@@ -47,17 +61,7 @@ def run(config: RunConfig) -> Tuple[int, str, str]:
     if config.max_degree < 1:
         return EXIT_USER, "", "max-degree must be >= 1\n"
     try:
-        text = _read(config.input_path)
-    except OSError as exc:
-        return EXIT_USER, "", f"cannot read {config.input_path}: {exc.strerror}\n"
-    try:
-        parsed = parse(text)
-    except DslError as exc:
-        return EXIT_USER, "", f"{config.input_path}: {exc}\n"
-    except RecursionError:
-        return EXIT_USER, "", f"{config.input_path}: input nests too deeply to parse\n"
-
-    try:
+        parsed = _load(config.input_path)
         if config.command == "validate":
             return _cmd_validate(parsed, config)
         if config.command == "minimize":
@@ -68,6 +72,8 @@ def run(config: RunConfig) -> Tuple[int, str, str]:
             return _cmd_homology(parsed, config)
         if config.command == "verify":
             return _cmd_verify(parsed, config)
+    except _LoadError as exc:
+        return EXIT_USER, "", f"{exc}\n"
     except SullivanValidationError as exc:
         return EXIT_USER, "", f"{config.input_path}: invalid input:\n{exc}\n"
     except ModuleValidationError as exc:
@@ -78,10 +84,6 @@ def run(config: RunConfig) -> Tuple[int, str, str]:
         return EXIT_USER, "", f"{config.input_path}: {exc}\n"
     except WordTooLongError:
         return EXIT_USER, "", f"{config.input_path}: input exceeds the evaluator's word depth\n"
-    except RecursionError:
-        # the degree basis enumeration recurses once per generator
-        return EXIT_USER, "", (f"{config.input_path}: input has too many generators "
-                               "to enumerate a degree basis\n")
     return EXIT_USER, "", f"unknown command {config.command!r}\n"
 
 
@@ -145,15 +147,7 @@ def _cmd_homology(parsed, config: RunConfig) -> Tuple[int, str, str]:
     if config.against_path is None:
         out = "".join(f"H^{p}: {d}\n" for p, d in dims)
         return EXIT_OK, out, ""
-    try:
-        other_text = _read(config.against_path)
-        other = parse(other_text)
-    except OSError as exc:
-        return EXIT_USER, "", f"cannot read {config.against_path}: {exc.strerror}\n"
-    except DslError as exc:
-        return EXIT_USER, "", f"{config.against_path}: {exc}\n"
-    except RecursionError:
-        return EXIT_USER, "", f"{config.against_path}: input nests too deeply to parse\n"
+    other = _load(config.against_path)
     checked = _cmd_validate(other, config)
     if checked[0] != EXIT_OK:
         return checked

@@ -52,8 +52,8 @@ class DGAlgebra:
     as the differential; it is built with the algebra, caches every image it
     computes for the algebra's lifetime, and is left out of ``==`` and
     ``repr``.  The validator, the sweep, the checker (through
-    ``FullContraction.source``), the oracle and ``apply_d`` all read ``d``
-    through it, so one job evaluates ``d`` once per monomial."""
+    ``FullContraction.source``) and the oracle all read ``d`` through it, so
+    one job evaluates ``d`` once per monomial."""
 
     sig: Signature
     diff: Mapping[int, Elem] = field(default_factory=dict)
@@ -159,10 +159,6 @@ class Extension:
             if img:
                 lin_axpy(out, c, img)
         return out
-
-
-def apply_d(dga: DGAlgebra, x: Elem) -> Elem:
-    return dga.ev.on_element(x)
 
 
 @dataclass(frozen=True)

@@ -227,9 +227,6 @@ def mono_from_factors(sig: Signature, indices: Sequence[int]) -> Tuple[int, Opti
 # when its denominator is 1 (the test ``c.__class__ is not int`` keeps that
 # check off the integer path).
 
-def elem_zero() -> Elem:
-    return {}
-
 def elem_one() -> Elem:
     return {ONE_MONO: 1}
 
@@ -368,30 +365,9 @@ def mono_elem(m: Mono, c=1) -> Elem:
     return {m: c} if c else {}
 
 
-def elem_degree(sig: Signature, x: Elem) -> Optional[int]:
-    """Degree of a homogeneous element; None for zero; raises on mixed degrees."""
-    deg = None
-    for m in x:
-        d = mono_degree(sig, m)
-        if deg is None:
-            deg = d
-        elif d != deg:
-            raise ValueError("element is not homogeneous")
-    return deg
-
-def elem_is_homogeneous(sig: Signature, x: Elem) -> bool:
-    degs = {mono_degree(sig, m) for m in x}
-    return len(degs) <= 1
-
-
-def linear_part(sig: Signature, x: Elem, subset=None) -> Dict[Generator, Coeff]:
-    """Coefficients of the bare exponent-1 generator monomials of ``x``."""
-    idxs = set(_as_indices(sig, subset))
-    out = {}
-    for m, c in x.items():
-        if len(m) == 1 and m[0][1] == 1 and m[0][0] in idxs:
-            out[sig.generators[m[0][0]]] = c
-    return out
+def linear_part(x: Elem) -> Dict[int, Coeff]:
+    """``{generator index: coefficient}`` of the bare generators in ``x``."""
+    return {m[0][0]: c for m, c in x.items() if len(m) == 1 and m[0][1] == 1}
 
 
 def in_lambda_geq2(sig: Signature, x: Elem, subset=None) -> bool:
@@ -428,31 +404,27 @@ def basis_monomials(sig: Signature, p: int, subset=None) -> List[Mono]:
 
 
 def _enumerate_basis(sig: Signature, p: int, idxs: Tuple[int, ...]) -> List[Mono]:
+    # depth-first on an explicit stack, so the number of generators is not
+    # bounded by the interpreter's recursion limit: an entry is a monomial
+    # prefix, the degree it still lacks and the first position that may
+    # extend it
+    gens = [(k + 1, i, sig.degree(i), sig.odd[i]) for k, i in enumerate(idxs)]
     out: List[Mono] = []
-    acc: List[Tuple[int, int]] = []
-
-    def rec(pos: int, remaining: int) -> None:
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        if pos == len(idxs):
-            return
-        i = idxs[pos]
-        d = sig.degree(i)
-        rec(pos + 1, remaining)
-        if d % 2 == 1:
+    stack: List[Tuple[int, int, Mono]] = [(0, p, ONE_MONO)]
+    push = stack.append
+    while stack:
+        pos, remaining, acc = stack.pop()
+        if not remaining:
+            out.append(acc)
+            continue
+        for nxt, i, d, odd in gens[pos:]:
             if d <= remaining:
-                acc.append((i, 1))
-                rec(pos + 1, remaining - d)
-                acc.pop()
-        else:
-            e = 1
-            while e * d <= remaining:
-                acc.append((i, e))
-                rec(pos + 1, remaining - e * d)
-                acc.pop()
-                e += 1
-
-    rec(0, p)
+                r = remaining - d
+                push((nxt, r, acc + ((i, 1),)))
+                e = 2
+                while not odd and d <= r:
+                    r -= d
+                    push((nxt, r, acc + ((i, e),)))
+                    e += 1
     out.sort()
     return out

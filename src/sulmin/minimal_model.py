@@ -1,17 +1,22 @@
 """Incremental minimization of a free graded-commutative DG-algebra.
 
-Generators are swept in declaration order.  For each generator m the sweep
-looks at a = f(d(m)), the projected derivative, and b = m - phi(d(m)):
+The sweep decides no collapse itself.  The generators of the minimal model
+are H(V, d0), the homology of the linear part d0 of d (FHT, *Rational
+Homotopy Theory*, Thm 14.9), so the module AT-model of (V, d0), computed by
+``at_model``'s pairing loop, names every contractible pair.  The sweep lifts
+that contraction to products, generator by generator in declaration order.
+For each generator m it looks at a = f(d(m)), the projected derivative, and
+b = m - phi(d(m)):
 
-* a is a word of length >= 2 in the surviving generators: m survives,
-  f(m) = m, g(m) = b, phi(m) = 0, and a is the induced derivative of m.
-* otherwise a has a linear part: the surviving generator j with the highest
-  index and a nonzero linear coefficient is removed, (m, j) is recorded as a
-  contractible pair, and the earlier f/phi tables are corrected.
+* the module layer keeps m: m survives, f(m) = m, g(m) = b, phi(m) = 0, and
+  a, a word of length >= 2 in the surviving generators, is the induced
+  derivative of m.
+* the module layer pairs m with j: a holds j linearly with coefficient
+  alpha, j is removed, and the earlier f/phi tables are corrected.
 
 The correction realizes the composition with the elementary contraction that
 collapses the pair.  On f it substitutes j -> j - a/alpha (an algebra map),
-which on a linear occurrence of j is exactly the textbook column update
+which on a linear occurrence of j is exactly the module layer's column update
 f(x) -= lambda * a; the substitution form also clears occurrences of j inside
 product terms, which the linear update cannot reach, and keeps every f image
 inside the surviving subalgebra.  The phi correction is the matching homotopy
@@ -19,9 +24,11 @@ term, again reducing to phi(x) += lambda * b on linear occurrences: the pair
 homotopy sends j to m/alpha and every other generator to zero, and extends
 to products with the substitution as its right leg.  Both are
 ``differential.Extension`` evaluators, as are f, g, phi and d themselves.
+So the linear part of every f, g and phi entry is the module layer's.
 
-After the sweep the induced derivative is recomputed from the final tables
-and checked: against the maintained per-step values, for minimality, for
+Each step checks that a bears the module layer's decision, and after the
+sweep the induced derivative is recomputed from the final tables and
+checked: against the maintained per-step values, for minimality, for
 squaring to zero, and for agreement with f(d(g(w))).  Any failure is an
 internal invariant breach and raises.
 """
@@ -30,6 +37,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from .at_model import DGModule, compute_at_model
 from .differential import DGAlgebra, Extension, validate_sullivan
 from .homology_oracle import column_reduce
 from .graded_algebra import (
@@ -89,17 +97,21 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
         raise SullivanValidationError(report)
 
     sig = dga.sig
-    n = len(sig)
-    W: List[int] = []
-    in_w = set()
+    # the module layer decides every collapse: the pairs of (V, d0), the
+    # linear part of d, are the pairs of the algebra
+    linear = DGModule(tuple((gen.name, gen.degree) for gen in sig),
+                      {i: linear_part(dx) for i, dx in dga.diff.items()})
+    pairs = compute_at_model(linear).pairs
+    killed = dict(pairs)
     f: Dict[int, Elem] = {}
     g: Dict[int, Elem] = {}
     phi: Dict[int, Elem] = {}
-    dw_current: Dict[int, Elem] = {}   # running f-projection of each survivor's derivative
-    pairs: List[Tuple[int, int]] = []
+    # the running f-projection of each survivor's derivative; its keys are
+    # the survivors so far, in declaration order
+    dw_current: Dict[int, Elem] = {}
 
     d_ev = dga.ev
-    for i in range(n):
+    for i in range(len(sig)):
         di = dga.d_of(i)
         f_ev = Extension(sig, f)
         g_ev = Extension(sig, g)
@@ -108,7 +120,7 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
         b = elem_sub(elem_gen(sig, i), phi_ev.on_element(di))
 
         for m in a:
-            if any(k not in in_w for k, _ in m):
+            if any(k not in dw_current for k, _ in m):
                 raise InternalInvariantError(
                     f"projected derivative of {sig.name(i)} leaves the surviving "
                     f"subalgebra at term {mono_str(sig, m)}")
@@ -126,24 +138,23 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
                 raise InternalInvariantError(
                     f"chain correction failed for {sig.name(i)}")
 
-        if in_lambda_geq2(sig, a, in_w):
-            W.append(i)
-            in_w.add(i)
+        target = killed.get(i)
+        if target is None:
+            if not in_lambda_geq2(sig, a, dw_current):
+                raise InternalInvariantError(
+                    f"projected derivative of {sig.name(i)} is not a product, "
+                    "yet the module layer keeps it")
             f[i] = elem_gen(sig, i)
             g[i] = b
             phi[i] = {}
             dw_current[i] = a
         else:
-            lin = linear_part(sig, a, in_w)
-            if not lin:
+            alpha = a.get(((target, 1),))
+            if not alpha:
                 raise InternalInvariantError(
-                    f"projected derivative of {sig.name(i)} has no linear part "
-                    "yet is not a product")
-            target = max(gen.index for gen in lin)
-            alpha = lin[sig.generators[target]]
-            W.remove(target)
-            in_w.discard(target)
-            pairs.append((i, target))
+                    f"projected derivative of {sig.name(i)} does not hold "
+                    f"{sig.name(target)}, which the module layer pairs it with")
+            del dw_current[target]
             f[i] = {}
             phi[i] = {}
 
@@ -177,23 +188,22 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
             # inclusion image must absorb the matching homotopy term to stay
             # a chain map (no-op whenever the killed generator only ever
             # appeared linearly, as in the small worked cases)
-            for w in W:
-                dw = dw_current.get(w, {})
+            for w, dw in dw_current.items():
                 if mentions_target(dw):
                     correction = pair_phi.on_element(dw)
                     g[w] = elem_sub(g[w], g_mid_ev.on_element(correction))
                     dw_current[w] = subst.on_element(dw)
 
     # finalize the induced derivative from the final projection table
+    W = tuple(dw_current)
     f_ev = Extension(sig, f)
-    g_ev = Extension(sig, g)
     dW: Dict[int, Elem] = {}
     for w in W:
         final = f_ev.on_element(d_ev.on_monomial(((w, 1),)))
-        if final != dw_current.get(w, {}):
+        if final != dw_current[w]:
             raise InternalInvariantError(
                 f"induced derivative of {sig.name(w)} drifted from its recorded value")
-        if not in_lambda_geq2(sig, final, in_w):
+        if not in_lambda_geq2(sig, final, W):
             raise InternalInvariantError(
                 f"induced derivative of {sig.name(w)} is not minimal")
         fdg = f_ev.on_element(d_ev.on_element(g[w]))
@@ -211,8 +221,7 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
             raise InternalInvariantError(
                 f"induced derivative does not square to zero on {sig.name(w)}")
 
-    return FullContraction(source=dga, W=tuple(W), dW=dW, f=f, g=g, phi=phi,
-                           pairs=tuple(pairs))
+    return FullContraction(source=dga, W=W, dW=dW, f=f, g=g, phi=phi, pairs=pairs)
 
 
 def contractible_summand(c: FullContraction) -> List[Tuple[Generator, Elem]]:

@@ -143,13 +143,14 @@ def test_word_of_two_thousand_factors_is_evaluated(tmp_path):
     assert "dW u3999 = v2^2000\n" in out
 
 
-def test_too_many_generators_to_enumerate_exits_two(tmp_path):
-    # the degree basis enumeration recurses once per generator
+def test_more_generators_than_the_recursion_limit_enumerate(tmp_path):
+    # the degree basis enumeration walks generators on an explicit stack, so
+    # 1200 of them, past the interpreter's recursion limit, are an ordinary input
     src = tmp_path / "many.sul"
-    src.write_text("".join(f"gen a{i}:1\n" for i in range(1200)))
-    code, out, err = invoke("homology", src, max_degree=1)
-    assert (code, out) == (2, "")
-    assert err == f"{src}: input has too many generators to enumerate a degree basis\n"
+    src.write_text("".join(f"gen v{i}:2\n" for i in range(1200)))
+    code, out, err = invoke("homology", src, max_degree=2)
+    assert (code, err) == (0, "")
+    assert out == "H^0: 1\nH^1: 0\nH^2: 1200\n"
 
 
 def test_huge_exponent_exits_two_at_once(tmp_path):
@@ -177,6 +178,23 @@ def test_against_nested_past_the_parser_names_the_against_file(tmp_path):
     code, out, err = invoke("homology", EXAMPLE_FILES["ex1"], against_path=str(src))
     assert (code, out) == (2, "")
     assert err == f"{src}: input nests too deeply to parse\n"
+
+
+def test_against_unreadable_names_the_against_file(tmp_path):
+    missing = tmp_path / "missing.sul"
+    code, out, err = invoke("homology", EXAMPLE_FILES["ex1"], against_path=str(missing))
+    assert (code, out) == (2, "")
+    assert err == f"cannot read {missing}: No such file or directory\n"
+
+
+def test_against_parse_error_names_the_against_file(tmp_path):
+    bad = tmp_path / "broken.sul"
+    bad.write_text("gen a1:1\ngen b1:\n")
+    code, out, err = invoke("homology", EXAMPLE_FILES["ex1"], against_path=str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{bad}: line 2, column 8: ") and err.endswith("\n")
+    # the same bytes as the message for the primary input
+    assert err == invoke("validate", bad)[2]
 
 
 @pytest.mark.parametrize("text", [

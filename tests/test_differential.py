@@ -5,16 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sulmin.differential import (
-    MAX_WORD, DGAlgebra, Extension, WordTooLongError, apply_d, validate_sullivan)
+    MAX_WORD, DGAlgebra, Extension, WordTooLongError, validate_sullivan)
 from sulmin.dsl import parse, parse_expression
 from sulmin.graded_algebra import (
     Signature,
     basis_monomials,
     elem_add,
-    elem_degree,
     elem_mul,
     elem_one,
     elem_scale,
+    mono_degree,
     mono_elem,
 )
 
@@ -22,19 +22,19 @@ from sulmin.graded_algebra import (
 def test_leibniz_one_step():
     sig = Signature.from_pairs([("a1", 1), ("v2", 2)])
     dga = DGAlgebra(sig, {0: parse_expression(sig, "v2")})
-    assert apply_d(dga, parse_expression(sig, "a1*v2")) == parse_expression(sig, "v2^2")
+    assert dga.ev.on_element(parse_expression(sig, "a1*v2")) == parse_expression(sig, "v2^2")
 
 
 def test_derivative_of_unit_is_zero():
     sig = Signature.from_pairs([("a1", 1)])
     dga = DGAlgebra(sig, {})
-    assert apply_d(dga, elem_one()) == {}
+    assert dga.ev.on_element(elem_one()) == {}
 
 
 def test_closed_combination_on_even_ladder(algebras):
     dga = algebras["ex4"]
     x = parse_expression(dga.sig, "v4*w2 + v2*w4")
-    assert apply_d(dga, x) == {}
+    assert dga.ev.on_element(x) == {}
 
 
 def test_validate_accepts_ten_generator_example(algebras):
@@ -93,10 +93,10 @@ d u3 = v2^2
     q = rng.randint(0, 4)
     x = rand_homog(p)
     y = rand_homog(q)
-    lhs = apply_d(dga, elem_mul(sig, x, y))
+    lhs = dga.ev.on_element(elem_mul(sig, x, y))
     rhs = elem_add(
-        elem_mul(sig, apply_d(dga, x), y),
-        elem_scale(elem_mul(sig, x, apply_d(dga, y)), (-1) ** p),
+        elem_mul(sig, dga.ev.on_element(x), y),
+        elem_scale(elem_mul(sig, x, dga.ev.on_element(y)), (-1) ** p),
     )
     assert lhs == rhs
 
@@ -114,9 +114,9 @@ def test_derivative_raises_degree_by_one(algebras):
     dga = algebras["ex3"]
     for p in range(1, 7):
         for m in basis_monomials(dga.sig, p):
-            img = apply_d(dga, {m: 1})
+            img = dga.ev.on_element({m: 1})
             if img:
-                assert elem_degree(dga.sig, img) == p + 1
+                assert {mono_degree(dga.sig, mm) for mm in img} == {p + 1}
 
 
 def test_long_words_evaluate_in_a_loop():

@@ -1,8 +1,10 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from sulmin.at_model import DGModule, compute_at_model
 from sulmin.differential import Extension
 from sulmin.dsl import parse, parse_expression
 from sulmin.graded_algebra import (
@@ -12,9 +14,11 @@ from sulmin.graded_algebra import (
     elem_scale,
     elem_sub,
     in_lambda_geq2,
+    linear_part,
     mono_elem,
 )
 from sulmin.minimal_model import (
+    InternalInvariantError,
     SullivanValidationError,
     compute_minimal_model,
     contractible_summand,
@@ -223,6 +227,41 @@ d w4 = 1/2*o3*v2
     report = check_contraction(c, 10)
     failing = {ch.name for ch in report.checks if not ch.ok}
     assert not (failing & set(STRUCTURAL)), failing
+
+
+@pytest.mark.parametrize("seed", [3, 20260810])
+def test_the_sweep_lifts_the_module_model_of_the_linear_part(algebras, seed):
+    # FHT, Thm 14.9: W = H(V, d0), and the multiplicative lift must never
+    # drift from the module layer: W, the pairs and the linear part of every
+    # f, g and phi entry are the module model of d0
+    rng = random.Random(seed)
+    draws = [random_sullivan_algebra(rng, max_gens=12) for _ in range(300)]
+    for dga in list(algebras.values()) + draws:
+        c = compute_minimal_model(dga)
+        module = DGModule(tuple((gen.name, gen.degree) for gen in dga.sig),
+                          {i: linear_part(dx) for i, dx in dga.diff.items()})
+        A = compute_at_model(module)
+        assert A.H == c.W
+        assert A.pairs == c.pairs
+        for i in range(len(dga.sig)):
+            assert linear_part(c.f[i]) == A.f[i]
+            assert linear_part(c.phi[i]) == A.phi[i]
+        for w in c.W:
+            assert linear_part(c.g[w]) == A.g[w]
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ((), "is not a product, yet the module layer keeps it"),
+    (((3, 1),), "does not hold c1, which the module layer pairs it with"),
+], ids=["kept", "killer"])
+def test_sweep_refuses_pairs_its_derivatives_do_not_bear(algebras, monkeypatch, pairs, message):
+    # ex1 pairs a1 with v2 (d a1 = v2); the sweep checks the module layer's
+    # decision against the projected derivative of a1
+    import sulmin.minimal_model as mm
+    module_model = mm.compute_at_model
+    monkeypatch.setattr(mm, "compute_at_model", lambda M: replace(module_model(M), pairs=pairs))
+    with pytest.raises(InternalInvariantError, match=message):
+        compute_minimal_model(algebras["ex1"])
 
 
 def test_random_inputs_keep_structural_identities():
