@@ -2,6 +2,9 @@
 """Stress the minimizer on seeded random inputs and tally identity outcomes.
 
 Usage: stress_random.py [count] [seed]
+
+Stdout holds only the tallies, so the output of two checkouts compares with
+plain ``diff``; the elapsed time goes to stderr.
 """
 
 import pathlib
@@ -29,7 +32,8 @@ def main():
             tallies[check.name] = (ok_count + check.ok, total + 1)
         cohomology_ok += verification.comparison.equal
     elapsed = time.time() - t0
-    print(f"{count} random inputs, seed {seed}, {elapsed:.1f}s")
+    print(f"{count} random inputs, seed {seed}")
+    print(f"{elapsed:.1f}s", file=sys.stderr)
     print(f"cohomology equal: {cohomology_ok}/{count}")
     for name, (ok_count, total) in tallies.items():
         print(f"{name}: {ok_count}/{total}")

@@ -391,7 +391,12 @@ def basis_monomials(sig: Signature, p: int, subset=None) -> List[Mono]:
 
     The full basis (``subset`` None) is memoised on ``sig``: every call
     returns the same list, which callers must not mutate.  A call with a
-    subset enumerates afresh and caches nothing.
+    subset enumerates afresh and caches nothing.  Two callers pass a subset,
+    the earlier generators of one sweep step or draw:
+    ``minimal_model._d_preimage`` and ``random_inputs._cocycle_space``.
+    Never memoise subset bases: each subset is used once, and keeping them
+    while the benchmark pools are drawn raised the ``certify-random`` peak
+    RSS from 20.5 to 25.6 MB.
     """
     if p < 0:
         raise ValueError("degree must be >= 0")

@@ -1,10 +1,15 @@
 """Brute-force degreewise cohomology over the rationals.
 
 Independent of the contraction machinery: enumerate the monomial basis degree
-by degree, expand the differential of each basis monomial into the next
-degree, and read off dim H^p = dim ker d^p - rank d^{p-1} from exact column
-elimination.  Used to cross-check that a minimization run preserves
-cohomology, and to validate module contractions.
+by degree, expand the differential of each basis monomial, and read off
+dim H^p = dim ker d^p - rank d^{p-1} from exact column elimination.  Used to
+cross-check that a minimization run preserves cohomology, and to validate
+module contractions.
+
+A column is the differential itself, keyed by the monomials it holds (by
+generator indices for a module), so no row needs a position in a degree
+p+1 basis: up to the cap p, only the bases of degrees 0 to p are built.
+``_dims`` turns the ranks into dimensions for algebras and modules alike.
 
 Within one ``verify`` job the oracle shares two things with the checker: the
 signature's memoised full bases (``basis_monomials``; a subset side filters
@@ -22,14 +27,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Sequence, Tuple)
 
-from .at_model import DGModule
-from .differential import DGAlgebra, Extension
+from .differential import DGAlgebra
 from .graded_algebra import (
-    Coeff, Signature, _as_indices, basis_monomials, lin_axpy, mono_str, q_div)
+    Coeff, Mono, _as_indices, basis_monomials, lin_axpy, mono_str, q_div)
 
-SparseVec = Dict[int, Coeff]
+if TYPE_CHECKING:
+    from .at_model import DGModule
+
+# row key (a monomial, a generator index, a column position) -> coefficient
+SparseVec = Dict[Hashable, Coeff]
 
 
 def column_reduce(columns: Sequence[SparseVec]) -> Tuple[int, List[SparseVec]]:
@@ -37,8 +46,15 @@ def column_reduce(columns: Sequence[SparseVec]) -> Tuple[int, List[SparseVec]]:
 
     Returns (rank, kernel combinations): each kernel combination maps column
     positions to coefficients of a vanishing linear relation.
+
+    A row key is any totally ordered hashable, and a column's pivot is its
+    least key, so only the order of the keys matters: rows keyed by basis
+    elements (monomials, generator indices) reduce with the same pivots,
+    arithmetic and kernels as rows keyed by positions in the sorted basis.
+    That rule is why the random input pools and the sweep's chain correction,
+    which key rows by basis elements, stay identical to a positional keying.
     """
-    pivots: Dict[int, Tuple[SparseVec, SparseVec]] = {}
+    pivots: Dict[Hashable, Tuple[SparseVec, SparseVec]] = {}
     kernel: List[SparseVec] = []
     for pos, col in enumerate(columns):
         vec = dict(col)
@@ -64,9 +80,11 @@ def rank_of_columns(columns: Sequence[SparseVec]) -> int:
     Each column is scaled to integers by the lcm of its denominators and
     reduced by cross-multiplication against the stored pivot columns; a
     stored pivot is divided by the gcd of its entries.  Only ``int``
-    arithmetic, and no kernel combinations are built.
+    arithmetic, and no kernel combinations are built.  As in
+    ``column_reduce``, a row key is any totally ordered hashable and the
+    pivot is the least key.
     """
-    pivots: Dict[int, Dict[int, int]] = {}
+    pivots: Dict[Hashable, Dict[Hashable, int]] = {}
     for col in columns:
         den = 1
         for c in col.values():
@@ -92,19 +110,18 @@ class NotClosedError(ValueError):
     """The differential leaves the span of the requested generator subset."""
 
 
-def _degree_columns(sig: Signature, ev: Extension, basis_p, index_next,
-                    subset_set) -> List[SparseVec]:
-    cols = []
-    for m in basis_p:
-        img = ev.on_monomial(m)
-        col: SparseVec = {}
-        for mm, c in img.items():
-            if any(i not in subset_set for i, _ in mm):
-                raise NotClosedError(
-                    f"d({mono_str(sig, m)}) has term {mono_str(sig, mm)} outside the subset")
-            col[index_next[mm]] = c
-        cols.append(col)
-    return cols
+def _dims(bases: Sequence[Sequence[Hashable]],
+          image: Callable[[Hashable], SparseVec]) -> List[Tuple[int, int]]:
+    """(p, dim H^p) for each degree p of ``bases``, where ``image`` maps a
+    degree-p basis element to its differential, keyed by degree-(p+1) basis
+    elements: dim H^p = len(bases[p]) - rank d^p - rank d^{p-1}."""
+    dims = []
+    below = 0
+    for p, basis in enumerate(bases):
+        rank = rank_of_columns([image(x) for x in basis])
+        dims.append((p, len(basis) - rank - below))
+        below = rank
+    return dims
 
 
 def cohomology_dims(dga: DGAlgebra, subset=None, max_degree: int = 10) -> List[Tuple[int, int]]:
@@ -113,44 +130,29 @@ def cohomology_dims(dga: DGAlgebra, subset=None, max_degree: int = 10) -> List[T
         raise ValueError("degree cap must be >= 0")
     sig = dga.sig
     subset_set = set(_as_indices(sig, subset))
-    bases = [basis_monomials(sig, p) for p in range(max_degree + 2)]
+    bases = [basis_monomials(sig, p) for p in range(max_degree + 1)]
     if subset is not None:
-        # filtering the sorted full basis keeps its order
         bases = [[m for m in basis if all(i in subset_set for i, _ in m)]
                  for basis in bases]
-    ranks = []
-    for p in range(max_degree + 1):
-        index_next = {m: k for k, m in enumerate(bases[p + 1])}
-        cols = _degree_columns(sig, dga.ev, bases[p], index_next, subset_set)
-        ranks.append(rank_of_columns(cols))
-    dims = []
-    for p in range(max_degree + 1):
-        below = ranks[p - 1] if p > 0 else 0
-        dims.append((p, len(bases[p]) - ranks[p] - below))
-    return dims
+
+    def image(m: Mono) -> SparseVec:
+        img = dga.ev.on_monomial(m)
+        for mm in img:
+            if any(i not in subset_set for i, _ in mm):
+                raise NotClosedError(
+                    f"d({mono_str(sig, m)}) has term {mono_str(sig, mm)} outside the subset")
+        return img
+
+    return _dims(bases, image)
 
 
 def module_homology_dims(M: DGModule, max_degree: Optional[int] = None) -> List[Tuple[int, int]]:
     """(degree, dimension) for a plain DG-module, over its whole degree range."""
     if max_degree is None:
         max_degree = max((d for _, d in M.generators), default=0)
-    by_degree: Dict[int, List[int]] = {}
-    for i, (_, d) in enumerate(M.generators):
-        by_degree.setdefault(d, []).append(i)
-    ranks: Dict[int, int] = {}
-    for p in range(max_degree + 1):
-        gens_p = by_degree.get(p, [])
-        pos_next = {g: k for k, g in enumerate(by_degree.get(p + 1, []))}
-        cols = []
-        for g in gens_p:
-            col = {pos_next[j]: c for j, c in M.d_of(g).items()}
-            cols.append(col)
-        ranks[p] = rank_of_columns(cols)
-    dims = []
-    for p in range(max_degree + 1):
-        below = ranks.get(p - 1, 0)
-        dims.append((p, len(by_degree.get(p, [])) - ranks[p] - below))
-    return dims
+    bases = [[i for i, (_, d) in enumerate(M.generators) if d == p]
+             for p in range(max_degree + 1)]
+    return _dims(bases, M.d_of)
 
 
 @dataclass(frozen=True)

@@ -75,13 +75,7 @@ def _d_preimage(sig: Signature, d_ev: Extension, degree: int, earlier,
                 target: Elem) -> Elem:
     """Deterministic solution u of d(u) = target over the earlier generators."""
     basis = basis_monomials(sig, degree, earlier)
-    up = basis_monomials(sig, degree + 1, earlier)
-    index = {m: k for k, m in enumerate(up)}
-    cols = []
-    for m in basis:
-        cols.append({index[mm]: c for mm, c in d_ev.on_monomial(m).items()})
-    cols.append({index[mm]: c for mm, c in target.items()})
-    _, kernel = column_reduce(cols)
+    _, kernel = column_reduce([d_ev.on_monomial(m) for m in basis] + [target])
     last = len(basis)
     for combo in kernel:
         c_last = combo.get(last)

@@ -83,9 +83,6 @@ class FullContraction:
     def sig(self) -> Signature:
         return self.source.sig
 
-    def w_generators(self):
-        return tuple(self.sig.generators[i] for i in self.W)
-
 
 @dataclass(frozen=True)
 class IdentityCheck:

@@ -32,14 +32,8 @@ def _cocycle_space(sig: Signature, diff: Dict[int, Elem], earlier: List[int],
     basis = basis_monomials(sig, degree, earlier)
     if not basis:
         return []
-    target = basis_monomials(sig, degree + 1, earlier)
-    index = {m: k for k, m in enumerate(target)}
     ev = Extension(sig, diff, mono_elem)
-    cols = []
-    for m in basis:
-        img = ev.on_monomial(m)
-        cols.append({index[mm]: c for mm, c in img.items()})
-    _, kernel = column_reduce(cols)
+    _, kernel = column_reduce([ev.on_monomial(m) for m in basis])
     # kernel positions are distinct and their coefficients nonzero
     return [{basis[pos]: c for pos, c in combo.items()} for combo in kernel]
 
@@ -87,12 +81,7 @@ def random_dg_module(rng: random.Random, max_gens: int = 30,
         if not earlier:
             continue
         # kernel of d restricted to the earlier degree-(deg+1) generators
-        cols = []
-        next_ids = sorted({j for k in earlier for j in diff.get(k, {})})
-        pos = {j: t for t, j in enumerate(next_ids)}
-        for k in earlier:
-            cols.append({pos[j]: c for j, c in diff.get(k, {}).items()})
-        _, kernel = column_reduce(cols)
+        _, kernel = column_reduce([diff.get(k, {}) for k in earlier])
         if not kernel:
             continue
         picks = rng.randint(1, min(3, len(kernel)))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sulmin.at_model import compute_at_model, homology_class_dims
 from sulmin.differential import DGAlgebra
 from sulmin.dsl import parse
-from sulmin.graded_algebra import Signature
+from sulmin.graded_algebra import Signature, basis_monomials
 from sulmin.homology_oracle import (
     NotClosedError,
     cohomology_dims,
@@ -69,6 +69,62 @@ def test_non_closed_subset_rejected(algebras):
     a1 = dga.sig.by_name("a1").index
     with pytest.raises(NotClosedError):
         cohomology_dims(dga, [a1], 3)
+
+
+def test_cap_builds_no_basis_above_it():
+    # rows are keyed by monomials, so degree p+1 needs no basis of its own:
+    # at cap 1, 1200 degree-1 generators must not cost the 719,400-monomial
+    # degree-2 basis
+    sig = Signature.from_pairs((f"e{i}", 1) for i in range(1200))
+    assert cohomology_dims(DGAlgebra(sig, {}), None, 1) == [(0, 1), (1, 1200)]
+    assert sorted(sig._bases) == [0, 1]
+
+
+def test_module_dims_at_every_cap_truncate_the_full_range():
+    # generators above the cap change nothing below it, and a cap above the
+    # top degree adds zeros
+    rng = random.Random(41)
+    for _ in range(40):
+        M = random_dg_module(rng, max_gens=30, max_degree=5)
+        full = module_homology_dims(M)
+        for cap in range(8):
+            want = full[:cap + 1] + [(p, 0) for p in range(len(full), cap + 1)]
+            assert module_homology_dims(M, cap) == want
+
+
+def _by_position(columns, rows):
+    index = {r: k for k, r in enumerate(rows)}
+    return [{index[r]: c for r, c in col.items()} for col in columns]
+
+
+def _assert_row_keys_do_not_matter(columns, rows):
+    # rows sorted, so positions are ordered as the elements: the least-key
+    # pivot picks the same row either way, with the same arithmetic
+    positional = _by_position(columns, rows)
+    rank, kernel = column_reduce(columns)
+    rank_p, kernel_p = column_reduce(positional)
+    assert rank == rank_p == rank_of_columns(columns) == rank_of_columns(positional)
+    assert [list(k.items()) for k in kernel] == [list(k.items()) for k in kernel_p]
+
+
+def test_algebra_columns_keyed_by_monomials_reduce_as_by_positions():
+    rng = random.Random(20260810)
+    for _ in range(25):
+        dga = random_sullivan_algebra(rng, max_gens=8)
+        for p in range(7):
+            columns = [dga.ev.on_monomial(m) for m in basis_monomials(dga.sig, p)]
+            _assert_row_keys_do_not_matter(columns, basis_monomials(dga.sig, p + 1))
+
+
+def test_module_columns_keyed_by_generators_reduce_as_by_positions():
+    rng = random.Random(3)
+    for _ in range(40):
+        M = random_dg_module(rng, max_gens=30, max_degree=5)
+        degrees = [d for _, d in M.generators]
+        for p in range(max(degrees) + 1):
+            columns = [M.d_of(i) for i, d in enumerate(degrees) if d == p]
+            rows = [i for i, d in enumerate(degrees) if d == p + 1]
+            _assert_row_keys_do_not_matter(columns, rows)
 
 
 def test_rank_plus_kernel_is_dimension():
