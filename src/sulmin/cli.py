@@ -172,13 +172,14 @@ class Verification:
 def verify_algebra(dga: DGAlgebra, max_degree: int) -> Verification:
     """Minimize ``dga``, then check the contraction identities, minimality and
     the cohomology of the model up to ``max_degree``.  The sweep, the checker
-    and the oracle's source side read ``d`` through ``dga.ev``, and the
-    checker and the oracle read the signature's memoised bases."""
+    and the oracle's source side read ``d`` through ``dga.ev``; the sweep's
+    square check, the checker and the oracle's survivor side read ``dW``
+    through ``c.model.ev``; and the checker and the oracle read the
+    signature's memoised bases."""
     c = compute_minimal_model(dga)
     report = check_contraction(c, max_degree)
     minimal = all(in_lambda_geq2(c.sig, c.dW.get(w, {}), c.W) for w in c.W)
-    comparison = compare_cohomology(
-        (dga, None), (DGAlgebra(c.sig, c.dW), c.W), max_degree)
+    comparison = compare_cohomology((dga, None), (c.model, c.W), max_degree)
     return Verification(c, report, minimal, comparison)
 
 

@@ -18,9 +18,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional
 
 from .graded_algebra import (
+    ONE_MONO,
     Elem,
     Mono,
     Signature,
+    WordTooLongError,
     elem_is_zero,
     elem_mul,
     elem_one,
@@ -28,6 +30,10 @@ from .graded_algebra import (
     lin_axpy,
     mono_degree,
     mono_elem,
+    mono_factors,
+    mono_first,
+    mono_gen,
+    mono_key,
     mono_mul_into,
     mono_str,
     mono_valid,
@@ -36,14 +42,10 @@ from .graded_algebra import (
 
 
 # The most factors of a word that an Extension evaluates.  Each factor costs
-# a cached image, so a word of 10^10 factors (``v2^10000000000`` parses in
-# microseconds) must be refused before its walk, not after.
+# a cached image, so a long word that the monomial layout still holds (up to
+# ``graded_algebra.MAX_EXPONENT`` copies of each generator) is refused
+# before its walk, not after, with the layout's own ``WordTooLongError``.
 MAX_WORD = 10_000
-
-
-class WordTooLongError(ValueError):
-    """A monomial has more than ``MAX_WORD`` factors whose images are not
-    cached yet."""
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,9 @@ class DGAlgebra:
     computes for the algebra's lifetime, and is left out of ``==`` and
     ``repr``.  The validator, the sweep, the checker (through
     ``FullContraction.source``) and the oracle all read ``d`` through it, so
-    one job evaluates ``d`` once per monomial."""
+    one job evaluates ``d`` once per monomial; likewise for ``dW`` through
+    ``FullContraction.model``.  Every term must be a monomial packed by
+    ``sig`` (``mono_valid``), or construction raises ``ValueError``."""
 
     sig: Signature
     diff: Mapping[int, Elem] = field(default_factory=dict)
@@ -89,7 +93,9 @@ class Extension:
       differential is the case ``right = mono_elem``.
 
     ``on_monomial`` runs in a loop, not by recursion, so a word's length is
-    bounded by ``MAX_WORD`` and not by the interpreter's stack.
+    bounded by ``MAX_WORD`` and not by the interpreter's stack.  ``cache``
+    maps each monomial met, and each suffix of one, to its image; a hot
+    caller may read it directly instead of calling ``on_monomial``.
     """
 
     def __init__(self, sig: Signature, table: Mapping[int, Elem],
@@ -97,10 +103,10 @@ class Extension:
         self.sig = sig
         self.table = table
         self.right = right
-        self._cache: Dict[Mono, Elem] = {(): elem_one() if right is None else {}}
+        self.cache: Dict[Mono, Elem] = {ONE_MONO: elem_one() if right is None else {}}
 
     def on_monomial(self, m: Mono) -> Elem:
-        cache = self._cache
+        cache = self.cache
         out = cache.get(m)
         if out is not None:
             return out
@@ -117,8 +123,7 @@ class Extension:
             if len(steps) == MAX_WORD:
                 raise WordTooLongError(
                     f"word {mono_str(sig, word)} has more than {MAX_WORD} factors")
-            i, e = m[0]
-            rest: Mono = ((i, e - 1),) + m[1:] if e > 1 else m[1:]
+            i, rest = mono_first(sig, m)
             if right is None:
                 try:
                     part = table[i]
@@ -137,7 +142,7 @@ class Extension:
             else:
                 # part is a fresh product, so the sign term adds in place
                 if out:
-                    mono_mul_into(sig, part, -1 if odd[i] else 1, ((i, 1),), out)
+                    mono_mul_into(sig, part, -1 if odd[i] else 1, mono_gen(sig, i), out)
                 out = part
             cache[m] = out
         return out
@@ -146,7 +151,7 @@ class Extension:
         """Linear extension of ``on_monomial``.  A one-term element returns the
         scaled monomial image directly, which is the cached image itself when
         the coefficient is 1."""
-        cache = self._cache
+        cache = self.cache
         if len(x) == 1:
             ((m, c),) = x.items()
             img = cache.get(m)
@@ -200,7 +205,7 @@ def validate_sullivan(dga: DGAlgebra) -> ValidationReport:
                     "degree", g.name,
                     f"term {mono_str(sig, m)} has degree {d}, expected {want}"))
         for m in dx:
-            for j, _ in m:
+            for j, _ in mono_factors(sig, m):
                 if j >= i:
                     bad.append(Violation(
                         "order", g.name,
@@ -208,7 +213,7 @@ def validate_sullivan(dga: DGAlgebra) -> ValidationReport:
                     break
         dd = ev.on_element(dx)
         if not elem_is_zero(dd):
-            first = sorted(dd)[0]
+            first = min(dd, key=lambda m: mono_key(sig, m))
             bad.append(Violation(
                 "d-squared", g.name,
                 f"d(d({g.name})) has term {mono_str(sig, first)}"))

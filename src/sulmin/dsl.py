@@ -48,6 +48,8 @@ from .graded_algebra import (
     elem_scale,
     lin_axpy,
     mono_degree,
+    mono_factors,
+    mono_str,
     q_div,
 )
 from .morphisms import FullContraction
@@ -342,6 +344,10 @@ def parse(text: str) -> Union[DGAlgebra, DGModule]:
     degrees: List[Tuple[str, int]] = []
     diffs: Dict[int, Union[Elem, Lin]] = {}
     has_diff: set = set()
+    # the generators declared so far; a derivative is built against them,
+    # and the monomial layout packs their monomials as the final signature
+    # will, so the signature is rebuilt only after a new declaration
+    sig = Signature(())
     module_eval = _ModuleEval(names)
 
     cur.skip_newlines()
@@ -385,7 +391,9 @@ def parse(text: str) -> Union[DGAlgebra, DGModule]:
                 raise cur.error(f"duplicate differential for {name!r}", i + 1)
             cur.expect_sym("=")
             if mode == "algebra":
-                value = _AlgebraEval(Signature.from_pairs(degrees), names).expr(cur)
+                if len(sig) != len(degrees):
+                    sig = Signature.from_pairs(degrees)
+                value = _AlgebraEval(sig, names).expr(cur)
             else:
                 value = module_eval.expr(cur)
             cur.end_of_statement()
@@ -398,7 +406,9 @@ def parse(text: str) -> Union[DGAlgebra, DGModule]:
             raise cur.error(f"unknown statement {word!r}")
 
     if mode == "algebra":
-        return DGAlgebra(Signature.from_pairs(degrees), diffs)
+        if len(sig) != len(degrees):
+            sig = Signature.from_pairs(degrees)
+        return DGAlgebra(sig, diffs)
     return DGModule(tuple(degrees), diffs)
 
 
@@ -419,7 +429,7 @@ def _term_key(sig: Signature, m: Mono):
     """Ascending degree, then the expanded factor sequence in lexicographic
     order, without expanding it: within one degree, comparing
     ``(i, -e)`` pairs orders two monomials as their expanded sequences do."""
-    return (mono_degree(sig, m), tuple((i, -e) for i, e in m))
+    return (mono_degree(sig, m), tuple((i, -e) for i, e in mono_factors(sig, m)))
 
 
 def _signed_term(c: Coeff, body: str) -> str:
@@ -446,10 +456,8 @@ def format_element(sig: Signature, x: Elem) -> str:
     """Canonical text for an element: ascending degree, then lexicographic."""
     if not x:
         return "0"
-    name = sig.name
-    return _join_terms([
-        _signed_term(x[m], "*".join(name(i) if e == 1 else f"{name(i)}^{e}" for i, e in m))
-        for m in sorted(x, key=lambda mm: _term_key(sig, mm))])
+    return _join_terms([_signed_term(x[m], mono_str(sig, m) if m else "")
+                        for m in sorted(x, key=lambda mm: _term_key(sig, mm))])
 
 
 def format_linear(M: DGModule, x: Lin) -> str:

@@ -1,17 +1,52 @@
 """Exact arithmetic in a free graded-commutative algebra over the rationals.
 
 Generators carry a positive degree and a declaration index.  A monomial is a
-tuple of ``(generator index, exponent)`` pairs, strictly increasing in index;
-a generator of odd degree never carries an exponent above 1 (its square is
-zero).  An element is a dict mapping monomials to nonzero rational
-coefficients, so dict equality is exactly equality in the algebra.  A
-coefficient is an ``int`` when it is integral and a ``Fraction`` with
-denominator > 1 otherwise (``Fraction(2) == 2`` and both hash alike, so the
-rule changes no equality, only the cost: most coefficients are integers, and
-an ``int`` product is some forty times cheaper than a ``Fraction`` one).
-Given coefficients in this form, every kernel here returns its results in
-this form.  ``q_norm`` brings any rational to it, and ``q_div`` is the one
-true division of the package, so no float can arise.
+product of generators, and a generator of odd degree never carries an
+exponent above 1 (its square is zero).  An element is a dict mapping
+monomials to nonzero rational coefficients, so dict equality is exactly
+equality in the algebra.  A coefficient is an ``int`` when it is integral
+and a ``Fraction`` with denominator > 1 otherwise (``Fraction(2) == 2`` and
+both hash alike, so the rule changes no equality, only the cost: most
+coefficients are integers, and an ``int`` product is some forty times
+cheaper than a ``Fraction`` one).  Given coefficients in this form, every
+kernel here returns its results in this form.  ``q_norm`` brings any
+rational to it, and ``q_div`` is the one true division of the package, so no
+float can arise.
+
+A monomial is one non-negative ``int``, packed by its signature; only this
+module reads the layout.  Everywhere else a monomial is an opaque hashable
+value, taken apart and built through ``mono_gen``, ``mono_first``,
+``mono_factors``, ``mono_splits``, ``mono_key`` and ``subset_test``.
+
+* **Fields.**  From bit ``_BASE`` up, each generator in declaration order
+  gets a field holding its exponent: 1 bit for an odd generator, 15 bits and
+  a guard bit above them for an even one.  A field's offset depends only on
+  the generators before it, so a signature and its prefixes pack the
+  monomials they share alike (the parser builds each derivative against the
+  generators declared so far).
+* **Salt.**  Below the fields each generator adds a fixed pseudo-random
+  salt of ``_SALT_BITS`` bits into a shared sum, with a guard bit at
+  ``_SALT_ROOM``.  A generator's unit is its field's low bit plus its salt,
+  and a monomial is the sum of its factors' units, so it packs products
+  additively: the product of ``a`` and ``b`` is ``a + b``.  The salt exists
+  for the hash: CPython hashes an ``int`` as its value mod 2^61 - 1, which
+  folds field bits 61 apart onto each other.  On 600 degree-1 generators the
+  179,700 degree-2 monomials of an unsalted layout get only 1,891 distinct
+  hashes, and ``dict`` lookups on them crawl; salted, more than 99.8% are
+  distinct.
+* **Signs and zero.**  An odd square is ``a & b & odd_mask``; the Koszul
+  sign is the parity of the pairs of odd bits with the one of ``b`` below
+  the one of ``a``.
+* **Overflow.**  An exponent past ``MAX_EXPONENT``, or a salt sum past its
+  room (a word of more than 2^16 factors at the least), sets a guard bit of
+  ``a + b``.  Every product tests the guards and raises
+  ``WordTooLongError``, so a field never carries into the next one.
+
+``mono_key`` is the factor list, ``((generator index, exponent), ...)`` in
+increasing index.  Its order is the canonical monomial order of the package:
+bases come in it, and the sites whose result depends on an order of
+monomials (elimination pivots, emitted terms, the first term reported) sort
+or key by it, never by the packed value.
 
 Every value here is immutable by convention: no function mutates an element
 it received or returned, so values can be shared freely across threads.  The
@@ -24,15 +59,35 @@ the same list to every later caller, who must not mutate it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union)
 
-Mono = Tuple[Tuple[int, int], ...]
+Mono = int
 Coeff = Union[int, Fraction]
 Elem = Dict[Mono, Coeff]
 
-ONE_MONO: Mono = ()
+ONE_MONO: Mono = 0
+
+_FIELD_BITS = 15
+MAX_EXPONENT = (1 << _FIELD_BITS) - 1
+_EVEN_FIELD = (1 << (_FIELD_BITS + 1)) - 1  # with its guard bit
+_SALT_BITS = 20
+_SALT_ROOM = _SALT_BITS + 16  # the salt sum of any word of 2^16 factors fits
+_BASE = _SALT_ROOM + 1
+_M64 = (1 << 64) - 1
+
+
+def _salt(index: int) -> int:
+    """The salt of generator ``index``: splitmix64 of the index, cut to
+    ``_SALT_BITS``.  It depends on the index alone, so every signature
+    salts a generator alike."""
+    z = (index + 1) * 0x9E3779B97F4A7C15 & _M64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _M64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _M64
+    return (z ^ (z >> 31)) >> (64 - _SALT_BITS)
 
 
 def q_norm(c) -> Coeff:
@@ -69,6 +124,12 @@ class SignatureError(ValueError):
     """A monomial or element refers to generators outside the signature."""
 
 
+class WordTooLongError(ValueError):
+    """A word too long to hold: an exponent past ``MAX_EXPONENT``, a word past
+    the salt room, or (see ``differential.MAX_WORD``) a word too long for an
+    evaluator to walk."""
+
+
 @dataclass(frozen=True)
 class Generator:
     name: str
@@ -81,7 +142,10 @@ class Generator:
 
 
 class Signature:
-    """Ordered list of generators; the order doubles as the Sullivan filtration."""
+    """Ordered list of generators; the order doubles as the Sullivan filtration.
+
+    It also holds the monomial layout (see the module docstring), which only
+    this module reads."""
 
     def __init__(self, generators: Sequence[Generator]):
         gens = tuple(generators)
@@ -99,6 +163,21 @@ class Signature:
         self._by_name = {g.name: g for g in gens}
         # degree -> the full basis, filled by basis_monomials
         self._bases: Dict[int, List[Mono]] = {}
+        shifts = []
+        odd_mask, guard, top = 0, 1 << _SALT_ROOM, _BASE
+        for g in gens:
+            shifts.append(top)
+            if g.degree % 2:
+                odd_mask |= 1 << top
+                top += 1
+            else:
+                guard |= 1 << (top + _FIELD_BITS)
+                top += _FIELD_BITS + 1
+        self._shift = tuple(shifts)
+        self._unit = tuple((1 << s) + _salt(i) for i, s in enumerate(shifts))
+        self._odd_mask = odd_mask
+        self._guard = guard
+        self._fields = (1 << top) - (1 << _BASE)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Tuple[str, int]]) -> "Signature":
@@ -133,87 +212,157 @@ def _as_indices(sig: Signature, subset: Optional[Iterable[Union[Generator, int]]
     return tuple(idxs)
 
 
+def _outside(sig: Signature, subset) -> int:
+    """The field bits of the generators outside ``subset``."""
+    inside = 0
+    for i in _as_indices(sig, subset):
+        inside |= (1 if sig.odd[i] else _EVEN_FIELD) << sig._shift[i]
+    return sig._fields & ~inside
+
+
+def _generator_of(sig: Signature, m: Mono) -> Optional[int]:
+    """The index of the generator whose monomial ``m`` is, else None."""
+    f = m & sig._fields
+    if not f or f & (f - 1):
+        return None
+    pos = f.bit_length() - 1
+    i = bisect_right(sig._shift, pos) - 1
+    return i if sig._shift[i] == pos else None
+
+
+# -- monomials ------------------------------------------------------------------
+
+def mono_gen(sig: Signature, index: int) -> Mono:
+    """The monomial of generator ``index``."""
+    if not 0 <= index < len(sig):
+        raise SignatureError(f"generator index {index} outside signature")
+    return sig._unit[index]
+
+
+def mono_factors(sig: Signature, m: Mono) -> Tuple[Tuple[int, int], ...]:
+    """The factor list of ``m``: ``(generator index, exponent)`` pairs in
+    increasing index, ``()`` for the unit monomial."""
+    shifts, odd = sig._shift, sig.odd
+    out = []
+    f = m & sig._fields
+    while f:
+        i = bisect_right(shifts, (f & -f).bit_length() - 1) - 1
+        s = shifts[i]
+        e = 1 if odd[i] else (f >> s) & MAX_EXPONENT
+        out.append((i, e))
+        f ^= e << s
+    return tuple(out)
+
+
+def mono_key(sig: Signature, m: Mono) -> Tuple[Tuple[int, int], ...]:
+    """The sort key of the canonical monomial order: the factor list, compared
+    lexicographically."""
+    return mono_factors(sig, m)
+
+
+def mono_first(sig: Signature, m: Mono) -> Tuple[int, Mono]:
+    """``(i, rest)`` with ``m = x_i * rest`` and ``x_i`` the generator of least
+    index in ``m``, which must not be the unit monomial."""
+    f = m & sig._fields
+    i = bisect_right(sig._shift, (f & -f).bit_length() - 1) - 1
+    return i, m - sig._unit[i]
+
+
 def mono_degree(sig: Signature, m: Mono) -> int:
-    return sum(e * sig.degree(i) for i, e in m)
+    return sum(e * sig.degree(i) for i, e in mono_factors(sig, m))
 
 
 def mono_valid(sig: Signature, m: Mono) -> bool:
-    last = -1
-    for i, e in m:
-        if not 0 <= i < len(sig):
-            return False
-        if i <= last or e < 1:
-            return False
-        if sig.degree(i) % 2 == 1 and e != 1:
-            return False
-        last = i
-    return True
+    """True iff ``m`` is a monomial packed by ``sig``."""
+    if m.__class__ is not int or m < 0 or m & sig._guard:
+        return False
+    unit = sig._unit
+    return m == sum(e * unit[i] for i, e in mono_factors(sig, m))
 
 
 def mono_str(sig: Signature, m: Mono) -> str:
     if not m:
         return "1"
     parts = []
-    for i, e in m:
+    for i, e in mono_factors(sig, m):
         name = sig.name(i)
         parts.append(name if e == 1 else f"{name}^{e}")
     return "*".join(parts)
 
 
-def mono_mul(sig: Signature, a: Mono, b: Mono) -> Tuple[int, Optional[Mono]]:
-    """Merge two canonical monomials, returning (Koszul sign, product).
+def subset_test(sig: Signature, subset) -> Callable[[Mono], bool]:
+    """A predicate on monomials: whether a monomial mentions only generators
+    of ``subset`` (None: all of them)."""
+    outside = _outside(sig, subset)
+    return lambda m: not m & outside
 
-    The sign is -1 to the number of odd/odd transpositions the merge performs;
-    the product is None (with sign 0) when an odd generator would be squared.
+
+def mono_splits(sig: Signature, m: Mono) -> Iterator[Tuple[Mono, int, Mono, int]]:
+    """Contiguous splits of the expanded factor sequence of ``m``, both halves
+    nontrivial, as ``(left, |left|, right, |right|)`` with ``m = left *
+    right`` (no sign): the split inside factor ``(i, e)`` after ``p`` of its
+    ``e`` copies, then the one after the whole factor."""
+    factors = mono_factors(sig, m)
+    unit, degree = sig._unit, sig.degree
+    total = sum(e * degree(i) for i, e in factors)
+    last = len(factors) - 1
+    left, dleft = ONE_MONO, 0
+    for k, (i, e) in enumerate(factors):
+        u, d = unit[i], degree(i)
+        for _ in range(1, e):
+            left += u
+            dleft += d
+            yield left, dleft, m - left, total - dleft
+        left += u
+        dleft += d
+        if k < last:
+            yield left, dleft, m - left, total - dleft
+
+
+def _sign_mask(oa: int, odd: int) -> int:
+    """The odd bits that lie below an odd number of the bits of ``oa``: a
+    right factor's odd bits there each transpose past an odd number of the
+    left factor's odd generators, so the product's sign is -1 to the
+    number of its odd bits in the mask."""
+    mask = 0
+    while oa:
+        low = oa & -oa
+        mask ^= low - 1
+        oa ^= low
+    return mask & odd
+
+
+def _too_long(sig: Signature, a: Mono, b: Mono) -> WordTooLongError:
+    """The error for a product ``a * b`` that sets a guard bit."""
+    return WordTooLongError(
+        f"{mono_str(sig, a)} * {mono_str(sig, b)} does not fit the monomial layout")
+
+
+def mono_mul(sig: Signature, a: Mono, b: Mono) -> Tuple[int, Optional[Mono]]:
+    """The product of two monomials, as (Koszul sign, product).
+
+    The sign is -1 to the number of odd/odd transpositions that bring the
+    factors into canonical order; the product is None (with sign 0) when an
+    odd generator would be squared.  Raises ``WordTooLongError`` when the
+    product does not fit the layout.
     """
-    odd = sig.odd
-    n = len(odd)
-    if (a and a[-1][0] >= n) or (b and b[-1][0] >= n):
-        m = a if a and a[-1][0] >= n else b
-        raise SignatureError(f"monomial {m} outside signature of {n} generators")
-    if not a:
-        return 1, b
-    if not b:
-        return 1, a
-    # each odd factor of a that lands after an odd factor of b transposes
-    # past it, so the sign flips with the odd factors of b merged so far
-    out: List[Tuple[int, int]] = []
-    sign = 1
-    odd_b = 0
-    ai = bi = 0
-    la, lb = len(a), len(b)
-    while ai < la and bi < lb:
-        ia, ea = a[ai]
-        ib, eb = b[bi]
-        if ia < ib:
-            if odd_b and odd[ia]:
-                sign = -sign
-            out.append((ia, ea))
-            ai += 1
-        elif ia > ib:
-            odd_b ^= odd[ib]
-            out.append((ib, eb))
-            bi += 1
-        else:
-            if odd[ia]:
-                return 0, None
-            out.append((ia, ea + eb))
-            ai += 1
-            bi += 1
-    if odd_b:
-        for k in range(ai, la):
-            if odd[a[k][0]]:
-                sign = -sign
-    out.extend(a[ai:])
-    out.extend(b[bi:])
-    return sign, tuple(out)
+    odd = sig._odd_mask
+    oa = a & odd
+    if oa & b:
+        return 0, None
+    m = a + b
+    if m & sig._guard:
+        raise _too_long(sig, a, b)
+    if oa and (b & _sign_mask(oa, odd)).bit_count() & 1:
+        return -1, m
+    return 1, m
 
 
 def mono_from_factors(sig: Signature, indices: Sequence[int]) -> Tuple[int, Optional[Mono]]:
     """Fold an arbitrary factor sequence into canonical form with its sign."""
     sign, acc = 1, ONE_MONO
     for i in indices:
-        s, acc = mono_mul(sig, acc, ((i, 1),))
+        s, acc = mono_mul(sig, acc, mono_gen(sig, i))
         if acc is None:
             return 0, None
         sign *= s
@@ -231,9 +380,7 @@ def elem_one() -> Elem:
     return {ONE_MONO: 1}
 
 def elem_gen(sig: Signature, index: int) -> Elem:
-    if not 0 <= index < len(sig):
-        raise SignatureError(f"generator index {index} outside signature")
-    return {((index, 1),): 1}
+    return {mono_gen(sig, index): 1}
 
 def elem_const(c) -> Elem:
     c = q_norm(c)
@@ -294,17 +441,27 @@ def elem_add(x: Elem, y: Elem) -> Elem:
 def elem_sub(x: Elem, y: Elem) -> Elem:
     return lin_axpy(dict(x), -1, y)
 
+# The two product kernels inline ``mono_mul``: per left monomial they take
+# its odd bits and sign mask once, then per right monomial one test for an
+# odd square, one sum, one guard test and, only when the left factor has odd
+# generators, one bit count.
+
 def elem_mul_into(sig: Signature, out: Elem, x: Elem, y: Elem) -> Elem:
     """Add ``x * y`` into ``out`` in place and return ``out``, which the
     caller owns; ``x`` and ``y`` are only read."""
+    odd, guard = sig._odd_mask, sig._guard
     for ma, ca in x.items():
         unit = ca == 1  # the generator factor of every gen * tail product
+        oa = ma & odd
+        flip = _sign_mask(oa, odd) if oa else 0
         for mb, cb in y.items():
-            sign, m = mono_mul(sig, ma, mb)
-            if m is None:
+            if oa & mb:
                 continue
+            m = ma + mb
+            if m & guard:
+                raise _too_long(sig, ma, mb)
             c = cb if unit else ca * cb
-            if sign < 0:
+            if flip and (mb & flip).bit_count() & 1:
                 c = -c
             old = out.get(m)
             if old is None:
@@ -328,11 +485,18 @@ def mono_mul_into(sig: Signature, out: Elem, sign: int, u: Mono, y: Elem) -> Ele
     """Add ``sign * u * y`` into ``out`` in place and return ``out``, for a
     monomial ``u`` and ``sign`` 1 or -1: ``elem_mul`` with the one-term left
     factor ``sign * u``, without building it."""
+    odd, guard = sig._odd_mask, sig._guard
+    ou = u & odd
+    flip = _sign_mask(ou, odd) if ou else 0
     for mb, cb in y.items():
-        k, m = mono_mul(sig, u, mb)
-        if m is None:
+        if ou & mb:
             continue
-        c = cb if k == sign else -cb
+        m = u + mb
+        if m & guard:
+            raise _too_long(sig, u, mb)
+        c = cb if sign > 0 else -cb
+        if flip and (mb & flip).bit_count() & 1:
+            c = -c
         old = out.get(m)
         if old is None:
             out[m] = c
@@ -365,9 +529,14 @@ def mono_elem(m: Mono, c=1) -> Elem:
     return {m: c} if c else {}
 
 
-def linear_part(x: Elem) -> Dict[int, Coeff]:
+def linear_part(sig: Signature, x: Elem) -> Dict[int, Coeff]:
     """``{generator index: coefficient}`` of the bare generators in ``x``."""
-    return {m[0][0]: c for m, c in x.items() if len(m) == 1 and m[0][1] == 1}
+    out = {}
+    for m, c in x.items():
+        i = _generator_of(sig, m)
+        if i is not None:
+            out[i] = c
+    return out
 
 
 def in_lambda_geq2(sig: Signature, x: Elem, subset=None) -> bool:
@@ -376,18 +545,16 @@ def in_lambda_geq2(sig: Signature, x: Elem, subset=None) -> bool:
     Zero qualifies; any constant or linear term, or a factor outside the
     subset, disqualifies.
     """
-    idxs = set(_as_indices(sig, subset))
+    outside = _outside(sig, subset)
     for m in x:
-        if sum(e for _, e in m) < 2:
-            return False
-        if any(i not in idxs for i, _ in m):
+        if not m or m & outside or _generator_of(sig, m) is not None:
             return False
     return True
 
 
 def basis_monomials(sig: Signature, p: int, subset=None) -> List[Mono]:
     """All canonical monomials of total degree ``p`` over ``subset`` generators,
-    sorted lexicographically by factor list.
+    in the canonical order (by ``mono_key``).
 
     The full basis (``subset`` None) is memoised on ``sig``: every call
     returns the same list, which callers must not mutate.  A call with a
@@ -396,7 +563,8 @@ def basis_monomials(sig: Signature, p: int, subset=None) -> List[Mono]:
     ``minimal_model._d_preimage`` and ``random_inputs._cocycle_space``.
     Never memoise subset bases: each subset is used once, and keeping them
     while the benchmark pools are drawn raised the ``certify-random`` peak
-    RSS from 20.5 to 25.6 MB.
+    RSS from 20.5 to 25.6 MB.  Raises ``WordTooLongError`` when a degree-``p``
+    word does not fit the layout.
     """
     if p < 0:
         raise ValueError("degree must be >= 0")
@@ -412,24 +580,33 @@ def _enumerate_basis(sig: Signature, p: int, idxs: Tuple[int, ...]) -> List[Mono
     # depth-first on an explicit stack, so the number of generators is not
     # bounded by the interpreter's recursion limit: an entry is a monomial
     # prefix, the degree it still lacks and the first position that may
-    # extend it
-    gens = [(k + 1, i, sig.degree(i), sig.odd[i]) for k, i in enumerate(idxs)]
+    # extend it.  Children are pushed in reverse, so monomials leave the
+    # stack in the canonical order and need no sort.
+    gens = [(k + 1, sig._unit[i], sig.degree(i), sig.odd[i]) for k, i in enumerate(idxs)]
+    # below degree 2^15 no word reaches a guard bit; above, a prefix sets
+    # one as soon as it outgrows the layout, since it grows one factor at a
+    # time
+    guard = sig._guard if p > MAX_EXPONENT else 0
     out: List[Mono] = []
     stack: List[Tuple[int, int, Mono]] = [(0, p, ONE_MONO)]
-    push = stack.append
     while stack:
         pos, remaining, acc = stack.pop()
         if not remaining:
             out.append(acc)
             continue
-        for nxt, i, d, odd in gens[pos:]:
+        children = []
+        push = children.append
+        for nxt, u, d, odd in gens[pos:]:
             if d <= remaining:
                 r = remaining - d
-                push((nxt, r, acc + ((i, 1),)))
-                e = 2
+                m = acc + u
+                push((nxt, r, m))
                 while not odd and d <= r:
                     r -= d
-                    push((nxt, r, acc + ((i, e),)))
-                    e += 1
-    out.sort()
+                    m += u
+                    push((nxt, r, m))
+        if guard and any(m & guard for _, _, m in children):
+            raise WordTooLongError(f"degree {p} words are too long to hold")
+        children.reverse()
+        stack.extend(children)
     return out

@@ -13,9 +13,10 @@ p+1 basis: up to the cap p, only the bases of degrees 0 to p are built.
 
 Within one ``verify`` job the oracle shares two things with the checker: the
 signature's memoised full bases (``basis_monomials``; a subset side filters
-them) and the source algebra's differential evaluator ``DGAlgebra.ev``.  It
-never reads the contraction's ``f``, ``g`` or ``phi``: the survivor side is
-the algebra of ``dW`` on ``W``, with an evaluator of its own.
+them) and the differential evaluators: the source algebra's ``DGAlgebra.ev``
+and, on the survivor side, the model algebra's (``FullContraction.model``,
+the algebra of ``dW`` restricted to ``W``).  It never reads the
+contraction's ``f``, ``g`` or ``phi``.
 
 The ranks come from ``rank_of_columns``, a fraction-free integer elimination
 that builds no kernel.  ``column_reduce`` is the separate rational
@@ -32,12 +33,13 @@ from typing import (
 
 from .differential import DGAlgebra
 from .graded_algebra import (
-    Coeff, Mono, _as_indices, basis_monomials, lin_axpy, mono_str, q_div)
+    Coeff, Mono, basis_monomials, lin_axpy, mono_str, q_div, subset_test)
 
 if TYPE_CHECKING:
     from .at_model import DGModule
 
-# row key (a monomial, a generator index, a column position) -> coefficient
+# row key (a monomial or its mono_key, a generator index, a column position)
+# -> coefficient
 SparseVec = Dict[Hashable, Coeff]
 
 
@@ -49,10 +51,15 @@ def column_reduce(columns: Sequence[SparseVec]) -> Tuple[int, List[SparseVec]]:
 
     A row key is any totally ordered hashable, and a column's pivot is its
     least key, so only the order of the keys matters: rows keyed by basis
-    elements (monomials, generator indices) reduce with the same pivots,
-    arithmetic and kernels as rows keyed by positions in the sorted basis.
-    That rule is why the random input pools and the sweep's chain correction,
-    which key rows by basis elements, stay identical to a positional keying.
+    elements in the basis order reduce with the same pivots, arithmetic and
+    kernels as rows keyed by positions in the sorted basis.  The kernels
+    depend on that order, so the two callers that read them,
+    ``random_inputs._cocycle_space`` (the random input pools) and
+    ``minimal_model._d_preimage`` (the sweep's chain correction), key rows
+    by ``mono_key``, the canonical monomial order, and not by the packed
+    monomial, whose ``int`` order differs; module columns are keyed by
+    generator index.  A rank does not depend on the order, so the oracle
+    hands ``rank_of_columns`` packed monomials.
     """
     pivots: Dict[Hashable, Tuple[SparseVec, SparseVec]] = {}
     kernel: List[SparseVec] = []
@@ -129,16 +136,15 @@ def cohomology_dims(dga: DGAlgebra, subset=None, max_degree: int = 10) -> List[T
     if max_degree < 0:
         raise ValueError("degree cap must be >= 0")
     sig = dga.sig
-    subset_set = set(_as_indices(sig, subset))
+    inside = subset_test(sig, subset)
     bases = [basis_monomials(sig, p) for p in range(max_degree + 1)]
     if subset is not None:
-        bases = [[m for m in basis if all(i in subset_set for i, _ in m)]
-                 for basis in bases]
+        bases = [list(filter(inside, basis)) for basis in bases]
 
     def image(m: Mono) -> SparseVec:
         img = dga.ev.on_monomial(m)
         for mm in img:
-            if any(i not in subset_set for i, _ in mm):
+            if not inside(mm):
                 raise NotClosedError(
                     f"d({mono_str(sig, m)}) has term {mono_str(sig, mm)} outside the subset")
         return img

@@ -52,9 +52,11 @@ from .graded_algebra import (
     elem_sub,
     in_lambda_geq2,
     linear_part,
-    mono_elem,
+    mono_gen,
+    mono_key,
     mono_str,
     q_div,
+    subset_test,
 )
 from .morphisms import FullContraction, homotopy_extension
 
@@ -73,9 +75,14 @@ class InternalInvariantError(RuntimeError):
 
 def _d_preimage(sig: Signature, d_ev: Extension, degree: int, earlier,
                 target: Elem) -> Elem:
-    """Deterministic solution u of d(u) = target over the earlier generators."""
+    """Deterministic solution u of d(u) = target over the earlier generators.
+
+    Rows are keyed by ``mono_key``, so the pivots, and with them the solution,
+    follow the canonical monomial order."""
     basis = basis_monomials(sig, degree, earlier)
-    _, kernel = column_reduce([d_ev.on_monomial(m) for m in basis] + [target])
+    columns = [d_ev.on_monomial(m) for m in basis] + [target]
+    _, kernel = column_reduce([{mono_key(sig, m): c for m, c in col.items()}
+                               for col in columns])
     last = len(basis)
     for combo in kernel:
         c_last = combo.get(last)
@@ -94,7 +101,7 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
     # the module layer decides every collapse: the pairs of (V, d0), the
     # linear part of d, are the pairs of the algebra
     linear = DGModule(tuple((gen.name, gen.degree) for gen in sig),
-                      {i: linear_part(dx) for i, dx in dga.diff.items()})
+                      {i: linear_part(sig, dx) for i, dx in dga.diff.items()})
     pairs = compute_at_model(linear).pairs
     killed = dict(pairs)
     f: Dict[int, Elem] = {}
@@ -113,8 +120,9 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
         a = f_ev.on_element(di)
         b = elem_sub(elem_gen(sig, i), phi_ev.on_element(di))
 
+        surviving = subset_test(sig, dw_current)
         for m in a:
-            if any(k not in dw_current for k, _ in m):
+            if not surviving(m):
                 raise InternalInvariantError(
                     f"projected derivative of {sig.name(i)} leaves the surviving "
                     f"subalgebra at term {mono_str(sig, m)}")
@@ -143,7 +151,7 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
             phi[i] = {}
             dw_current[i] = a
         else:
-            alpha = a.get(((target, 1),))
+            alpha = a.get(mono_gen(sig, target))
             if not alpha:
                 raise InternalInvariantError(
                     f"projected derivative of {sig.name(i)} does not hold "
@@ -168,8 +176,10 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
             g_mid_ev = Extension(sig, g_mid)
             g.pop(target, None)
 
+            avoids_target = subset_test(sig, (k for k in range(len(sig)) if k != target))
+
             def mentions_target(x: Elem) -> bool:
-                return any(any(t == target for t, _ in m) for m in x)
+                return not all(map(avoids_target, x))
 
             for k in range(i):
                 fk = f[k]
@@ -193,7 +203,7 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
     f_ev = Extension(sig, f)
     dW: Dict[int, Elem] = {}
     for w in W:
-        final = f_ev.on_element(d_ev.on_monomial(((w, 1),)))
+        final = f_ev.on_element(d_ev.on_monomial(mono_gen(sig, w)))
         if final != dw_current[w]:
             raise InternalInvariantError(
                 f"induced derivative of {sig.name(w)} drifted from its recorded value")
@@ -209,13 +219,12 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
     for w in W:
         if f[w] != elem_gen(sig, w):
             raise InternalInvariantError(f"projection does not fix {sig.name(w)}")
-    dw_ev = Extension(sig, dW, mono_elem)
+    c = FullContraction(source=dga, W=W, dW=dW, f=f, g=g, phi=phi, pairs=pairs)
     for w, dv in dW.items():
-        if not elem_is_zero(dw_ev.on_element(dv)):
+        if not elem_is_zero(c.model.ev.on_element(dv)):
             raise InternalInvariantError(
                 f"induced derivative does not square to zero on {sig.name(w)}")
-
-    return FullContraction(source=dga, W=W, dW=dW, f=f, g=g, phi=phi, pairs=pairs)
+    return c
 
 
 def contractible_summand(c: FullContraction) -> List[Tuple[Generator, Elem]]:

@@ -18,12 +18,15 @@ table maps to zero; one missing from the ``f`` or ``g`` table raises
 full algebra contraction, on every basis monomial up to a degree cap, in
 exact arithmetic; each is an equality test between canonical elements, which
 is equality in the algebra, and failures are reported as data, not
-exceptions.  It reads ``d`` through the source algebra's shared evaluator.
+exceptions.  It reads ``d`` through the source algebra's shared evaluator
+and ``dW`` through the model algebra's, ``FullContraction.model``, which the
+oracle's survivor side reads too.  The product identities read the images
+of a split's halves straight from the evaluators' caches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .differential import DGAlgebra, Extension
@@ -36,10 +39,11 @@ from .graded_algebra import (
     elem_mul_into,
     elem_scale,
     lin_axpy,
-    mono_degree,
     mono_elem,
     mono_mul_into,
+    mono_splits,
     mono_str,
+    subset_test,
 )
 
 
@@ -68,7 +72,10 @@ class FullContraction:
     defined on every source generator, ``g`` (inclusion) on ``W`` only.  The
     four tables are plain ``{generator index: element}`` dicts, the sweep's
     own, and nothing writes to them afterwards.  ``pairs`` records each
-    (killer, killed) generator pair.
+    (killer, killed) generator pair.  ``model`` is the minimal model, the
+    algebra of ``dW`` over the signature, built with the record and left out
+    of ``==`` and ``repr``: its evaluator is the one reader of ``dW`` on
+    monomials in a job.
     """
 
     source: DGAlgebra
@@ -78,6 +85,10 @@ class FullContraction:
     g: Mapping[int, Elem]
     phi: Mapping[int, Elem]
     pairs: Tuple[Tuple[int, int], ...]
+    model: DGAlgebra = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "model", DGAlgebra(self.sig, self.dW))
 
     @property
     def sig(self) -> Signature:
@@ -108,23 +119,6 @@ class ContractionReport:
         return "\n".join(str(c) for c in self.checks)
 
 
-def _mono_splits(sig: Signature, m: Mono):
-    """Contiguous splits of the expanded factor sequence, both halves canonical,
-    as ``(left, |left|, right, |right|)``: the split inside factor ``(i, e)``
-    after ``p`` of its ``e`` copies, sliced straight from ``m``."""
-    total = mono_degree(sig, m)
-    last = len(m) - 1
-    left = 0
-    for k, (i, e) in enumerate(m):
-        d = sig.degree(i)
-        for p in range(1, e):
-            left += d
-            yield m[:k] + ((i, p),), left, ((i, e - p),) + m[k + 1:], total - left
-        left += d
-        if k < last:
-            yield m[:k + 1], left, m[k + 1:], total - left
-
-
 def check_contraction(c: FullContraction, max_degree: int) -> ContractionReport:
     """Evaluate every contraction identity on basis monomials up to the cap.
 
@@ -139,13 +133,13 @@ def check_contraction(c: FullContraction, max_degree: int) -> ContractionReport:
     phi_ev = homotopy_extension(sig, c.phi, f_ev, g_ev)
     gf = phi_ev.right  # g f, memoised per monomial
     d_ev = c.source.ev
-    dw_ev = Extension(sig, c.dW, mono_elem)
+    dw_ev = c.model.ev
+    f_cache, phi_cache = f_ev.cache, phi_ev.cache
 
     v_basis: List[Mono] = []
     for p in range(max_degree + 1):
         v_basis.extend(basis_monomials(sig, p))
-    in_w = set(c.W)
-    w_basis = [m for m in v_basis if all(i in in_w for i, _ in m)]
+    w_basis = list(filter(subset_test(sig, c.W), v_basis))
 
     failures: Dict[str, str] = {}
 
@@ -154,9 +148,10 @@ def check_contraction(c: FullContraction, max_degree: int) -> ContractionReport:
             failures[name] = mono_str(sig, m)
 
     def rule(u: Mono, du: int, v: Mono) -> Elem:
-        # phi(u*v) = (-1)^{|u|} u*phi(v) + phi(u)*gf(v)
-        out = mono_mul_into(sig, {}, -1 if du % 2 else 1, u, phi_ev.on_monomial(v))
-        phi_u = phi_ev.on_monomial(u)
+        # phi(u*v) = (-1)^{|u|} u*phi(v) + phi(u)*gf(v), for the halves of a
+        # split, whose images are cached (see below)
+        out = mono_mul_into(sig, {}, -1 if du % 2 else 1, u, phi_cache[v])
+        phi_u = phi_cache[u]
         if phi_u:
             elem_mul_into(sig, out, phi_u, gf(v))
         return out
@@ -173,10 +168,12 @@ def check_contraction(c: FullContraction, max_degree: int) -> ContractionReport:
         lin_axpy(total, 1, d_ev.on_element(phim))
         record("id - gf = phi d + d phi", total == mono_elem(m), m)
         record("f d = dW f", f_ev.on_element(dm) == dw_ev.on_element(fm), m)
-        # extension coherence: both maps agree with every factorization
-        for x, dx, y, dy in _mono_splits(sig, m):
+        # extension coherence: both maps agree with every factorization.
+        # Both halves are basis monomials of lower degree, met earlier in
+        # this loop, so their images are read straight from the caches
+        for x, dx, y, dy in mono_splits(sig, m):
             swap = -1 if (dx % 2 and dy % 2) else 1
-            fx, fy = f_ev.on_monomial(x), f_ev.on_monomial(y)
+            fx, fy = f_cache[x], f_cache[y]
             record("f mu = mu (f x f)", fm == elem_mul(sig, fx, fy), m)
             record("f mu = mu (f x f)", elem_scale(fm, swap) == elem_mul(sig, fy, fx), m)
             record("phi mu rule", phim == rule(x, dx, y), m)

@@ -20,6 +20,7 @@ from .graded_algebra import (
     basis_monomials,
     lin_axpy,
     mono_elem,
+    mono_key,
 )
 from .homology_oracle import column_reduce
 
@@ -28,12 +29,14 @@ _COEFF_POOL = [1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3)]
 
 def _cocycle_space(sig: Signature, diff: Dict[int, Elem], earlier: List[int],
                    degree: int) -> List[Elem]:
-    """Basis of degree-``degree`` cocycles in the span of ``earlier`` monomials."""
+    """Basis of degree-``degree`` cocycles in the span of ``earlier`` monomials;
+    rows are keyed by ``mono_key``, which fixes the pivots."""
     basis = basis_monomials(sig, degree, earlier)
     if not basis:
         return []
     ev = Extension(sig, diff, mono_elem)
-    _, kernel = column_reduce([ev.on_monomial(m) for m in basis])
+    _, kernel = column_reduce([{mono_key(sig, m): c for m, c in ev.on_monomial(b).items()}
+                               for b in basis])
     # kernel positions are distinct and their coefficients nonzero
     return [{basis[pos]: c for pos, c in combo.items()} for combo in kernel]
 

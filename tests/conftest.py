@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sulmin import compute_minimal_model, parse
+from sulmin.graded_algebra import ONE_MONO, mono_gen, mono_mul
 
 INPUTS = pathlib.Path(__file__).resolve().parent.parent / "inputs"
 
@@ -22,6 +23,19 @@ def is_coefficient(c) -> bool:
     """The coefficient rule: an ``int``, or a ``Fraction`` with denominator > 1
     (so neither ``Fraction(2, 1)`` nor a float)."""
     return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def mono(sig, *factors):
+    """The monomial of ``sig`` with the given ``(generator index, exponent)``
+    factors, in increasing index: the one way tests write a monomial by hand.
+    It is built through the package's own product, one factor at a time."""
+    m = ONE_MONO
+    for i, e in factors:
+        g = mono_gen(sig, i)
+        for _ in range(e):
+            sign, m = mono_mul(sig, m, g)
+            assert sign == 1 and m is not None, f"factors {factors} not canonical"
+    return m
 
 
 def load(name: str):

@@ -154,8 +154,8 @@ def test_more_generators_than_the_recursion_limit_enumerate(tmp_path):
 
 
 def test_huge_exponent_exits_two_at_once(tmp_path):
-    # the parser builds v2^(10^10) in a few dozen products (square and
-    # multiply), and the evaluators then refuse the word at once
+    # the parser squares v2 (square and multiply) and refuses the first
+    # power past the exponent field, a dozen products in
     src = tmp_path / "huge.sul"
     src.write_text("gen v2:2\ngen u:19999999999\nd u = v2^10000000000\n")
     start = time.perf_counter()
@@ -163,6 +163,22 @@ def test_huge_exponent_exits_two_at_once(tmp_path):
     assert (code, out) == (2, "")
     assert err == f"{src}: input exceeds the evaluator's word depth\n"
     assert time.perf_counter() - start < 2
+
+@pytest.mark.parametrize("command", ["validate", "minimize", "verify"])
+def test_exponent_past_the_field_exits_two(tmp_path, command):
+    # v2^40000 does not fit the 15-bit exponent field of v2: the product
+    # that would carry into the next field raises instead, and the command
+    # exits 2 as for any word too long to evaluate
+    src = tmp_path / "past.sul"
+    src.write_text("gen v2:2\ngen u:79999\nd u = v2^40000\n")
+    code, out, err = invoke(command, src)
+    assert (code, out) == (2, "")
+    assert err == f"{src}: input exceeds the evaluator's word depth\n"
+    proc = subprocess.run([sys.executable, "-m", "sulmin.cli", command, str(src)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
 
 def test_parentheses_deeper_than_the_parser_exit_two(tmp_path):
     src = tmp_path / "parens.sul"

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mono
 from sulmin.differential import (
     MAX_WORD, DGAlgebra, Extension, WordTooLongError, validate_sullivan)
 from sulmin.dsl import parse, parse_expression
 from sulmin.graded_algebra import (
+    MAX_EXPONENT,
     Signature,
     basis_monomials,
     elem_add,
@@ -123,22 +125,39 @@ def test_long_words_evaluate_in_a_loop():
     # words far past the interpreter's recursion limit, both rules
     sig = Signature.from_pairs([("v2", 2), ("w3", 3)])
     n = 3000
-    f = Extension(sig, {0: {((0, 1),): 2}, 1: {((1, 1),): -1}})
-    assert f.on_monomial(((0, n), (1, 1))) == {((0, n), (1, 1)): -(2 ** n)}
-    d = Extension(sig, {0: {((1, 1),): 1}}, mono_elem)
-    assert d.on_monomial(((0, n),)) == {((0, n - 1), (1, 1)): n}
+    v2, w3 = mono(sig, (0, 1)), mono(sig, (1, 1))
+    f = Extension(sig, {0: {v2: 2}, 1: {w3: -1}})
+    assert f.on_monomial(mono(sig, (0, n), (1, 1))) == {mono(sig, (0, n), (1, 1)): -(2 ** n)}
+    d = Extension(sig, {0: {w3: 1}}, mono_elem)
+    assert d.on_monomial(mono(sig, (0, n))) == {mono(sig, (0, n - 1), (1, 1)): n}
     # the walk stops at the first cached suffix: a longer word reuses them
-    assert d.on_monomial(((0, n + 1),)) == {((0, n), (1, 1)): n + 1}
+    assert d.on_monomial(mono(sig, (0, n + 1))) == {mono(sig, (0, n), (1, 1)): n + 1}
 
 
 def test_word_past_the_limit_is_refused_before_its_walk():
     sig = Signature.from_pairs([("v2", 2), ("w3", 3)])
-    d = Extension(sig, {0: {((1, 1),): 1}}, mono_elem)
-    assert d.on_monomial(((0, MAX_WORD),)) == {((0, MAX_WORD - 1), (1, 1)): MAX_WORD}
-    fresh = Extension(sig, {0: {((1, 1),): 1}}, mono_elem)
+    w3 = mono(sig, (1, 1))
+    d = Extension(sig, {0: {w3: 1}}, mono_elem)
+    assert d.on_monomial(mono(sig, (0, MAX_WORD))) == {mono(sig, (0, MAX_WORD - 1), (1, 1)): MAX_WORD}
+    fresh = Extension(sig, {0: {w3: 1}}, mono_elem)
     with pytest.raises(WordTooLongError, match="more than"):
-        fresh.on_monomial(((0, MAX_WORD + 1),))
-    with pytest.raises(WordTooLongError):
-        fresh.on_monomial(((0, 10**10),))
+        fresh.on_monomial(mono(sig, (0, MAX_WORD + 1)))
+    # the longest word the layout holds
+    with pytest.raises(WordTooLongError, match="more than"):
+        fresh.on_monomial(mono(sig, (0, MAX_EXPONENT)))
     # cached suffixes do not count: only the uncached part of a word is walked
-    assert d.on_monomial(((0, MAX_WORD + 1),)) == {((0, MAX_WORD), (1, 1)): MAX_WORD + 1}
+    assert d.on_monomial(mono(sig, (0, MAX_WORD + 1))) == {mono(sig, (0, MAX_WORD), (1, 1)): MAX_WORD + 1}
+
+
+def test_product_past_a_field_inside_an_evaluator_raises():
+    # the images of short words can overflow a field: the product raises the
+    # same WordTooLongError that the CLI turns into exit 2
+    sig = Signature.from_pairs([("v2", 2), ("w3", 3)])
+    f = Extension(sig, {0: {mono(sig, (0, 20000)): 1}, 1: {}})
+    assert f.on_monomial(mono(sig, (0, 1))) == {mono(sig, (0, 20000)): 1}
+    with pytest.raises(WordTooLongError, match=r"v2\^20000 \* v2\^20000 does not fit"):
+        f.on_monomial(mono(sig, (0, 2)))
+    d = Extension(sig, {1: {mono(sig, (0, 30000)): 1}}, mono_elem)
+    assert d.on_monomial(mono(sig, (0, 2000), (1, 1))) == {mono(sig, (0, 32000)): 1}
+    with pytest.raises(WordTooLongError, match="does not fit"):
+        d.on_monomial(mono(sig, (0, 3000), (1, 1)))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mono
 from sulmin.at_model import DGModule
 from sulmin.differential import DGAlgebra
 from sulmin.dsl import (
@@ -22,7 +23,8 @@ from sulmin.dsl import (
     parse_machine,
     render_machine,
 )
-from sulmin.graded_algebra import Signature, basis_monomials, mono_degree
+from sulmin.graded_algebra import (
+    MAX_EXPONENT, Signature, basis_monomials, mono_degree, mono_factors)
 from sulmin.minimal_model import compute_minimal_model
 from sulmin.random_inputs import random_sullivan_algebra
 
@@ -42,10 +44,17 @@ def test_parse_coefficients_and_signs():
     dga = parse(text)
     sig = dga.sig
     dx = dga.d_of(sig.by_name("x1").index)
-    v2 = ((sig.by_name("v2").index, 1),)
-    ab = ((sig.by_name("a1").index, 1), (sig.by_name("b1").index, 1))
-    bc = ((sig.by_name("b1").index, 1), (sig.by_name("c1").index, 1))
+    v2 = mono(sig, (sig.by_name("v2").index, 1))
+    ab = mono(sig, (sig.by_name("a1").index, 1), (sig.by_name("b1").index, 1))
+    bc = mono(sig, (sig.by_name("b1").index, 1), (sig.by_name("c1").index, 1))
     assert dx == {v2: Fraction(1), ab: Fraction(-2), bc: Fraction(2)}
+
+
+def test_exponent_at_the_field_limit_parses():
+    dga = parse(f"gen v2:2\ngen u:{2 * MAX_EXPONENT - 1}\nd u = v2^{MAX_EXPONENT}\n")
+    ((m, c),) = dga.d_of(1).items()
+    assert (mono_factors(dga.sig, m), c) == (((0, MAX_EXPONENT),), 1)
+    assert format_element(dga.sig, dga.d_of(1)) == f"v2^{MAX_EXPONENT}"
 
 
 def test_odd_square_normalizes_to_zero():
@@ -210,15 +219,15 @@ def _reference_format_element(sig, x):
     if not x:
         return "0"
     parts = []
-    key = lambda m: (mono_degree(sig, m), tuple(i for i, e in m for _ in range(e)))
+    key = lambda m: _expanded_key(sig, mono_factors(sig, m))
     for m in sorted(x, key=key):
         c = x[m]
         mag = abs(c)
         if not m:
             body = str(mag)
         else:
-            factors = "*".join(
-                sig.name(i) if e == 1 else f"{sig.name(i)}^{e}" for i, e in m)
+            factors = "*".join(sig.name(i) if e == 1 else f"{sig.name(i)}^{e}"
+                               for i, e in mono_factors(sig, m))
             body = factors if mag == 1 else f"{mag}*{factors}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
@@ -253,7 +262,7 @@ _COEFFS = st.one_of(
               st.integers(1, 10**30)),
 )
 _MONOS = st.sampled_from(
-    [m for p in range(5) for m in basis_monomials(_FORMAT_SIG, p)])  # () is the constant
+    [m for p in range(5) for m in basis_monomials(_FORMAT_SIG, p)])  # degree 0: the constant
 
 
 @given(st.dictionaries(_MONOS, _COEFFS, max_size=6))
@@ -268,10 +277,11 @@ def test_format_linear_matches_the_fraction_formatter(x):
     assert format_linear(_FORMAT_MODULE, x) == _reference_format_linear(_FORMAT_MODULE, x)
 
 
-def _expanded_key(sig, m):
-    """The term order as first defined: degree, then the factor sequence with
-    every power written out."""
-    return (mono_degree(sig, m), tuple(i for i, e in m for _ in range(e)))
+def _expanded_key(sig, factors):
+    """The term order as first defined, on a factor list: degree, then the
+    factor sequence with every power written out."""
+    return (sum(e * sig.degree(i) for i, e in factors),
+            tuple(i for i, e in factors for _ in range(e)))
 
 
 _KEY_SIG = Signature.from_pairs([("a1", 1), ("v2", 2), ("w2", 2), ("b3", 3), ("x4", 4)])
@@ -284,17 +294,22 @@ _KEY_MONOS = st.builds(
 @given(st.lists(_KEY_MONOS, unique=True, max_size=12))
 @settings(max_examples=300, deadline=None)
 def test_term_key_orders_as_the_expanded_key(monos):
-    by_key = sorted(monos, key=lambda m: _term_key(_KEY_SIG, m))
+    # monos are factor lists; _term_key reads their packed monomials
+    by_key = sorted(monos, key=lambda m: _term_key(_KEY_SIG, mono(_KEY_SIG, *m)))
     assert by_key == sorted(monos, key=lambda m: _expanded_key(_KEY_SIG, m))
+    # and the key itself is the one of the factor-list form
+    for m in monos:
+        assert _term_key(_KEY_SIG, mono(_KEY_SIG, *m)) == (
+            mono_degree(_KEY_SIG, mono(_KEY_SIG, *m)), tuple((i, -e) for i, e in m))
 
 
 def test_huge_power_formats_at_once():
-    # the term key does not write the power out, so a billion factors cost
-    # no more than one
+    # the term key does not write the power out, so the longest words the
+    # layout holds cost no more than one factor
     sig = Signature.from_pairs([("v2", 2), ("w2", 2)])
-    x = {((0, 10**9),): 1, ((1, 10**9),): Fraction(-1, 2)}
+    x = {mono(sig, (0, MAX_EXPONENT)): 1, mono(sig, (1, MAX_EXPONENT)): Fraction(-1, 2)}
     start = time.perf_counter()
-    assert format_element(sig, x) == "v2^1000000000 - 1/2*w2^1000000000"
-    assert format_element(sig, parse_expression(sig, "v2^3000000 + w2^3000000")) == \
-        "v2^3000000 + w2^3000000"
+    assert format_element(sig, x) == f"v2^{MAX_EXPONENT} - 1/2*w2^{MAX_EXPONENT}"
+    assert format_element(sig, parse_expression(sig, "v2^30000 + w2^30000")) == \
+        "v2^30000 + w2^30000"
     assert time.perf_counter() - start < 0.5

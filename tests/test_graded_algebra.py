@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import is_coefficient
+from conftest import is_coefficient, mono
+from sulmin.differential import DGAlgebra
 from sulmin.graded_algebra import (
+    MAX_EXPONENT,
+    ONE_MONO,
     Signature,
     SignatureError,
+    WordTooLongError,
     basis_monomials,
     elem_add,
     elem_gen,
@@ -22,11 +26,18 @@ from sulmin.graded_algebra import (
     in_lambda_geq2,
     linear_part,
     mono_degree,
+    mono_factors,
+    mono_first,
     mono_from_factors,
+    mono_gen,
+    mono_key,
     mono_mul,
+    mono_splits,
+    mono_valid,
+    subset_test,
 )
 from sulmin.cli import verify_algebra
-from sulmin.dsl import parse_expression
+from sulmin.dsl import parse, parse_expression
 from sulmin.random_inputs import random_sullivan_algebra
 
 SIG = Signature.from_pairs([("a1", 1), ("b1", 1), ("c1", 1), ("v2", 2), ("u3", 3)])
@@ -38,23 +49,25 @@ def expr(text, sig=SIG):
 
 
 def test_odd_generator_squares_to_zero():
-    sign, ab = mono_mul(SIG, ((A, 1),), ((B, 1),))
-    assert (sign, ab) == (1, ((A, 1), (B, 1)))
-    assert mono_mul(SIG, ab, ((A, 1),)) == (0, None)
+    sign, ab = mono_mul(SIG, mono(SIG, (A, 1)), mono(SIG, (B, 1)))
+    assert (sign, ab) == (1, mono(SIG, (A, 1), (B, 1)))
+    assert mono_mul(SIG, ab, mono(SIG, (A, 1))) == (0, None)
 
 
 def test_koszul_transposition_of_two_odds():
-    assert mono_mul(SIG, ((B, 1),), ((A, 1),)) == (-1, ((A, 1), (B, 1)))
+    assert mono_mul(SIG, mono(SIG, (B, 1)), mono(SIG, (A, 1))) == (-1, mono(SIG, (A, 1), (B, 1)))
 
 
 def test_even_generator_square_survives():
-    assert mono_mul(SIG, ((V, 1),), ((V, 1),)) == (1, ((V, 2),))
+    assert mono_mul(SIG, mono(SIG, (V, 1)), mono(SIG, (V, 1))) == (1, mono(SIG, (V, 2)))
+    assert mono_factors(SIG, mono(SIG, (V, 2))) == ((V, 2),)
 
 
 def test_odd_even_commute_without_sign():
     sig = Signature.from_pairs([("x1", 1), ("v2", 2)])
-    assert mono_mul(sig, ((0, 1),), ((1, 1),)) == (1, ((0, 1), (1, 1)))
-    assert mono_mul(sig, ((1, 1),), ((0, 1),)) == (1, ((0, 1), (1, 1)))
+    x, v = mono(sig, (0, 1)), mono(sig, (1, 1))
+    assert mono_mul(sig, x, v) == (1, mono(sig, (0, 1), (1, 1)))
+    assert mono_mul(sig, v, x) == (1, mono(sig, (0, 1), (1, 1)))
 
 
 def test_signature_rejects_degree_below_one():
@@ -65,8 +78,22 @@ def test_signature_rejects_degree_below_one():
 
 
 def test_signature_mismatch_rejected():
+    # a monomial enters through a table, where mono_valid refuses one that
+    # the signature did not pack: another signature's generator, a negative
+    # or non-int key, a set guard bit, a tuple of the old factor-list form
+    wide = Signature.from_pairs([(f"x{i}", 1) for i in range(8)])
+    assert not mono_valid(SIG, mono(wide, (7, 1)))
+    assert mono_valid(wide, mono(wide, (7, 1)))
+    big = mono(SIG, (V, MAX_EXPONENT))
+    assert mono_valid(SIG, big)
+    for bad in (mono(wide, (7, 1)), -1, ((V, 1),), big + mono(SIG, (V, 1)) - 1, True):
+        assert not mono_valid(SIG, bad)
+        with pytest.raises(ValueError, match="non-canonical term"):
+            DGAlgebra(SIG, {U: {bad: 1}})
     with pytest.raises(SignatureError):
-        mono_mul(SIG, ((7, 1),), ())
+        mono_gen(SIG, 5)
+    with pytest.raises(SignatureError):
+        elem_gen(SIG, -1)
 
 
 def test_square_of_odd_combination_vanishes():
@@ -88,10 +115,10 @@ def test_even_polynomial_arithmetic():
 
 def test_linear_part_reads_bare_generators():
     x = expr("v2 - 2*a1*b1 + 2*b1*c1")
-    assert linear_part(x) == {V: 1}
-    assert linear_part(expr("2*a1 - 1/2*b1 + a1*b1")) == {A: 2, B: Fraction(-1, 2)}
-    assert linear_part(expr("v2^2")) == {}
-    assert linear_part({}) == {}
+    assert linear_part(SIG, x) == {V: 1}
+    assert linear_part(SIG, expr("2*a1 - 1/2*b1 + a1*b1")) == {A: 2, B: Fraction(-1, 2)}
+    assert linear_part(SIG, expr("v2^2")) == {}
+    assert linear_part(SIG, {}) == {}
 
 
 def test_in_lambda_geq2():
@@ -103,18 +130,20 @@ def test_in_lambda_geq2():
 
 
 def test_basis_monomials_degree_zero_is_unit():
-    assert basis_monomials(SIG, 0) == [()]
-    assert basis_monomials(SIG, 0, []) == [()]
+    assert basis_monomials(SIG, 0) == [ONE_MONO]
+    assert basis_monomials(SIG, 0, []) == [ONE_MONO]
+    assert mono_factors(SIG, ONE_MONO) == ()
 
 
 def test_basis_monomials_odd_words_collapse():
     sig = Signature.from_pairs([("b1", 1), ("c1", 1), ("u3", 3)])
-    assert basis_monomials(sig, 3) == [((2, 1),)]
+    assert basis_monomials(sig, 3) == [mono(sig, (2, 1))]
 
 
 def test_basis_monomials_degree_two():
     got = basis_monomials(SIG, 2, [A, B, C, V])
-    assert got == [((A, 1), (B, 1)), ((A, 1), (C, 1)), ((B, 1), (C, 1)), ((V, 1),)]
+    assert [mono_factors(SIG, m) for m in got] == [
+        ((A, 1), (B, 1)), ((A, 1), (C, 1)), ((B, 1), (C, 1)), ((V, 1),)]
 
 
 def test_basis_count_binomial_for_odd_degree_one_generators():
@@ -185,9 +214,9 @@ def test_linear_plus_products_decomposition(seed):
     for _ in range(3):
         x = elem_add(x, _random_homogeneous(rng, SIG, rng.randint(0, 5)))
     rebuilt = {}
-    for i, c in linear_part(x).items():
+    for i, c in linear_part(SIG, x).items():
         rebuilt = elem_add(rebuilt, elem_scale(elem_gen(SIG, i), c))
-    constant = {m: c for m, c in x.items() if m == ()}
+    constant = {m: c for m, c in x.items() if m == ONE_MONO}
     rest = elem_sub(elem_sub(x, rebuilt), constant)
     assert in_lambda_geq2(SIG, rest, None)
     assert elem_add(elem_add(rebuilt, constant), rest) == x
@@ -211,8 +240,58 @@ def test_power_is_the_repeated_product(seed, e):
 def test_large_exponent_parses_in_log_many_products():
     sig = Signature.from_pairs([("v2", 2)])
     start = time.perf_counter()
-    assert expr("v2^1000000", sig) == {((0, 1000000),): 1}
+    assert expr(f"v2^{MAX_EXPONENT}", sig) == {mono(sig, (0, MAX_EXPONENT)): 1}
     assert time.perf_counter() - start < 0.5
+
+
+def test_exponent_past_the_field_raises_and_never_carries():
+    # the field of v2 sits right below the one of w2: an exponent past it
+    # must raise, not turn v2^(MAX_EXPONENT + 1) into some power of w2
+    sig = Signature.from_pairs([("a1", 1), ("v2", 2), ("w2", 2), ("b1", 1)])
+    top = mono(sig, (1, MAX_EXPONENT))
+    assert mono_factors(sig, top) == ((1, MAX_EXPONENT),)
+    v = mono_gen(sig, 1)
+    for a, b in [(top, v), (v, top), (mono(sig, (1, 20000)), mono(sig, (1, 20000), (3, 1)))]:
+        with pytest.raises(WordTooLongError, match="v2.* does not fit"):
+            mono_mul(sig, a, b)
+        with pytest.raises(WordTooLongError):
+            elem_mul(sig, {a: 1, ONE_MONO: 2}, {b: 3})
+    with pytest.raises(WordTooLongError):
+        expr(f"v2^{MAX_EXPONENT + 1}", sig)
+    with pytest.raises(WordTooLongError):
+        expr("(a1 + v2^30000)*(w2 + v2^3000)", sig)
+    # the limit is per field: both even fields full is fine
+    assert expr(f"v2^{MAX_EXPONENT}*w2^{MAX_EXPONENT}*a1*b1", sig) == {
+        mono(sig, (0, 1), (1, MAX_EXPONENT), (2, MAX_EXPONENT), (3, 1)): 1}
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=40, deadline=None)
+def test_a_prefix_signature_packs_its_monomials_alike(seed):
+    # the parser builds each derivative against the generators declared so
+    # far, so a monomial must not depend on the generators declared later
+    rng = random.Random(seed)
+    sig = _random_signature(rng)
+    k = rng.randint(0, len(sig))
+    prefix = Signature(sig.generators[:k])
+    for p in range(6):
+        assert basis_monomials(prefix, p) == basis_monomials(sig, p, range(k))
+
+
+def test_derivatives_parsed_before_later_declarations_are_packed_alike():
+    interleaved = parse("gen a1:1\ngen b1:1\ngen v2:2\nd v2 = a1*b1\ngen u3:3\nd u3 = v2*a1\n")
+    declared_first = parse("gen a1:1\ngen b1:1\ngen v2:2\ngen u3:3\nd v2 = a1*b1\nd u3 = v2*a1\n")
+    assert interleaved.diff == declared_first.diff
+
+
+def test_salted_layout_spreads_the_hashes_of_a_wide_basis():
+    # CPython hashes an int mod 2^61 - 1, so the bare field bits of 600 odd
+    # generators fold onto 61 residues and their 179,700 degree-2 monomials
+    # onto 1,891 hashes; the salt spreads them
+    sig = Signature.from_pairs([(f"x{i}", 1) for i in range(600)])
+    basis = basis_monomials(sig, 2)
+    assert len(basis) == 179_700
+    assert len(set(map(hash, basis))) >= 0.99 * len(basis)
 
 def test_basis_monomials_distinct_and_homogeneous():
     for p in range(7):
@@ -242,7 +321,8 @@ def test_memoised_basis_is_the_fresh_enumeration(seed):
         assert basis == basis_monomials(sig, p, everything)
         assert basis_monomials(sig, p) is basis
         chosen = set(subset)
-        assert [m for m in basis if all(i in chosen for i, _ in m)] \
+        assert [m for m in basis if all(i in chosen for i, _ in mono_factors(sig, m))] \
+            == list(filter(subset_test(sig, subset), basis)) \
             == basis_monomials(sig, p, subset)
     assert sorted(sig._bases) == list(range(9))
 
@@ -343,18 +423,31 @@ def _random_elem(rng, sig):
     return out
 
 
+def _packed(sig, x):
+    """A reference element, keyed by factor lists, keyed by monomials."""
+    return {mono(sig, *m): c for m, c in x.items()}
+
+
 @given(st.integers(0, 10**9))
 @settings(max_examples=200, deadline=None)
 def test_kernel_fast_paths_match_plain_definitions(seed):
+    # the packed kernels against the tuple reference, which merges factor
+    # lists; factor lists and packed monomials correspond one to one
     rng = random.Random(seed)
     a, b = _random_mono(rng, MIXED), _random_mono(rng, MIXED)
-    assert mono_mul(MIXED, a, b) == _ref_mono_mul(MIXED, a, b)
+    sign, m = _ref_mono_mul(MIXED, a, b)
+    packed = mono_mul(MIXED, mono(MIXED, *a), mono(MIXED, *b))
+    assert packed == (sign, None if m is None else mono(MIXED, *m))
+    if m is not None:
+        assert mono_factors(MIXED, packed[1]) == mono_key(MIXED, packed[1]) == m
     x, y = _random_elem(rng, MIXED), _random_elem(rng, MIXED)
     if rng.random() < 0.5:
         x = {_random_mono(rng, MIXED): Fraction(1)}  # the unit left factor of gen * tail
+    ref = _packed(MIXED, _ref_elem_mul(MIXED, x, y))
+    x, y = _packed(MIXED, x), _packed(MIXED, y)
     product = elem_mul(MIXED, x, y)
     # same terms in the same order, so anything printed from it is unchanged
-    assert list(product.items()) == list(_ref_elem_mul(MIXED, x, y).items())
+    assert list(product.items()) == list(ref.items())
     assert all(is_coefficient(c) for c in product.values())
     # sums that cancel, and sums that add fresh terms
     y = {**y, **{m: -c for m, c in list(x.items())[:2]}}
@@ -367,6 +460,7 @@ def test_kernel_fast_paths_match_plain_definitions(seed):
 
 def test_mono_mul_sign_and_odd_square_cases():
     a1, v2, b3, w2, c1 = ((0, 1),), ((1, 1),), ((2, 1),), ((3, 1),), ((4, 1),)
+    # cases and results are factor lists, packed for mono_mul
     cases = [
         ((*a1, *b3), (*v2, *c1)),   # only the even v2 moves: sign +1
         ((*b3, *c1), a1),           # a1 passes c1 and b3: sign +1
@@ -383,7 +477,41 @@ def test_mono_mul_sign_and_odd_square_cases():
         (-1, (*a1, *b3, *c1)),
         (0, None),
     ]
-    for (x, y), want in zip(cases, expected):
-        assert mono_mul(MIXED, x, y) == want == _ref_mono_mul(MIXED, x, y)
-    with pytest.raises(SignatureError):
-        mono_mul(MIXED, ((7, 1),), a1)
+    for (x, y), (sign, m) in zip(cases, expected):
+        assert _ref_mono_mul(MIXED, x, y) == (sign, m)
+        packed = None if m is None else mono(MIXED, *m)
+        assert mono_mul(MIXED, mono(MIXED, *x), mono(MIXED, *y)) == (sign, packed)
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=60, deadline=None)
+def test_basis_comes_in_the_factor_list_order(seed):
+    # basis_monomials pushes children in reverse instead of sorting: its
+    # order must be the sort by factor lists, for every subset
+    rng = random.Random(seed)
+    sig = _random_signature(rng)
+    subset = rng.sample(range(len(sig)), rng.randint(0, len(sig)))
+    for p in range(9):
+        for basis in (basis_monomials(sig, p), basis_monomials(sig, p, subset)):
+            keys = [mono_key(sig, m) for m in basis]
+            assert keys == sorted(keys)
+            assert [mono(sig, *k) for k in keys] == basis
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=100, deadline=None)
+def test_first_factor_and_splits_take_a_monomial_apart(seed):
+    rng = random.Random(seed)
+    factors = _random_mono(rng, MIXED)
+    m = mono(MIXED, *factors)
+    if factors:
+        i, rest = mono_first(MIXED, m)
+        head = ((i, factors[0][1] - 1),) if factors[0][1] > 1 else ()
+        assert (i, rest) == (factors[0][0], mono(MIXED, *head, *factors[1:]))
+    expanded = [i for i, e in factors for _ in range(e)]
+    splits = list(mono_splits(MIXED, m))
+    assert len(splits) == max(len(expanded) - 1, 0)
+    for k, (left, dleft, right, dright) in enumerate(splits, 1):
+        assert mono_from_factors(MIXED, expanded[:k]) == (1, left)
+        assert mono_from_factors(MIXED, expanded[k:]) == (1, right)
+        assert (dleft, dright) == (mono_degree(MIXED, left), mono_degree(MIXED, right))

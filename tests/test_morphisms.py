@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import is_coefficient
+from conftest import is_coefficient, mono
 from sulmin.differential import DGAlgebra, Extension
 from sulmin.dsl import emit_machine, emit_report, parse_expression, parse_machine
 from sulmin.graded_algebra import (
+    ONE_MONO,
     Signature,
     basis_monomials,
     elem_add,
@@ -23,6 +24,8 @@ from sulmin.graded_algebra import (
     elem_sub,
     mono_degree,
     mono_elem,
+    mono_factors,
+    mono_splits,
     mono_str,
 )
 from sulmin.homology_oracle import compare_cohomology, rank_of_columns
@@ -32,7 +35,6 @@ from sulmin.morphisms import (
     ContractionReport,
     FullContraction,
     IdentityCheck,
-    _mono_splits,
     check_contraction,
     homotopy_extension,
 )
@@ -79,7 +81,7 @@ def test_homotopy_on_even_square():
 def test_homotopy_kills_scalars():
     _, _, phi = _ex1_state()
     assert phi.on_element(elem_one()) == {}
-    assert phi.on_element({(): 3}) == {}
+    assert phi.on_element({ONE_MONO: 3}) == {}
 
 
 def test_homotopy_on_single_generator_is_table_entry():
@@ -203,14 +205,14 @@ def test_checker_leaves_shared_tables_untouched():
         before = copy.deepcopy(tables)
         # the sweep, the checker and the oracle share the source algebra's
         # d evaluator, so none of them may change an image another cached
-        d_images = c.source.ev._cache
+        d_images = c.source.ev.cache
         swept = copy.deepcopy(d_images)
         first = check_contraction(c, 6)
         assert {m: d_images[m] for m in swept} == swept
         checked = copy.deepcopy(d_images)
         second = check_contraction(c, 6)
         assert first == second
-        compare_cohomology((c.source, None), (DGAlgebra(sig, c.dW), c.W), 6)
+        compare_cohomology((c.source, None), (c.model, c.W), 6)
         assert {m: d_images[m] for m in checked} == checked
         emit_report(c)
         parse_machine(emit_machine(c), c.sig)
@@ -276,22 +278,24 @@ def test_on_element_folds_into_a_fresh_dict(seed, data):
             monos = data.draw(st.lists(st.sampled_from(basis), min_size=2, max_size=4, unique=True))
             elements.append({m: data.draw(coeffs) for m in monos})
         wants = [_copy_fold(ev, x) for x in elements]  # caches every image used
-        cache = copy.deepcopy(ev._cache)
+        cache = copy.deepcopy(ev.cache)
         for x, want in zip(elements, wants):
             got = ev.on_element(x)
             assert got == want
-            assert all(got is not img for img in ev._cache.values())
+            assert all(got is not img for img in ev.cache.values())
             assert all(got is not img for img in ev.table.values())
-        assert ev._cache == cache
+        assert ev.cache == cache
         assert dict(ev.table) == table
 
 
-def _reference_splits(m):
+def _reference_splits(sig, m):
+    # split the written-out factor sequence of the factor list of m, and
+    # pack both halves
     copies = []
-    for i, e in m:
+    for i, e in mono_factors(sig, m):
         copies.extend([i] * e)
     for t in range(1, len(copies)):
-        yield _reference_pack(copies[:t]), _reference_pack(copies[t:])
+        yield mono(sig, *_reference_pack(copies[:t])), mono(sig, *_reference_pack(copies[t:]))
 
 
 def _reference_pack(copies):
@@ -310,13 +314,13 @@ _SPLIT_SIG = Signature.from_pairs([("a1", 1), ("v2", 2), ("b1", 1), ("w4", 4)])
 @given(st.tuples(st.integers(0, 1), st.integers(0, 5), st.integers(0, 1), st.integers(0, 4)))
 @settings(max_examples=200, deadline=None)
 def test_splits_slice_as_the_expanded_sequence_does(exps):
-    # the checker slices the canonical tuple; every split of the written-out
-    # factor sequence, powers included, in order, with both degrees
-    m = tuple((i, e) for i, e in enumerate(exps) if e)
+    # every split of the written-out factor sequence, powers included, in
+    # order, with both degrees
+    m = mono(_SPLIT_SIG, *((i, e) for i, e in enumerate(exps) if e))
     total = mono_degree(_SPLIT_SIG, m)
     want = [(x, mono_degree(_SPLIT_SIG, x), y, total - mono_degree(_SPLIT_SIG, x))
-            for x, y in _reference_splits(m)]
-    assert list(_mono_splits(_SPLIT_SIG, m)) == want
+            for x, y in _reference_splits(_SPLIT_SIG, m)]
+    assert list(mono_splits(_SPLIT_SIG, m)) == want
 
 
 def _reference_check_contraction(c, max_degree):
@@ -370,7 +374,7 @@ def _reference_check_contraction(c, max_degree):
     for m in v_basis:
         fm = f_ev.on_monomial(m)
         phim = phi_ev.on_monomial(m)
-        for x, y in _reference_splits(m):
+        for x, y in _reference_splits(sig, m):
             swap = -1 if (mono_degree(sig, x) % 2 and mono_degree(sig, y) % 2) else 1
             fx, fy = f_ev.on_monomial(x), f_ev.on_monomial(y)
             record("f mu = mu (f x f)", elem_sub(fm, elem_mul(sig, fx, fy)), m)
