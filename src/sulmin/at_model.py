@@ -12,38 +12,75 @@ module inputs, and ``minimal_model`` on the linear part of an algebra's
 differential: the algebra sweep takes its pairs from here and only lifts the
 contraction to products.
 
-``lin_apply`` is the one linear extension of a generator table: the module
-differential, the sweep's ``f`` and ``phi`` and the identity checker all go
-through it.  It accumulates in place on a dict that it creates and hands to
-the caller, so no stored table entry is ever written.  The accumulate itself,
-``lin_axpy``, belongs to ``graded_algebra``: the module layer sits under the
-algebra layer and owns no kernel of its own.
+Inside this module every vector is an integer row ``(den, vals)`` (see
+``graded_algebra.int_row``): the vector ``vals / den`` with ``den > 0``,
+``int`` values, and no factor common to ``den`` and all the values.  A row
+is in lowest terms, so two rows are equal exactly when their vectors are.
+No ``Fraction`` arithmetic runs here: ``row_apply``, the one linear extension
+of a table of rows, sums over a common denominator with
+``graded_algebra.lin_axpy`` on ``int``s, and the sweep's corrections
+cross-multiply.  A module's differential becomes rows once (``DGModule.rows``,
+built by the first ``validate_module`` and reused by the sweep), and
+``check_at_model`` turns the tables it checks into rows.  Rows become
+coefficients again (``graded_algebra.row_coeffs``) only at the ``ATModel``
+boundary, whose ``f``, ``g`` and ``phi`` are plain ``Lin`` dicts under the
+coefficient rule.  The sweep owns every row it builds and no two share a
+dict, so it corrects a row in place and hands each dict to the ``ATModel``
+at most once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import gcd, lcm
 from typing import Dict, List, Mapping, Set, Tuple
 
-from .graded_algebra import Coeff, lin_axpy, q_div, q_table
+from .graded_algebra import Coeff, Row, int_row, lin_axpy, q_table, row_coeffs
 from .morphisms import IdentityCheck
 
 Lin = Dict[int, Coeff]
 
 
-def lin_apply(table: Mapping[int, Lin], x: Lin) -> Lin:
-    """The linear extension of a generator table: the sum of c * table[i] over x.
+def _lowest(den: int, vals: Dict[int, int]) -> Row:
+    """The row ``vals / den`` (``den`` > 0) in lowest terms."""
+    if not vals:
+        return 1, vals
+    if den != 1:
+        c = gcd(den, *vals.values())
+        if c != 1:
+            return den // c, {k: v // c for k, v in vals.items()}
+    return den, vals
+
+
+def row_apply(table: Mapping[int, Row], x: Row) -> Row:
+    """The linear extension of a table of rows: the row of the sum of
+    ``c / den * table[k]`` over ``x = (den, {k: c})``.
 
     A generator absent from the table maps to zero.  The sum accumulates in
-    place in one new dict, which the caller owns; no table entry is written
-    to or handed back by reference.
+    one new dict over a common denominator, the lcm of the images' ones so
+    far: an image whose denominator does not divide it rescales the sum by
+    the missing factor first.  No table entry is written to or handed back by
+    reference.
     """
-    out: Lin = {}
-    for i, c in x.items():
-        img = table.get(i)
-        if img and c:
-            lin_axpy(out, c, img)
-    return out
+    den, vals = x
+    out: Dict[int, int] = {}
+    common = 1
+    for k, c in vals.items():
+        img = table.get(k)
+        if img is None or not img[1]:
+            continue
+        d, y = img
+        if common % d:
+            grown = lcm(common, d)
+            scale = grown // common
+            out = {j: scale * v for j, v in out.items()}
+            common = grown
+        lin_axpy(out, c if d == common else c * (common // d), y)
+    return _lowest(den * common, out)
+
+
+_ZERO: Row = (1, {})  # read only
 
 
 @dataclass(frozen=True)
@@ -66,6 +103,12 @@ class DGModule:
     def d_of(self, index: int) -> Lin:
         return self.diff.get(index, {})
 
+    @cached_property
+    def rows(self) -> Dict[int, Row]:
+        """The differential as integer rows, built on first use and kept;
+        like ``diff``, it must not be mutated."""
+        return {i: int_row(dx) for i, dx in self.diff.items()}
+
 
 def validate_module(M: DGModule) -> List[str]:
     """All violations of the ordered DG-module contract, as messages."""
@@ -77,6 +120,7 @@ def validate_module(M: DGModule) -> List[str]:
         if name in names:
             problems.append(f"duplicate generator name {name}")
         names.add(name)
+    rows = M.rows
     for i, dx in sorted(M.diff.items()):
         name, deg = M.generators[i]
         for j in dx:
@@ -86,7 +130,7 @@ def validate_module(M: DGModule) -> List[str]:
             if M.degree(j) != deg + 1:
                 problems.append(
                     f"d({name}) term {M.name(j)} has degree {M.degree(j)}, expected {deg + 1}")
-        if lin_apply(M.diff, dx):
+        if row_apply(rows, rows[i])[1]:
             problems.append(f"d(d({name})) is nonzero")
     return problems
 
@@ -116,40 +160,57 @@ def compute_at_model(M: DGModule) -> ATModel:
     if problems:
         raise ModuleValidationError(problems)
 
+    rows = M.rows
     H: List[int] = []
-    f: Dict[int, Lin] = {}
-    g: Dict[int, Lin] = {}
-    phi: Dict[int, Lin] = {}
+    # f, g and phi as rows until the ATModel is built
+    f: Dict[int, Row] = {}
+    g: Dict[int, Row] = {}
+    phi: Dict[int, Row] = {}
     pairs: List[Tuple[int, int]] = []
     # users[k]: the generators whose f image mentions the class k, for
     # exactly the classes k still in H
     users: Dict[int, Set[int]] = {}
 
     for i in range(len(M.generators)):
-        di = M.d_of(i)
-        a = lin_apply(f, di)
-        b = lin_axpy({i: 1}, -1, lin_apply(phi, di))
+        di = rows.get(i, _ZERO)
+        a_den, a = row_apply(f, di)
+        b_den, b = row_apply(phi, di)
+        b = lin_axpy({i: b_den}, -1, b)  # i - phi(d i)
         if not a:
             H.append(i)
-            f[i] = {i: 1}
-            g[i] = b
-            phi[i] = {}
+            f[i] = (1, {i: 1})
+            g[i] = (b_den, b)
+            phi[i] = (1, {})
             users[i] = {i}
         else:
             j = max(k for k in a if k in users)
-            alpha = a[j]
+            # alpha = a[j] / a_den; dividing by p = |a[j]| and multiplying by
+            # sign keeps every denominator below positive
+            p, sign = (a[j], 1) if a[j] > 0 else (-a[j], -1)
             H.remove(j)
-            f[i] = {}
-            phi[i] = {}
+            f[i] = (1, {})
+            phi[i] = (1, {})
             g.pop(j, None)
             pairs.append((i, j))
-            # corrections store new dicts: no entry is written once stored;
-            # each one cancels j and can only add or cancel the classes of a
+            # each correction cancels j and can only add or cancel the classes
+            # of a; the sweep owns every row it stores (no dict is shared), so
+            # an unscaled row is corrected in place
             for m in sorted(users.pop(j)):
-                fm = f[m]
-                lam = q_div(fm[j], alpha)
-                fm = f[m] = lin_axpy(dict(fm), -lam, a)
-                phi[m] = lin_axpy(dict(phi[m]), lam, b)
+                den, fm = f[m]
+                t = sign * fm[j]
+                # lam = fm[j] / (den * alpha) = t * a_den / (den * p), so
+                # f[m] - lam * a = (p * fm - t * a) / (den * p): a_den cancels
+                if p != 1:
+                    fm = {k: p * v for k, v in fm.items()}
+                f[m] = _lowest(den * p, lin_axpy(fm, -t, a))
+                # phi[m] + lam * b over the lcm of both denominators
+                lam_den = den * p * b_den
+                phi_den, phi_m = phi[m]
+                common = lcm(phi_den, lam_den)
+                if common != phi_den:
+                    scale = common // phi_den
+                    phi_m = {k: scale * v for k, v in phi_m.items()}
+                phi[m] = _lowest(common, lin_axpy(phi_m, t * a_den * (common // lam_den), b))
                 for k in a:
                     if k != j:
                         if k in fm:
@@ -157,7 +218,8 @@ def compute_at_model(M: DGModule) -> ATModel:
                         else:
                             users[k].discard(m)
 
-    return ATModel(tuple(H), f, g, phi, tuple(pairs))
+    return ATModel(tuple(H), *({m: row_coeffs(r) for m, r in table.items()}
+                               for table in (f, g, phi)), tuple(pairs))
 
 
 def check_at_model(M: DGModule, A: ATModel) -> Tuple[IdentityCheck, ...]:
@@ -165,36 +227,39 @@ def check_at_model(M: DGModule, A: ATModel) -> Tuple[IdentityCheck, ...]:
 
     failures: Dict[str, str] = {}
 
-    def record(name: str, residual: Lin, where: str) -> None:
-        if residual and name not in failures:
+    def record(name: str, failed, where: str) -> None:
+        if failed and name not in failures:
             failures[name] = where
 
+    def total(*rows: Row) -> Row:
+        """The row of the sum of ``rows``."""
+        return row_apply(dict(enumerate(rows)), (1, dict.fromkeys(range(len(rows)), 1)))
+
+    # rows are in lowest terms, so each identity is an equality of rows
+    D = M.rows
+    F, G, P = ({k: int_row(v) for k, v in table.items()} for table in (A.f, A.g, A.phi))
     for i in range(len(M.generators)):
         name = M.name(i)
-        unit: Lin = {i: 1}
-        di = M.d_of(i)
-        phii = A.phi[i]
-        record("f d = 0", lin_apply(A.f, di), name)
-        record("f phi = 0", lin_apply(A.f, phii), name)
-        record("phi phi = 0", lin_apply(A.phi, phii), name)
-        fm = lin_apply(A.f, unit)
-        if any(k not in A.g for k in fm):
-            record("id - gf = phi d + d phi", fm, name)  # f escapes the span of H
+        di = D.get(i, _ZERO)
+        phii = P[i]
+        record("f d = 0", row_apply(F, di)[1], name)
+        record("f phi = 0", row_apply(F, phii)[1], name)
+        record("phi phi = 0", row_apply(P, phii)[1], name)
+        fi = F.get(i, _ZERO)
+        if any(k not in A.g for k in fi[1]):
+            record("id - gf = phi d + d phi", True, name)  # f escapes the span of H
         else:
-            # the residual up to sign: gf + phi d + d phi - id
-            residual = lin_axpy(lin_apply(A.g, fm), -1, unit)
-            lin_axpy(residual, 1, lin_apply(A.phi, di))
-            lin_axpy(residual, 1, lin_apply(M.diff, phii))
-            record("id - gf = phi d + d phi", residual, name)
-        record("phi d phi = phi",
-               lin_axpy(lin_apply(A.phi, lin_apply(M.diff, phii)), -1, phii), name)
-        record("d phi d = d", lin_axpy(lin_apply(M.diff, lin_apply(A.phi, di)), -1, di), name)
+            record("id - gf = phi d + d phi",
+                   total(row_apply(G, fi), row_apply(P, di), row_apply(D, phii)) != (1, {i: 1}),
+                   name)
+        record("phi d phi = phi", row_apply(P, row_apply(D, phii)) != phii, name)
+        record("d phi d = d", row_apply(D, row_apply(P, di)) != di, name)
     for h in A.H:
         name = M.name(h)
-        unit: Lin = {h: 1}
-        record("f g = id", lin_axpy(lin_apply(A.f, A.g[h]), -1, unit), name)
-        record("phi g = 0", lin_apply(A.phi, A.g[h]), name)
-        record("d g = 0", lin_apply(M.diff, A.g[h]), name)
+        gh = G[h]
+        record("f g = id", row_apply(F, gh) != (1, {h: 1}), name)
+        record("phi g = 0", row_apply(P, gh)[1], name)
+        record("d g = 0", row_apply(D, gh)[1], name)
 
     names = [
         "f d = 0", "d g = 0", "f phi = 0", "phi g = 0", "phi phi = 0",

@@ -346,7 +346,8 @@ def parse(text: str) -> Union[DGAlgebra, DGModule]:
     has_diff: set = set()
     # the generators declared so far; a derivative is built against them,
     # and the monomial layout packs their monomials as the final signature
-    # will, so the signature is rebuilt only after a new declaration
+    # will, so after a new declaration the signature is extended by the new
+    # generators only, and a document lays out each generator once
     sig = Signature(())
     module_eval = _ModuleEval(names)
 
@@ -392,7 +393,7 @@ def parse(text: str) -> Union[DGAlgebra, DGModule]:
             cur.expect_sym("=")
             if mode == "algebra":
                 if len(sig) != len(degrees):
-                    sig = Signature.from_pairs(degrees)
+                    sig = sig.extended(degrees[len(sig):])
                 value = _AlgebraEval(sig, names).expr(cur)
             else:
                 value = module_eval.expr(cur)
@@ -407,7 +408,7 @@ def parse(text: str) -> Union[DGAlgebra, DGModule]:
 
     if mode == "algebra":
         if len(sig) != len(degrees):
-            sig = Signature.from_pairs(degrees)
+            sig = sig.extended(degrees[len(sig):])
         return DGAlgebra(sig, diffs)
     return DGModule(tuple(degrees), diffs)
 

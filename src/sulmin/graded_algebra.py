@@ -11,7 +11,10 @@ coefficients are integers, and an ``int`` product is some forty times
 cheaper than a ``Fraction`` one).  Given coefficients in this form, every
 kernel here returns its results in this form.  ``q_norm`` brings any
 rational to it, and ``q_div`` is the one true division of the package, so no
-float can arise.
+float can arise.  ``int_row`` scales a linear combination to an integer row,
+one positive denominator and ``int`` values, and ``row_coeffs`` turns a row
+back into coefficients: the module layer and the oracle's ranks compute on
+rows, with no ``Fraction`` arithmetic.
 
 A monomial is one non-negative ``int``, packed by its signature; only this
 module reads the layout.  Everywhere else a monomial is an opaque hashable
@@ -23,7 +26,8 @@ value, taken apart and built through ``mono_gen``, ``mono_first``,
   a guard bit above them for an even one.  A field's offset depends only on
   the generators before it, so a signature and its prefixes pack the
   monomials they share alike (the parser builds each derivative against the
-  generators declared so far).
+  generators declared so far, and ``Signature.extended`` lays out only the
+  generators a declaration adds).
 * **Salt.**  Below the fields each generator adds a fixed pseudo-random
   salt of ``_SALT_BITS`` bits into a shared sum, with a guard bit at
   ``_SALT_ROOM``.  A generator's unit is its field's low bit plus its salt,
@@ -62,6 +66,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union)
 
@@ -120,6 +125,32 @@ def q_div(a: Coeff, b: Coeff) -> Coeff:
     return c.numerator if c.denominator == 1 else c
 
 
+Row = Tuple[int, Dict]
+
+
+def int_row(x: Mapping) -> Row:
+    """A linear combination (an element, or a module vector) as an integer
+    row ``(den, vals)``: ``x = vals / den``, where ``den`` is the lcm of the
+    coefficients' denominators and every value is an ``int``.  A zero
+    coefficient is dropped, and the key order is kept.  ``den`` and the
+    values have no common prime factor, so the row is in lowest terms;
+    ``row_coeffs`` turns it back."""
+    den = lcm(*[c.denominator for c in x.values()])
+    if den == 1:
+        return 1, {k: c.numerator for k, c in x.items() if c}
+    return den, {k: c.numerator * (den // c.denominator) for k, c in x.items() if c}
+
+
+def row_coeffs(row: Row) -> Dict:
+    """The coefficients ``vals / den`` of an integer row, under the
+    coefficient rule: ``vals`` itself when ``den`` is 1 (its values are
+    ``int``s already), else a new dict.  The caller hands the row over."""
+    den, vals = row
+    if den == 1:
+        return vals
+    return {k: q_div(v, den) for k, v in vals.items()}
+
+
 class SignatureError(ValueError):
     """A monomial or element refers to generators outside the signature."""
 
@@ -148,35 +179,62 @@ class Signature:
     this module reads."""
 
     def __init__(self, generators: Sequence[Generator]):
-        gens = tuple(generators)
-        names = set()
-        for pos, g in enumerate(gens):
+        self.generators: Tuple[Generator, ...] = ()
+        self.odd: Tuple[int, ...] = ()
+        self._by_name: Dict[str, Generator] = {}
+        # degree -> the full basis, filled by basis_monomials
+        self._bases: Dict[int, List[Mono]] = {}
+        self._shift: Tuple[int, ...] = ()
+        self._unit: Tuple[int, ...] = ()
+        self._odd_mask = 0
+        self._guard = 1 << _SALT_ROOM
+        self._top = _BASE
+        self._append(tuple(generators))
+
+    def extended(self, pairs: Iterable[Tuple[str, int]]) -> "Signature":
+        """A new signature: these generators, then ``pairs`` of (name,
+        degree) appended.  The layout is prefix-stable, so the new one keeps
+        this one's and lays out only the appended generators; it packs every
+        monomial as ``Signature.from_pairs`` on all the pairs would."""
+        # every signature sets its attributes in the order __init__ does, so
+        # all share one key layout and attribute reads stay on the fast path
+        new = Signature(())
+        new.generators, new.odd = self.generators, self.odd
+        new._by_name = dict(self._by_name)
+        new._shift, new._unit = self._shift, self._unit
+        new._odd_mask, new._guard, new._top = self._odd_mask, self._guard, self._top
+        start = len(self.generators)
+        new._append(tuple(Generator(name, degree, start + k)
+                          for k, (name, degree) in enumerate(pairs)))
+        return new
+
+    def _append(self, gens: Tuple[Generator, ...]) -> None:
+        """Validate ``gens`` and lay them out after the generators so far;
+        only a signature under construction calls this."""
+        names = self._by_name
+        shifts, units = [], []
+        odd_mask, guard, top = self._odd_mask, self._guard, self._top
+        for pos, g in enumerate(gens, len(self.generators)):
             if g.index != pos:
                 raise SignatureError(f"generator {g.name!r} has index {g.index}, expected {pos}")
             if g.degree < 1:
                 raise SignatureError(f"generator {g.name!r} has degree {g.degree}, expected >= 1")
             if g.name in names:
                 raise SignatureError(f"duplicate generator name {g.name!r}")
-            names.add(g.name)
-        self.generators = gens
-        self.odd = tuple(g.degree % 2 for g in gens)
-        self._by_name = {g.name: g for g in gens}
-        # degree -> the full basis, filled by basis_monomials
-        self._bases: Dict[int, List[Mono]] = {}
-        shifts = []
-        odd_mask, guard, top = 0, 1 << _SALT_ROOM, _BASE
-        for g in gens:
+            names[g.name] = g
             shifts.append(top)
+            units.append((1 << top) + _salt(pos))
             if g.degree % 2:
                 odd_mask |= 1 << top
                 top += 1
             else:
                 guard |= 1 << (top + _FIELD_BITS)
                 top += _FIELD_BITS + 1
-        self._shift = tuple(shifts)
-        self._unit = tuple((1 << s) + _salt(i) for i, s in enumerate(shifts))
-        self._odd_mask = odd_mask
-        self._guard = guard
+        self.generators += gens
+        self.odd += tuple(g.degree % 2 for g in gens)
+        self._shift += tuple(shifts)
+        self._unit += tuple(units)
+        self._odd_mask, self._guard, self._top = odd_mask, guard, top
         self._fields = (1 << top) - (1 << _BASE)
 
     @classmethod

@@ -19,21 +19,23 @@ the algebra of ``dW`` restricted to ``W``).  It never reads the
 contraction's ``f``, ``g`` or ``phi``.
 
 The ranks come from ``rank_of_columns``, a fraction-free integer elimination
-that builds no kernel.  ``column_reduce`` is the separate rational
-elimination that also returns kernel combinations; the sweep's chain
-correction and the random input generators use it, the oracle does not.
+that builds no kernel; it scales each column to an integer row through
+``graded_algebra.int_row``, as the AT-model sweep scales its vectors.
+``column_reduce`` is the separate rational elimination that also returns
+kernel combinations; the sweep's chain correction and the random input
+generators use it, the oracle does not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 from typing import (
     TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Sequence, Tuple)
 
 from .differential import DGAlgebra
 from .graded_algebra import (
-    Coeff, Mono, basis_monomials, lin_axpy, mono_str, q_div, subset_test)
+    Coeff, Mono, basis_monomials, int_row, lin_axpy, mono_str, q_div, subset_test)
 
 if TYPE_CHECKING:
     from .at_model import DGModule
@@ -84,19 +86,17 @@ def column_reduce(columns: Sequence[SparseVec]) -> Tuple[int, List[SparseVec]]:
 def rank_of_columns(columns: Sequence[SparseVec]) -> int:
     """Rank of sparse rational columns by fraction-free integer elimination.
 
-    Each column is scaled to integers by the lcm of its denominators and
-    reduced by cross-multiplication against the stored pivot columns; a
-    stored pivot is divided by the gcd of its entries.  Only ``int``
-    arithmetic, and no kernel combinations are built.  As in
+    Each column is scaled to integers by the lcm of its denominators
+    (``graded_algebra.int_row``, the scaling the module layer's integer rows
+    share) and reduced by cross-multiplication against the stored pivot
+    columns; a stored pivot is divided by the gcd of its entries.  Only
+    ``int`` arithmetic, and no kernel combinations are built.  As in
     ``column_reduce``, a row key is any totally ordered hashable and the
     pivot is the least key.
     """
     pivots: Dict[Hashable, Dict[Hashable, int]] = {}
     for col in columns:
-        den = 1
-        for c in col.values():
-            den = lcm(den, c.denominator)
-        vec = {r: c.numerator * (den // c.denominator) for r, c in col.items() if c}
+        vec = int_row(col)[1]
         while vec:
             lead = min(vec)
             pvec = pivots.get(lead)

@@ -1,6 +1,8 @@
 import copy
 import random
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +15,10 @@ from sulmin.at_model import (
     check_at_model,
     compute_at_model,
     homology_class_dims,
-    lin_apply,
+    row_apply,
     validate_module,
 )
-from sulmin.graded_algebra import lin_axpy
+from sulmin.graded_algebra import int_row, lin_axpy, q_div, row_coeffs
 from sulmin.homology_oracle import module_homology_dims
 from sulmin.random_inputs import random_dg_module
 
@@ -129,7 +131,7 @@ def test_class_counts_match_oracle():
             assert counts.get(p, 0) == dim
 
 
-# -- the linear kernel ------------------------------------------------------------
+# -- the linear extension ---------------------------------------------------------
 
 def _fold_add(x, y):
     out = dict(x)
@@ -143,7 +145,8 @@ def _fold_add(x, y):
 
 
 def _fold_apply(table, x):
-    """The extension by one copy per term that lin_apply replaced."""
+    """The linear extension in Fraction arithmetic, one copy per term: the
+    reference for the integer rows of row_apply."""
     out = {}
     for i, c in x.items():
         out = _fold_add(out, {j: c * v for j, v in table[i].items()} if c else {})
@@ -168,14 +171,18 @@ def _tables_and_elements(draw):
 
 @given(_tables_and_elements())
 @settings(max_examples=300, deadline=None)
-def test_lin_apply_matches_the_fold(case):
+def test_row_apply_matches_the_fold(case):
     table, x = case
-    before = copy.deepcopy(table)
-    out = lin_apply(table, x)
-    assert out == _fold_apply(table, x)
-    assert table == before
-    assert all(out is not image for image in table.values())
-    assert all(is_coefficient(v) and v for v in out.values())
+    rows = {k: int_row(v) for k, v in table.items()}
+    before = copy.deepcopy(rows)
+    den, out = got = row_apply(rows, int_row(x))
+    assert row_coeffs(got) == _fold_apply(table, x)
+    assert rows == before
+    assert all(out is not image for _, image in rows.values())
+    # in lowest terms, so equal vectors are equal rows
+    assert den > 0 and all(v.__class__ is int and v for v in out.values())
+    assert gcd(den, *out.values()) == 1
+    assert all(is_coefficient(v) and v for v in row_coeffs(got).values())
 
 
 def test_module_tables_are_not_shared_or_written():
@@ -201,8 +208,8 @@ def _scanning_at_model(M):
     one = Fraction(1)
     for i in range(len(M.generators)):
         di = M.d_of(i)
-        a = lin_apply(f, di)
-        b = lin_axpy({i: one}, -one, lin_apply(phi, di))
+        a = _fold_apply(f, di)
+        b = lin_axpy({i: one}, -one, _fold_apply(phi, di))
         if not a:
             H.append(i)
             in_h.add(i)
@@ -239,3 +246,75 @@ def test_indexed_corrections_match_the_scan(seed, max_gens):
     for table, expected in ((A.f, ref.f), (A.g, ref.g), (A.phi, ref.phi)):
         assert [list(table[m].items()) for m in table] == \
             [list(expected[m].items()) for m in expected]
+
+
+# -- integer rows: exact, and free of Fraction arithmetic ------------------------
+
+def _fraction_dd_nonzero(M):
+    """The names of the generators x with d(d x) != 0, folded in Fractions."""
+    bad = set()
+    for i, dx in M.diff.items():
+        ddx = {}
+        for k, c in dx.items():
+            ddx = _fold_add(ddx, {j: Fraction(c) * v for j, v in M.diff.get(k, {}).items()})
+        if ddx:
+            bad.add(M.name(i))
+    return bad
+
+
+def test_integer_dd_check_is_exact():
+    # a perturbation of 1/(2^61 - 1), a prime that no pool denominator shares,
+    # survives only in exact arithmetic; every d(d x) it reaches is nonzero
+    tiny = Fraction(1, 2**61 - 1)
+    reported_any = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        M = random_dg_module(rng, max_gens=30)
+        assert validate_module(M) == [] and not _fraction_dd_nonzero(M)
+        if not M.diff:
+            continue
+        # perturb d of a generator that some other d mentions, where there is one
+        used = sorted({k for dx in M.diff.values() for k in dx} & set(M.diff))
+        i = rng.choice(used or sorted(M.diff))
+        k = rng.choice(sorted(M.diff[i]))
+        diff = {m: dict(dx) for m, dx in M.diff.items()}
+        diff[i][k] += tiny
+        bad = DGModule(M.generators, diff)
+        reported = {msg[len("d(d("):-len(")) is nonzero")]
+                    for msg in validate_module(bad) if msg.endswith(" is nonzero")}
+        assert reported == _fraction_dd_nonzero(bad)
+        reported_any += bool(reported)
+    assert reported_any
+
+
+_FRACTION_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__",
+    "__rmod__", "__divmod__", "__rdivmod__", "__pow__", "__rpow__", "__neg__",
+    "__pos__", "__abs__")
+
+
+def test_module_layer_does_no_fraction_arithmetic(monkeypatch):
+    M = random_dg_module(random.Random(5), max_gens=60)
+    assert any(type(c) is Fraction for dx in M.diff.values() for c in dx.values())
+    expected = _scanning_at_model(M)
+    M = DGModule(M.generators, M.diff)  # no rows built yet
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in the module layer")
+
+    for name in _FRACTION_ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, refuse)
+    new = Fraction.__new__
+
+    def built_by_q_div(cls, *args, **kwargs):
+        # the boundary: rows turn back into coefficients through q_div only
+        assert sys._getframe(1).f_code is q_div.__code__
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(built_by_q_div))
+    assert validate_module(M) == []
+    A = compute_at_model(M)
+    monkeypatch.undo()
+    assert A == expected
+    assert any(type(c) is Fraction for image in A.phi.values() for c in image.values())

@@ -24,7 +24,7 @@ from sulmin.dsl import (
     render_machine,
 )
 from sulmin.graded_algebra import (
-    MAX_EXPONENT, Signature, basis_monomials, mono_degree, mono_factors)
+    MAX_EXPONENT, Signature, SignatureError, basis_monomials, mono_degree, mono_factors)
 from sulmin.minimal_model import compute_minimal_model
 from sulmin.random_inputs import random_sullivan_algebra
 
@@ -313,3 +313,39 @@ def test_huge_power_formats_at_once():
     assert format_element(sig, parse_expression(sig, "v2^30000 + w2^30000")) == \
         "v2^30000 + w2^30000"
     assert time.perf_counter() - start < 0.5
+
+
+def _signature_state(sig):
+    # everything a signature holds but its memo of bases
+    return {k: v for k, v in vars(sig).items() if k != "_bases"}
+
+
+def test_interleaved_declarations_lay_out_each_generator_once(monkeypatch):
+    # a derivative between declarations extends the signature by the new
+    # generators only, so the parser salts every generator exactly once
+    from sulmin import graded_algebra
+    salted = []
+    salt = graded_algebra._salt
+    monkeypatch.setattr(graded_algebra, "_salt", lambda i: salted.append(i) or salt(i))
+    count = 60
+    decls = [f"gen x{k}:2\ngen y{k}:3\n" for k in range(count)]
+    derivs = [f"d y{k} = x{k}^2" + (f" - x{k - 1}*x{k}\n" if k else "\n") for k in range(count)]
+    dga = parse("".join(a + b for a, b in zip(decls, derivs)))
+    assert sorted(salted) == list(range(2 * count))
+    monkeypatch.undo()
+    # and the extended signature packs monomials as one built at once
+    whole = Signature.from_pairs([(g.name, g.degree) for g in dga.sig])
+    assert _signature_state(dga.sig) == _signature_state(whole)
+    assert dga.diff == parse("".join(decls) + "".join(derivs)).diff
+
+
+def test_extended_signature_leaves_its_prefix_alone():
+    sig = Signature.from_pairs([("a1", 1), ("v2", 2)])
+    before = _signature_state(sig)
+    longer = sig.extended([("u3", 3)])
+    assert _signature_state(sig) == before
+    assert _signature_state(longer) == _signature_state(
+        Signature.from_pairs([("a1", 1), ("v2", 2), ("u3", 3)]))
+    with pytest.raises(SignatureError, match="duplicate"):
+        sig.extended([("a1", 3)])
+    assert _signature_state(sig) == before
