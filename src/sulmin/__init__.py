@@ -31,7 +31,6 @@ from .minimal_model import (
     InternalInvariantError,
     SullivanValidationError,
     compute_minimal_model,
-    contractible_summand,
 )
 from .homology_oracle import (
     NotClosedError,

@@ -85,7 +85,8 @@ _ZERO: Row = (1, {})  # read only
 
 @dataclass(frozen=True)
 class DGModule:
-    """Ordered generators (name, degree >= 0) with a linear differential table."""
+    """Ordered generators (name, degree >= 0) with a linear differential
+    table; an index that names no generator raises ``ValueError``."""
 
     generators: Tuple[Tuple[str, int], ...]
     diff: Mapping[int, Lin] = field(default_factory=dict)
@@ -93,6 +94,12 @@ class DGModule:
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "diff", q_table(self.diff))
+        n = len(self.generators)
+        for i, dx in self.diff.items():
+            for j in (i, *dx):
+                if not 0 <= j < n:
+                    raise ValueError(
+                        f"differential table mentions index {j} outside the generators")
 
     def degree(self, index: int) -> int:
         return self.generators[index][1]

@@ -23,7 +23,6 @@ from .graded_algebra import (
     Mono,
     Signature,
     WordTooLongError,
-    elem_is_zero,
     elem_mul,
     elem_one,
     elem_scale,
@@ -212,7 +211,7 @@ def validate_sullivan(dga: DGAlgebra) -> ValidationReport:
                         f"term {mono_str(sig, m)} uses {sig.name(j)} (index {j} >= {i})"))
                     break
         dd = ev.on_element(dx)
-        if not elem_is_zero(dd):
+        if dd:
             first = min(dd, key=lambda m: mono_key(sig, m))
             bad.append(Violation(
                 "d-squared", g.name,

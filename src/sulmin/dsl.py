@@ -19,10 +19,10 @@ Lexing runs no Python code per character.  One compiled-regex ``findall``
 splits the document into tokens, each match skipping the blanks and the
 comment in front of its token; the kind of a token comes from a table keyed
 by its first character, and only a non-ASCII or stray first character takes
-a slow path through the ``isdecimal`` / ``isalpha`` rule.  The parsers read
-the resulting parallel lists of kinds and texts by index.  No offset, line or
-column is kept: an error lexes the document again to find the 1-based line
-and column of the one token it names, and every error carries them.
+a slow path through the ``isdecimal`` / ``isalpha`` rule.  ``_lex`` returns
+the kinds and the texts as two parallel lists, which the parsers read by
+index.  No offset, line or column is kept: an error lexes the document again
+(``_position``) to find the line and column of the token it names.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .at_model import DGModule, Lin
 from .differential import DGAlgebra
@@ -53,7 +53,6 @@ from .graded_algebra import (
     q_div,
 )
 from .morphisms import FullContraction
-from .minimal_model import contractible_summand
 
 
 class DslError(ValueError):
@@ -93,13 +92,6 @@ _KIND = {ch: _char_kind(ch) for ch in map(chr, range(128))}
 _first_char = itemgetter(0)
 
 
-class Token(NamedTuple):
-    kind: str  # IDENT, INT, SYM, NEWLINE, EOF
-    text: str
-    line: int
-    col: int
-
-
 def _position(source: str, i: int) -> Tuple[int, int]:
     """Line and column of token ``i`` of ``source``, found by lexing again."""
     m = next(islice(_TOKEN.finditer(source + "\n"), i, None), None)
@@ -109,28 +101,7 @@ def _position(source: str, i: int) -> Tuple[int, int]:
     return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
-class _Tokens:
-    """A lexed document: parallel lists of token kinds and texts.
-
-    Lexing tracks no offset, line or column; ``_position`` finds them for
-    the one token an error names.  Indexing yields a ``Token``.
-    """
-
-    __slots__ = ("source", "kinds", "texts")
-
-    def __init__(self, source: str, kinds: List[str], texts: List[str]):
-        self.source = source
-        self.kinds = kinds
-        self.texts = texts
-
-    def __len__(self) -> int:
-        return len(self.kinds)
-
-    def __getitem__(self, i: int) -> Token:
-        return Token(self.kinds[i], self.texts[i], *_position(self.source, i))
-
-
-def _lex(text: str) -> _Tokens:
+def _lex(text: str) -> Tuple[List[str], List[str]]:
     texts = _TOKEN.findall(text + "\n")
     kinds = list(map(_KIND.get, map(_first_char, texts)))
     if None in kinds:  # non-ASCII, or a character that starts no token
@@ -142,7 +113,7 @@ def _lex(text: str) -> _Tokens:
                                    *_position(text, i))
     kinds.append("EOF")
     texts.append("")
-    return _Tokens(text, kinds, texts)
+    return kinds, texts
 
 
 class _Cursor:
@@ -156,10 +127,8 @@ class _Cursor:
     __slots__ = ("source", "kinds", "texts", "pos")
 
     def __init__(self, text: str):
-        tokens = _lex(text)
         self.source = text
-        self.kinds = tokens.kinds
-        self.texts = tokens.texts
+        self.kinds, self.texts = _lex(text)
         self.pos = 0
 
     def error(self, message: str, i: Optional[int] = None) -> DslError:
@@ -470,16 +439,7 @@ def format_linear(M: DGModule, x: Lin) -> str:
 
 def emit_machine(c: FullContraction) -> str:
     """Machine-readable result document; expressions re-parse bit-exactly."""
-    sig = c.sig
-    doc = MachineDocument(
-        W=tuple(c.W),
-        dW={w: c.dW.get(w, {}) for w in c.W},
-        f=c.f,
-        g={w: c.g[w] for w in c.W},
-        phi=c.phi,
-        pairs=tuple(c.pairs),
-    )
-    return render_machine(sig, doc)
+    return render_machine(c.sig, c)
 
 
 @dataclass(frozen=True)
@@ -492,7 +452,8 @@ class MachineDocument:
     pairs: Tuple[Tuple[int, int], ...]
 
 
-def render_machine(sig: Signature, doc: MachineDocument) -> str:
+def render_machine(sig: Signature, doc: Union[MachineDocument, FullContraction]) -> str:
+    """Either record holds ``W``, ``dW``, ``f``, ``g`` (on ``W``), ``phi``, ``pairs``."""
     lines = ["W = {" + ", ".join(sig.name(w) for w in doc.W) + "}"]
     for w in doc.W:
         lines.append(f"dW {sig.name(w)} = {format_element(sig, doc.dW.get(w, {}))}")
@@ -589,8 +550,9 @@ def emit_report(c: FullContraction) -> str:
         for i, j in c.pairs:
             lines.append(f"  ({sig.name(i)}, {sig.name(j)})")
         lines.append("contractible basis:")
-        for gen, du in contractible_summand(c):
-            lines.append(f"  {gen.name}  d({gen.name}) = {format_element(sig, du)}")
+        for i, _ in c.pairs:
+            name = sig.name(i)
+            lines.append(f"  {name}  d({name}) = {format_element(sig, c.source.d_of(i))}")
     else:
         lines.append("")
         lines.append("pairs: none (input already minimal)")

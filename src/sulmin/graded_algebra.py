@@ -444,19 +444,13 @@ def elem_const(c) -> Elem:
     c = q_norm(c)
     return {ONE_MONO: c} if c else {}
 
-def elem_is_zero(x: Elem) -> bool:
-    return not x
-
-def elem_neg(x: Elem) -> Elem:
-    return {m: -c for m, c in x.items()}
-
 def elem_scale(x: Elem, c) -> Elem:
     """``c * x``; scaling by 1 returns ``x`` itself, which is safe only
     because elements are never mutated (see the module docstring)."""
     if c == 1:
         return x
     if c == -1:
-        return elem_neg(x)
+        return {m: -v for m, v in x.items()}
     c = q_norm(c)
     return lin_axpy({}, c, x) if c else {}
 
@@ -582,9 +576,8 @@ def elem_pow(sig: Signature, x: Elem, e: int) -> Elem:
             x = elem_mul(sig, x, x)
     return acc
 
-def mono_elem(m: Mono, c=1) -> Elem:
-    c = q_norm(c)
-    return {m: c} if c else {}
+def mono_elem(m: Mono) -> Elem:
+    return {m: 1}
 
 
 def linear_part(sig: Signature, x: Elem) -> Dict[int, Coeff]:

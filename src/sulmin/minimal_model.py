@@ -35,19 +35,17 @@ internal invariant breach and raises.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from .at_model import DGModule, compute_at_model
 from .differential import DGAlgebra, Extension, validate_sullivan
 from .homology_oracle import column_reduce
 from .graded_algebra import (
     Elem,
-    Generator,
     Signature,
     basis_monomials,
     elem_add,
     elem_gen,
-    elem_is_zero,
     elem_scale,
     elem_sub,
     in_lambda_geq2,
@@ -221,15 +219,8 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
             raise InternalInvariantError(f"projection does not fix {sig.name(w)}")
     c = FullContraction(source=dga, W=W, dW=dW, f=f, g=g, phi=phi, pairs=pairs)
     for w, dv in dW.items():
-        if not elem_is_zero(c.model.ev.on_element(dv)):
+        if c.model.ev.on_element(dv):
             raise InternalInvariantError(
                 f"induced derivative does not square to zero on {sig.name(w)}")
     return c
 
-
-def contractible_summand(c: FullContraction) -> List[Tuple[Generator, Elem]]:
-    """(killer generator, its source derivative) for each recorded pair."""
-    out = []
-    for i, _ in c.pairs:
-        out.append((c.sig.generators[i], c.source.d_of(i)))
-    return out

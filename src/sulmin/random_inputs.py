@@ -42,8 +42,7 @@ def _cocycle_space(sig: Signature, diff: Dict[int, Elem], earlier: List[int],
 
 
 def random_sullivan_algebra(rng: random.Random, max_gens: int = 8,
-                            max_degree: int = 4,
-                            closed_probability: float = 0.4) -> DGAlgebra:
+                            max_degree: int = 4) -> DGAlgebra:
     n = rng.randint(4, max_gens)
     pairs = []
     for i in range(n):
@@ -52,7 +51,7 @@ def random_sullivan_algebra(rng: random.Random, max_gens: int = 8,
     sig = Signature.from_pairs(pairs)
     diff: Dict[int, Elem] = {}
     for i in range(n):
-        if rng.random() < closed_probability:
+        if rng.random() < 0.4:  # leave the generator closed
             continue
         earlier = list(range(i))
         space = _cocycle_space(sig, diff, earlier, sig.degree(i) + 1)
@@ -69,15 +68,14 @@ def random_sullivan_algebra(rng: random.Random, max_gens: int = 8,
 
 
 def random_dg_module(rng: random.Random, max_gens: int = 30,
-                     max_degree: int = 5,
-                     closed_probability: float = 0.35) -> DGModule:
+                     max_degree: int = 5) -> DGModule:
     n = rng.randint(2, max_gens)
     gens = []
     for i in range(n):
         gens.append((f"m{i}", rng.randint(0, max_degree)))
     diff: Dict[int, Lin] = {}
     for i in range(n):
-        if rng.random() < closed_probability:
+        if rng.random() < 0.35:  # leave the generator closed
             continue
         deg = gens[i][1]
         earlier = [k for k in range(i) if gens[k][1] == deg + 1]
@@ -97,11 +95,10 @@ def random_dg_module(rng: random.Random, max_gens: int = 30,
     return DGModule(tuple(gens), diff)
 
 
-def random_homogeneous_element(rng: random.Random, sig: Signature, degree: int,
-                               max_terms: int = 4) -> Elem:
+def random_homogeneous_element(rng: random.Random, sig: Signature, degree: int) -> Elem:
     basis = basis_monomials(sig, degree)
     if not basis:
         return {}
-    count = rng.randint(1, min(max_terms, len(basis)))
+    count = rng.randint(1, min(4, len(basis)))
     # sampled monomials are distinct and pool coefficients nonzero
     return {m: rng.choice(_COEFF_POOL) for m in rng.sample(basis, count)}

@@ -99,6 +99,15 @@ def test_invalid_module_rejected_before_loop():
         compute_at_model(M)
 
 
+@pytest.mark.parametrize("diff,index", [
+    ({5: {0: 1}}, 5), ({1: {7: 1}}, 7), ({1: {-1: 1}}, -1), ({-1: {0: 1}}, -1)],
+    ids=("key-past-end", "term-past-end", "negative-term", "negative-key"))
+def test_module_rejects_indices_outside_its_generators(diff, index):
+    # a negative index would otherwise wrap round and blame the wrong generator
+    with pytest.raises(ValueError, match=f"index {index} outside the generators"):
+        DGModule((("a", 1), ("b", 0)), diff)
+
+
 def test_replays_are_deterministic():
     rng = random.Random(99)
     M = random_dg_module(rng, max_gens=25)

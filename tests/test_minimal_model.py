@@ -7,7 +7,7 @@ import pytest
 from conftest import mono
 from sulmin.at_model import DGModule, compute_at_model
 from sulmin.differential import Extension
-from sulmin.dsl import parse, parse_expression
+from sulmin.dsl import emit_report, parse, parse_expression
 from sulmin.graded_algebra import (
     elem_add,
     elem_gen,
@@ -23,7 +23,6 @@ from sulmin.minimal_model import (
     InternalInvariantError,
     SullivanValidationError,
     compute_minimal_model,
-    contractible_summand,
 )
 from sulmin.morphisms import FullContraction, check_contraction, homotopy_extension
 from sulmin.random_inputs import random_sullivan_algebra
@@ -126,16 +125,18 @@ def test_already_minimal_input_is_untouched(contractions):
 
 
 def test_contractible_summand(contractions):
-    c1 = contractions["ex1"]
-    got = [(g.name, du) for g, du in contractible_summand(c1)]
-    assert got == [("a1", parse_expression(c1.sig, "v2"))]
-    c4 = contractions["ex4"]
-    got4 = [(g.name, du) for g, du in contractible_summand(c4)]
-    assert got4 == [
-        ("x1", parse_expression(c4.sig, "v2 + w2")),
-        ("x3", parse_expression(c4.sig, "v4 + w4 + v2*w2")),
+    # the report lists each killer with its source derivative, pair by pair
+    def basis_lines(c):
+        lines = emit_report(c).splitlines()
+        return lines[lines.index("contractible basis:") + 1:]
+
+    assert basis_lines(contractions["ex1"]) == ["  a1  d(a1) = v2"]
+    assert basis_lines(contractions["ex4"]) == [
+        "  x1  d(x1) = v2 + w2",
+        "  x3  d(x3) = v2*w2 + v4 + w4",
     ]
-    assert contractible_summand(contractions["minimal"]) == []
+    assert emit_report(contractions["minimal"]).endswith(
+        "\npairs: none (input already minimal)\n")
 
 
 def test_nested_pair_projection_clears_product_occurrences(contractions):
@@ -399,3 +400,34 @@ def test_phi_mu_rule_cannot_hold_on_one_even_killer_pair():
     rhs = elem_add(elem_scale(rule(A2, V3), 2), d_ev.on_element(rule(A2, A2)))
     assert elem_sub(e("a2^2"), rhs) == e("-a2^2")
     assert failures(e("a2")) == {"id - gf = phi d + d phi": "a2^2", "phi mu rule": "v3*a2"}
+
+
+# Two valid inputs on which the sweep's phi breaks side conditions of the
+# contraction, not only the homotopy identity (ROADMAP item 1).  Until phi
+# is a true homotopy, verify exits 3 on both: the first fails phi phi = 0
+# (at y2^2) and id - gf (at u3*m4), the second phi g = 0 (at m6), phi phi = 0
+# (at y2^2) and id - gf (at y2*u5).
+PLANTED = (
+    "gen y0:2\ngen u1:1\ngen y2:4\ngen u3:3\ngen m4:1\ngen m5:3\n"
+    "d u1 = y0\nd u3 = 8*y0^2 - 2*y2\nd m4 = -y0\nd m5 = -6*y0^2\n",
+    "gen y0:2\ngen u1:1\ngen y2:2\ngen m3:2\ngen m4:3\ngen u5:1\ngen m6:3\n"
+    "d u1 = -1/2*y0\nd m4 = 1/6*y0^2 + 1/6*y0*m3\nd u5 = -9/4*y0 - 1/2*y2\n"
+    "d m6 = -3/4*y0^2 - 7/4*y0*y2 + 2*y0*m3 - 5/8*y2^2 - y2*m3 - 2*m3^2\n",
+)
+HOMOTOPY = ("f phi = 0", "phi g = 0", "phi phi = 0", "id - gf = phi d + d phi")
+
+
+def _planted_failures(text):
+    report = check_contraction(compute_minimal_model(parse(text)), 10)
+    return {ch.name for ch in report.checks if not ch.ok}
+
+
+@pytest.mark.parametrize("text", PLANTED, ids=("first", "second"))
+def test_planted_inputs_keep_the_structural_identities(text):
+    assert not _planted_failures(text) & set(STRUCTURAL)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("text", PLANTED, ids=("first", "second"))
+def test_planted_inputs_keep_the_homotopy_identities(text):
+    assert not _planted_failures(text) & set(HOMOTOPY)
