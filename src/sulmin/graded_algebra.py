@@ -19,7 +19,8 @@ rows, with no ``Fraction`` arithmetic.
 A monomial is one non-negative ``int``, packed by its signature; only this
 module reads the layout.  Everywhere else a monomial is an opaque hashable
 value, taken apart and built through ``mono_gen``, ``mono_first``,
-``mono_factors``, ``mono_splits``, ``mono_key`` and ``subset_test``.
+``mono_factors``, ``mono_splits`` (and ``basis_splits``, its memoised form
+over a whole basis), ``mono_key`` and ``subset_test``.
 
 * **Fields.**  From bit ``_BASE`` up, each generator in declaration order
   gets a field holding its exponent: 1 bit for an odd generator, 15 bits and
@@ -375,6 +376,29 @@ def mono_splits(sig: Signature, m: Mono) -> Iterator[Tuple[Mono, int, Mono, int]
         dleft += d
         if k < last:
             yield left, dleft, m - left, total - dleft
+
+
+def basis_splits(sig: Signature,
+                 max_degree: int) -> Dict[Mono, List[Tuple[Mono, int, Mono, int]]]:
+    """``list(mono_splits(sig, m))`` for every full-basis monomial ``m`` of
+    degree at most ``max_degree``, keyed by ``m`` in basis order (degree by
+    degree, each in the canonical order).  Each list is built from its
+    suffix's, not from ``mono_factors``: for ``m = x_i * r`` (``mono_first``)
+    it is ``(x_i, r)`` followed by ``x_i`` times each split of ``r``, and
+    ``r``, of lower degree, is listed earlier."""
+    unit, degree = sig._unit, sig.degree
+    out: Dict[Mono, List[Tuple[Mono, int, Mono, int]]] = {}
+    for p in range(max_degree + 1):
+        for m in basis_monomials(sig, p):
+            splits = out[m] = []
+            if not m:
+                continue
+            i, r = mono_first(sig, m)
+            if r:
+                x, dx = unit[i], degree(i)
+                splits.append((x, dx, r, p - dx))
+                splits.extend([(x + a, dx + da, b, db) for a, da, b, db in out[r]])
+    return out
 
 
 def _sign_mask(oa: int, odd: int) -> int:

@@ -19,6 +19,20 @@ EXAMPLE_FILES = {
 }
 
 
+# Two valid inputs on which the sweep's phi breaks side conditions of the
+# contraction, not only the homotopy identity (ROADMAP item 1).  Until phi
+# is a true homotopy, verify exits 3 on both: the first fails phi phi = 0
+# (at y2^2) and id - gf (at u3*m4), the second phi g = 0 (at m6), phi phi = 0
+# (at y2^2) and id - gf (at y2*u5).
+PLANTED = (
+    "gen y0:2\ngen u1:1\ngen y2:4\ngen u3:3\ngen m4:1\ngen m5:3\n"
+    "d u1 = y0\nd u3 = 8*y0^2 - 2*y2\nd m4 = -y0\nd m5 = -6*y0^2\n",
+    "gen y0:2\ngen u1:1\ngen y2:2\ngen m3:2\ngen m4:3\ngen u5:1\ngen m6:3\n"
+    "d u1 = -1/2*y0\nd m4 = 1/6*y0^2 + 1/6*y0*m3\nd u5 = -9/4*y0 - 1/2*y2\n"
+    "d m6 = -3/4*y0^2 - 7/4*y0*y2 + 2*y0*m3 - 5/8*y2^2 - y2*m3 - 2*m3^2\n",
+)
+
+
 def is_coefficient(c) -> bool:
     """The coefficient rule: an ``int``, or a ``Fraction`` with denominator > 1
     (so neither ``Fraction(2, 1)`` nor a float)."""

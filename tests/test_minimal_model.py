@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mono
+from conftest import PLANTED, mono
 from sulmin.at_model import DGModule, compute_at_model
 from sulmin.differential import Extension
 from sulmin.dsl import emit_report, parse, parse_expression
@@ -402,18 +402,6 @@ def test_phi_mu_rule_cannot_hold_on_one_even_killer_pair():
     assert failures(e("a2")) == {"id - gf = phi d + d phi": "a2^2", "phi mu rule": "v3*a2"}
 
 
-# Two valid inputs on which the sweep's phi breaks side conditions of the
-# contraction, not only the homotopy identity (ROADMAP item 1).  Until phi
-# is a true homotopy, verify exits 3 on both: the first fails phi phi = 0
-# (at y2^2) and id - gf (at u3*m4), the second phi g = 0 (at m6), phi phi = 0
-# (at y2^2) and id - gf (at y2*u5).
-PLANTED = (
-    "gen y0:2\ngen u1:1\ngen y2:4\ngen u3:3\ngen m4:1\ngen m5:3\n"
-    "d u1 = y0\nd u3 = 8*y0^2 - 2*y2\nd m4 = -y0\nd m5 = -6*y0^2\n",
-    "gen y0:2\ngen u1:1\ngen y2:2\ngen m3:2\ngen m4:3\ngen u5:1\ngen m6:3\n"
-    "d u1 = -1/2*y0\nd m4 = 1/6*y0^2 + 1/6*y0*m3\nd u5 = -9/4*y0 - 1/2*y2\n"
-    "d m6 = -3/4*y0^2 - 7/4*y0*y2 + 2*y0*m3 - 5/8*y2^2 - y2*m3 - 2*m3^2\n",
-)
 HOMOTOPY = ("f phi = 0", "phi g = 0", "phi phi = 0", "id - gf = phi d + d phi")
 
 

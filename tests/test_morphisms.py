@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import is_coefficient, mono
+from conftest import PLANTED, is_coefficient, mono
 from sulmin.differential import DGAlgebra, Extension
-from sulmin.dsl import emit_machine, emit_report, parse_expression, parse_machine
+from sulmin.dsl import emit_machine, emit_report, parse, parse_expression, parse_machine
 from sulmin.graded_algebra import (
     ONE_MONO,
     Signature,
     basis_monomials,
+    basis_splits,
     elem_add,
     elem_gen,
     elem_mul,
@@ -319,6 +320,18 @@ def test_splits_slice_as_the_expanded_sequence_does(exps):
     want = [(x, mono_degree(_SPLIT_SIG, x), y, total - mono_degree(_SPLIT_SIG, x))
             for x, y in _reference_splits(_SPLIT_SIG, m)]
     assert list(mono_splits(_SPLIT_SIG, m)) == want
+    assert basis_splits(_SPLIT_SIG, total)[m] == want
+
+
+def test_basis_splits_list_every_basis_monomial_as_mono_splits_does(algebras):
+    # the memoised lists, each built from its suffix's list, key the full
+    # bases in order and equal the splits derived from the factor list
+    for name, dga in algebras.items():
+        sig = dga.sig
+        splits = basis_splits(sig, 8)
+        assert list(splits) == [m for p in range(9) for m in basis_monomials(sig, p)], name
+        for m, got in splits.items():
+            assert got == list(mono_splits(sig, m)), (name, mono_str(sig, m))
 
 
 def _reference_check_contraction(c, max_degree):
@@ -421,3 +434,48 @@ def test_equality_checker_matches_subtract_and_test_reference():
             report = check_contraction(mutant, 6)
             assert report == _reference_check_contraction(mutant, 6), field
             assert not report.ok, field
+
+
+def _zeroing_mutants(c, rng):
+    # one nonzero entry emptied in each of f and g (at a survivor), phi and
+    # dW, and one empty phi entry made nonzero: the checker tests an identity
+    # with a zero operand as the emptiness of its other side, and these put
+    # a zero operand against a nonzero other side.  Two shortcuts never meet
+    # one: f is an algebra map, so a zero f(x) makes f(x*y) zero, and phi
+    # satisfies its two-leg rule on every split in the canonical order, so
+    # zero phi(x) and phi(y) make phi(x*y) zero
+    sig = c.sig
+    for field, keys in (("f", c.W), ("g", c.W), ("phi", sorted(c.phi)), ("dW", c.W)):
+        table = getattr(c, field)
+        nonzero = [k for k in keys if table.get(k)]
+        if nonzero:
+            table = dict(table)
+            table[rng.choice(nonzero)] = {}
+            yield field, replace(c, **{field: table})
+    empty = [k for k in range(len(sig)) if not c.phi.get(k)]
+    if empty:
+        phi = dict(c.phi)
+        phi[rng.choice(empty)] = elem_gen(sig, rng.randrange(len(sig)))
+        yield "phi on a zero entry", replace(c, phi=phi)
+
+
+def test_zero_operand_shortcuts_match_subtract_and_test_reference(contractions):
+    # on random models, the bundled algebras and the planted inputs (whose
+    # identities fail), and on their zeroing mutants, the reports must agree
+    # with the reference in every flag and every first counterexample
+    rng = random.Random(20261019)
+    models = list(contractions.values())
+    models += [compute_minimal_model(parse(text)) for text in PLANTED]
+    draws = []
+    while len(draws) < 12:
+        c = compute_minimal_model(random_sullivan_algebra(rng, max_gens=7))
+        if c.W:
+            draws.append(c)
+    models += draws
+    kinds = set()
+    for c in models:
+        assert check_contraction(c, 6) == _reference_check_contraction(c, 6)
+        for kind, mutant in _zeroing_mutants(c, rng):
+            kinds.add(kind)
+            assert check_contraction(mutant, 6) == _reference_check_contraction(mutant, 6), kind
+    assert kinds == {"f", "g", "phi", "dW", "phi on a zero entry"}
