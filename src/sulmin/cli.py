@@ -48,6 +48,8 @@ def _load(path: str):
             text = fh.read()
     except OSError as exc:
         raise _LoadError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise _LoadError(f"cannot read {path}: not UTF-8 text at byte {exc.start}") from None
     try:
         return parse(text)
     except DslError as exc:

@@ -32,7 +32,6 @@ from .graded_algebra import (
     mono_factors,
     mono_first,
     mono_gen,
-    mono_key,
     mono_mul_into,
     mono_str,
     mono_valid,
@@ -212,7 +211,7 @@ def validate_sullivan(dga: DGAlgebra) -> ValidationReport:
                     break
         dd = ev.on_element(dx)
         if dd:
-            first = min(dd, key=lambda m: mono_key(sig, m))
+            first = min(dd, key=lambda m: mono_factors(sig, m))
             bad.append(Violation(
                 "d-squared", g.name,
                 f"d(d({g.name})) has term {mono_str(sig, first)}"))

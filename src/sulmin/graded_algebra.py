@@ -20,7 +20,7 @@ A monomial is one non-negative ``int``, packed by its signature; only this
 module reads the layout.  Everywhere else a monomial is an opaque hashable
 value, taken apart and built through ``mono_gen``, ``mono_first``,
 ``mono_factors``, ``mono_splits`` (and ``basis_splits``, its memoised form
-over a whole basis), ``mono_key`` and ``subset_test``.
+over a whole basis) and ``subset_test``.
 
 * **Fields.**  From bit ``_BASE`` up, each generator in declaration order
   gets a field holding its exponent: 1 bit for an odd generator, 15 bits and
@@ -47,17 +47,15 @@ over a whole basis), ``mono_key`` and ``subset_test``.
   ``a + b``.  Every product tests the guards and raises
   ``WordTooLongError``, so a field never carries into the next one.
 
-``mono_key`` is the factor list, ``((generator index, exponent), ...)`` in
-increasing index.  Its order is the canonical monomial order of the package:
-bases come in it, and the sites whose result depends on an order of
-monomials (elimination pivots, emitted terms, the first term reported) sort
-or key by it, never by the packed value.
+Bases come in the canonical monomial order, factor lists (``mono_factors``)
+compared lexicographically, never packed values.  No elimination depends on
+the order of its row keys (see ``homology_oracle.column_reduce``).
 
 Every value here is immutable by convention: no function mutates an element
 it received or returned, so values can be shared freely across threads.  The
 one exception is the ``out`` dict handed to ``lin_axpy``, the package's
 in-place sparse accumulate, which its caller creates and owns.  A
-``Signature`` has one lazily filled member, its memo of full degree bases:
+``Signature`` has one lazily filled member, its memo of degree bases:
 ``basis_monomials(sig, p)`` enumerates the degree-``p`` basis once and hands
 the same list to every later caller, who must not mutate it.
 """
@@ -261,20 +259,16 @@ class Signature:
         return self.generators[index].name
 
 
-def _as_indices(sig: Signature, subset: Optional[Iterable[Union[Generator, int]]]) -> Tuple[int, ...]:
+def _outside(sig: Signature, subset: Optional[Iterable[Union[Generator, int]]]) -> int:
+    """The field bits of the generators outside ``subset``, a collection of
+    generator indices or ``Generator``s (None: all of them, so no bits)."""
     if subset is None:
-        return tuple(range(len(sig)))
-    idxs = sorted({g.index if isinstance(g, Generator) else int(g) for g in subset})
-    for i in idxs:
+        return 0
+    inside = 0
+    for g in subset:
+        i = g.index if isinstance(g, Generator) else int(g)
         if not 0 <= i < len(sig):
             raise SignatureError(f"generator index {i} outside signature")
-    return tuple(idxs)
-
-
-def _outside(sig: Signature, subset) -> int:
-    """The field bits of the generators outside ``subset``."""
-    inside = 0
-    for i in _as_indices(sig, subset):
         inside |= (1 if sig.odd[i] else _EVEN_FIELD) << sig._shift[i]
     return sig._fields & ~inside
 
@@ -311,12 +305,6 @@ def mono_factors(sig: Signature, m: Mono) -> Tuple[Tuple[int, int], ...]:
         out.append((i, e))
         f ^= e << s
     return tuple(out)
-
-
-def mono_key(sig: Signature, m: Mono) -> Tuple[Tuple[int, int], ...]:
-    """The sort key of the canonical monomial order: the factor list, compared
-    lexicographically."""
-    return mono_factors(sig, m)
 
 
 def mono_first(sig: Signature, m: Mono) -> Tuple[int, Mono]:
@@ -627,37 +615,33 @@ def in_lambda_geq2(sig: Signature, x: Elem, subset=None) -> bool:
     return True
 
 
-def basis_monomials(sig: Signature, p: int, subset=None) -> List[Mono]:
-    """All canonical monomials of total degree ``p`` over ``subset`` generators,
-    in the canonical order (by ``mono_key``).
+def basis_monomials(sig: Signature, p: int) -> List[Mono]:
+    """All monomials of total degree ``p`` over the generators of ``sig``, in
+    the canonical order, memoised on ``sig``: every call returns the same
+    list, which callers must not mutate.
 
-    The full basis (``subset`` None) is memoised on ``sig``: every call
-    returns the same list, which callers must not mutate.  A call with a
-    subset enumerates afresh and caches nothing.  Two callers pass a subset,
-    the earlier generators of one sweep step or draw:
-    ``minimal_model._d_preimage`` and ``random_inputs._cocycle_space``.
-    Never memoise subset bases: each subset is used once, and keeping them
-    while the benchmark pools are drawn raised the ``certify-random`` peak
-    RSS from 20.5 to 25.6 MB.  Raises ``WordTooLongError`` when a degree-``p``
-    word does not fit the layout.
+    A basis over the first ``i`` generators is that of the prefix signature
+    ``Signature(sig.generators[:i])``, which packs its monomials alike; the
+    callers that need one build it for one call, so its memo goes with it
+    (keeping such bases on ``sig`` while the benchmark pools are drawn once
+    raised the ``certify-random`` peak RSS from 20.5 to 25.6 MB).  Raises
+    ``WordTooLongError`` when a degree-``p`` word does not fit the layout.
     """
     if p < 0:
         raise ValueError("degree must be >= 0")
-    if subset is not None:
-        return _enumerate_basis(sig, p, _as_indices(sig, subset))
     basis = sig._bases.get(p)
     if basis is None:
-        basis = sig._bases[p] = _enumerate_basis(sig, p, tuple(range(len(sig))))
+        basis = sig._bases[p] = _enumerate_basis(sig, p)
     return basis
 
 
-def _enumerate_basis(sig: Signature, p: int, idxs: Tuple[int, ...]) -> List[Mono]:
+def _enumerate_basis(sig: Signature, p: int) -> List[Mono]:
     # depth-first on an explicit stack, so the number of generators is not
     # bounded by the interpreter's recursion limit: an entry is a monomial
     # prefix, the degree it still lacks and the first position that may
     # extend it.  Children are pushed in reverse, so monomials leave the
     # stack in the canonical order and need no sort.
-    gens = [(k + 1, sig._unit[i], sig.degree(i), sig.odd[i]) for k, i in enumerate(idxs)]
+    gens = [(i + 1, sig._unit[i], sig.degree(i), sig.odd[i]) for i in range(len(sig))]
     # below degree 2^15 no word reaches a guard bit; above, a prefix sets
     # one as soon as it outgrows the layout, since it grows one factor at a
     # time

@@ -12,7 +12,7 @@ p+1 basis: up to the cap p, only the bases of degrees 0 to p are built.
 ``_dims`` turns the ranks into dimensions for algebras and modules alike.
 
 Within one ``verify`` job the oracle shares two things with the checker: the
-signature's memoised full bases (``basis_monomials``; a subset side filters
+signature's memoised bases (``basis_monomials``; a subset side filters
 them) and the differential evaluators: the source algebra's ``DGAlgebra.ev``
 and, on the survivor side, the model algebra's (``FullContraction.model``,
 the algebra of ``dW`` restricted to ``W``).  It never reads the
@@ -40,8 +40,7 @@ from .graded_algebra import (
 if TYPE_CHECKING:
     from .at_model import DGModule
 
-# row key (a monomial or its mono_key, a generator index, a column position)
-# -> coefficient
+# row key (a monomial, a generator index, a column position) -> coefficient
 SparseVec = Dict[Hashable, Coeff]
 
 
@@ -52,16 +51,14 @@ def column_reduce(columns: Sequence[SparseVec]) -> Tuple[int, List[SparseVec]]:
     positions to coefficients of a vanishing linear relation.
 
     A row key is any totally ordered hashable, and a column's pivot is its
-    least key, so only the order of the keys matters: rows keyed by basis
-    elements in the basis order reduce with the same pivots, arithmetic and
-    kernels as rows keyed by positions in the sorted basis.  The kernels
-    depend on that order, so the two callers that read them,
-    ``random_inputs._cocycle_space`` (the random input pools) and
-    ``minimal_model._d_preimage`` (the sweep's chain correction), key rows
-    by ``mono_key``, the canonical monomial order, and not by the packed
-    monomial, whose ``int`` order differs; module columns are keyed by
-    generator index.  A rank does not depend on the order, so the oracle
-    hands ``rank_of_columns`` packed monomials.
+    least key.  No result depends on that order: column ``pos`` becomes a
+    pivot exactly when it is not in the span of the columns before it, and
+    then its kernel combination is ``e_pos`` minus the unique expansion of
+    the column in the earlier pivot columns, which are independent.  So the
+    rank, the list of kernels (in column order) and each kernel's values are
+    the same for every order of the keys; only the order of the items
+    inside one kernel dict may differ.  The callers hand over packed
+    monomials or generator indices as they are.
     """
     pivots: Dict[Hashable, Tuple[SparseVec, SparseVec]] = {}
     kernel: List[SparseVec] = []

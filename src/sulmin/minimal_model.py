@@ -51,7 +51,6 @@ from .graded_algebra import (
     in_lambda_geq2,
     linear_part,
     mono_gen,
-    mono_key,
     mono_str,
     q_div,
     subset_test,
@@ -71,16 +70,12 @@ class InternalInvariantError(RuntimeError):
     """State corruption inside the sweep; indicates a bug, never bad input."""
 
 
-def _d_preimage(sig: Signature, d_ev: Extension, degree: int, earlier,
-                target: Elem) -> Elem:
-    """Deterministic solution u of d(u) = target over the earlier generators.
-
-    Rows are keyed by ``mono_key``, so the pivots, and with them the solution,
-    follow the canonical monomial order."""
-    basis = basis_monomials(sig, degree, earlier)
-    columns = [d_ev.on_monomial(m) for m in basis] + [target]
-    _, kernel = column_reduce([{mono_key(sig, m): c for m, c in col.items()}
-                               for col in columns])
+def _d_preimage(prefix: Signature, d_ev: Extension, degree: int, target: Elem) -> Elem:
+    """Deterministic solution u of d(u) = target over the generators of the
+    prefix signature ``prefix``: the kernel vector of the target's column,
+    which no order of the row keys changes."""
+    basis = basis_monomials(prefix, degree)
+    _, kernel = column_reduce([d_ev.on_monomial(m) for m in basis] + [target])
     last = len(basis)
     for combo in kernel:
         c_last = combo.get(last)
@@ -131,7 +126,7 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
         # (never triggers on inputs whose pairs do not interact)
         residual = elem_sub(d_ev.on_element(b), g_ev.on_element(a))
         if residual:
-            delta = _d_preimage(sig, d_ev, sig.degree(i), range(i), residual)
+            delta = _d_preimage(Signature(sig.generators[:i]), d_ev, sig.degree(i), residual)
             delta = elem_sub(delta, g_ev.on_element(f_ev.on_element(delta)))
             b = elem_sub(b, delta)
             if elem_sub(d_ev.on_element(b), g_ev.on_element(a)):

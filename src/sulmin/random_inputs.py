@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from .at_model import DGModule, Lin
 from .differential import DGAlgebra, Extension
@@ -20,23 +20,22 @@ from .graded_algebra import (
     basis_monomials,
     lin_axpy,
     mono_elem,
-    mono_key,
 )
 from .homology_oracle import column_reduce
 
 _COEFF_POOL = [1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3)]
 
 
-def _cocycle_space(sig: Signature, diff: Dict[int, Elem], earlier: List[int],
-                   degree: int) -> List[Elem]:
-    """Basis of degree-``degree`` cocycles in the span of ``earlier`` monomials;
-    rows are keyed by ``mono_key``, which fixes the pivots."""
-    basis = basis_monomials(sig, degree, earlier)
+def _cocycle_space(prefix: Signature, diff: Dict[int, Elem], degree: int) -> List[Elem]:
+    """Basis of the degree-``degree`` cocycles over the generators of the
+    prefix signature ``prefix``, whose derivatives ``diff`` holds: the
+    kernel of ``d`` on the degree basis, which no order of the row keys
+    changes."""
+    basis = basis_monomials(prefix, degree)
     if not basis:
         return []
-    ev = Extension(sig, diff, mono_elem)
-    _, kernel = column_reduce([{mono_key(sig, m): c for m, c in ev.on_monomial(b).items()}
-                               for b in basis])
+    ev = Extension(prefix, diff, mono_elem)
+    _, kernel = column_reduce([ev.on_monomial(b) for b in basis])
     # kernel positions are distinct and their coefficients nonzero
     return [{basis[pos]: c for pos, c in combo.items()} for combo in kernel]
 
@@ -53,8 +52,7 @@ def random_sullivan_algebra(rng: random.Random, max_gens: int = 8,
     for i in range(n):
         if rng.random() < 0.4:  # leave the generator closed
             continue
-        earlier = list(range(i))
-        space = _cocycle_space(sig, diff, earlier, sig.degree(i) + 1)
+        space = _cocycle_space(Signature(sig.generators[:i]), diff, sig.degree(i) + 1)
         if not space:
             continue
         picks = rng.randint(1, min(3, len(space)))

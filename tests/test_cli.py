@@ -203,6 +203,27 @@ def test_against_unreadable_names_the_against_file(tmp_path):
     assert err == f"cannot read {missing}: No such file or directory\n"
 
 
+_NOT_UTF8 = b"gen a:1\n\xff\xfe\n"
+
+
+def test_input_not_utf8_exits_two_and_names_the_file(tmp_path):
+    bad = tmp_path / "bad.sul"
+    bad.write_bytes(_NOT_UTF8)
+    assert invoke("validate", bad) == (2, "", f"cannot read {bad}: not UTF-8 text at byte 8\n")
+    proc = subprocess.run([sys.executable, "-m", "sulmin.cli", "validate", str(bad)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"cannot read {bad}: not UTF-8 text at byte 8\n"
+
+
+def test_against_not_utf8_names_the_against_file(tmp_path):
+    bad = tmp_path / "bad.sul"
+    bad.write_bytes(_NOT_UTF8)
+    code, out, err = invoke("homology", EXAMPLE_FILES["ex1"], against_path=str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"cannot read {bad}: not UTF-8 text at byte 8\n"
+
+
 def test_against_parse_error_names_the_against_file(tmp_path):
     bad = tmp_path / "broken.sul"
     bad.write_text("gen a1:1\ngen b1:\n")

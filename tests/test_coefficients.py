@@ -56,6 +56,44 @@ def test_the_guard_sees_divisions():
     assert _divisions(tree) == [2, 3]
 
 
+# the members of a Signature that hold the monomial layout
+_LAYOUT_NAMES = {"_shift", "_unit", "_fields", "_odd_mask", "_guard", "_top", "_bases"}
+
+
+def _layout_reads(tree):
+    """Line numbers of every read of a layout member and every import of a
+    private name from ``graded_algebra``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _LAYOUT_NAMES:
+            found.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").rpartition(".")[2] == "graded_algebra"
+              and any(alias.name.startswith("_") for alias in node.names)):
+            found.append(node.lineno)
+    return found
+
+
+def test_only_graded_algebra_reads_the_monomial_layout():
+    # every other module takes monomials apart through graded_algebra's
+    # helpers, so the packing can change in one file
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "graded_algebra.py":
+            for line in _layout_reads(ast.parse(path.read_text(encoding="utf-8"))):
+                offenders.append(f"{path.name}:{line}")
+    assert offenders == []
+
+
+def test_the_layout_guard_sees_reads_and_private_imports():
+    tree = ast.parse("from .graded_algebra import mono_gen, _salt\n"
+                     "from sulmin.graded_algebra import _outside\n"
+                     "from .dsl import _term_key\n"
+                     "x = sig._unit[0]\n"
+                     "y = sig.odd\n")
+    assert _layout_reads(tree) == [1, 2, 4]
+
+
 @pytest.mark.parametrize("a, b, want", [
     (6, 3, 2), (-6, 3, -2), (1, 3, Fraction(1, 3)), (-2, 4, Fraction(-1, 2)),
     (Fraction(1, 2), Fraction(1, 4), 2), (Fraction(3, 2), 5, Fraction(3, 10)),

@@ -30,7 +30,6 @@ from sulmin.graded_algebra import (
     mono_first,
     mono_from_factors,
     mono_gen,
-    mono_key,
     mono_mul,
     mono_splits,
     mono_valid,
@@ -131,7 +130,7 @@ def test_in_lambda_geq2():
 
 def test_basis_monomials_degree_zero_is_unit():
     assert basis_monomials(SIG, 0) == [ONE_MONO]
-    assert basis_monomials(SIG, 0, []) == [ONE_MONO]
+    assert basis_monomials(Signature(()), 0) == [ONE_MONO]
     assert mono_factors(SIG, ONE_MONO) == ()
 
 
@@ -141,7 +140,7 @@ def test_basis_monomials_odd_words_collapse():
 
 
 def test_basis_monomials_degree_two():
-    got = basis_monomials(SIG, 2, [A, B, C, V])
+    got = basis_monomials(SIG, 2)
     assert [mono_factors(SIG, m) for m in got] == [
         ((A, 1), (B, 1)), ((A, 1), (C, 1)), ((B, 1), (C, 1)), ((V, 1),)]
 
@@ -275,7 +274,8 @@ def test_a_prefix_signature_packs_its_monomials_alike(seed):
     k = rng.randint(0, len(sig))
     prefix = Signature(sig.generators[:k])
     for p in range(6):
-        assert basis_monomials(prefix, p) == basis_monomials(sig, p, range(k))
+        assert basis_monomials(prefix, p) \
+            == list(filter(subset_test(sig, range(k)), basis_monomials(sig, p)))
 
 
 def test_derivatives_parsed_before_later_declarations_are_packed_alike():
@@ -309,21 +309,19 @@ def _random_signature(rng):
 @given(st.integers(0, 10**9))
 @settings(max_examples=40, deadline=None)
 def test_memoised_basis_is_the_fresh_enumeration(seed):
-    # the full basis is memoised on the signature; an explicit subset still
-    # enumerates afresh, and filtering the memoised list by the subset gives
-    # the same monomials in the same order
+    # the basis is memoised on the signature; a fresh signature over the
+    # same generators enumerates afresh, and filtering the memoised list by
+    # a subset keeps the monomials over it in the same order
     rng = random.Random(seed)
     sig = _random_signature(rng)
-    everything = range(len(sig))
-    subset = rng.sample(everything, rng.randint(0, len(sig)))
+    subset = rng.sample(range(len(sig)), rng.randint(0, len(sig)))
     for p in range(9):
         basis = basis_monomials(sig, p)
-        assert basis == basis_monomials(sig, p, everything)
+        assert basis == basis_monomials(Signature(sig.generators), p)
         assert basis_monomials(sig, p) is basis
         chosen = set(subset)
         assert [m for m in basis if all(i in chosen for i, _ in mono_factors(sig, m))] \
-            == list(filter(subset_test(sig, subset), basis)) \
-            == basis_monomials(sig, p, subset)
+            == list(filter(subset_test(sig, subset), basis))
     assert sorted(sig._bases) == list(range(9))
 
 
@@ -439,7 +437,7 @@ def test_kernel_fast_paths_match_plain_definitions(seed):
     packed = mono_mul(MIXED, mono(MIXED, *a), mono(MIXED, *b))
     assert packed == (sign, None if m is None else mono(MIXED, *m))
     if m is not None:
-        assert mono_factors(MIXED, packed[1]) == mono_key(MIXED, packed[1]) == m
+        assert mono_factors(MIXED, packed[1]) == m
     x, y = _random_elem(rng, MIXED), _random_elem(rng, MIXED)
     if rng.random() < 0.5:
         x = {_random_mono(rng, MIXED): Fraction(1)}  # the unit left factor of gen * tail
@@ -487,13 +485,13 @@ def test_mono_mul_sign_and_odd_square_cases():
 @settings(max_examples=60, deadline=None)
 def test_basis_comes_in_the_factor_list_order(seed):
     # basis_monomials pushes children in reverse instead of sorting: its
-    # order must be the sort by factor lists, for every subset
+    # order must be the sort by factor lists, for every prefix signature
     rng = random.Random(seed)
     sig = _random_signature(rng)
-    subset = rng.sample(range(len(sig)), rng.randint(0, len(sig)))
+    prefix = Signature(sig.generators[:rng.randint(0, len(sig))])
     for p in range(9):
-        for basis in (basis_monomials(sig, p), basis_monomials(sig, p, subset)):
-            keys = [mono_key(sig, m) for m in basis]
+        for basis in (basis_monomials(sig, p), basis_monomials(prefix, p)):
+            keys = [mono_factors(sig, m) for m in basis]
             assert keys == sorted(keys)
             assert [mono(sig, *k) for k in keys] == basis
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from sulmin.at_model import compute_at_model, homology_class_dims
 from sulmin.differential import DGAlgebra
 from sulmin.dsl import parse
-from sulmin.graded_algebra import Signature, basis_monomials, mono_key
+from sulmin.graded_algebra import (
+    Signature, basis_monomials, lin_axpy, mono_factors, subset_test)
 from sulmin.homology_oracle import (
     NotClosedError,
     cohomology_dims,
@@ -17,7 +18,9 @@ from sulmin.homology_oracle import (
     module_homology_dims,
     rank_of_columns,
 )
-from sulmin.random_inputs import random_dg_module, random_sullivan_algebra
+from sulmin.minimal_model import _d_preimage
+from sulmin.random_inputs import (
+    random_dg_module, random_homogeneous_element, random_sullivan_algebra)
 
 
 def test_surviving_algebra_dims_ex1(contractions):
@@ -108,17 +111,16 @@ def _assert_row_keys_do_not_matter(columns, rows):
 
 
 def test_algebra_columns_keyed_by_monomials_reduce_as_by_positions():
-    # rows keyed by mono_key, as the chain correction and the random pools
-    # key them, reduce as rows keyed by positions in the basis; the rank of
-    # the packed columns, which the oracle reads, is the same
+    # rows keyed by factor lists, the basis order, reduce as rows keyed by
+    # positions in the basis; the rank of the packed columns is the same
     rng = random.Random(20260810)
     for _ in range(25):
         dga = random_sullivan_algebra(rng, max_gens=8)
         sig = dga.sig
         for p in range(7):
             packed = [dga.ev.on_monomial(m) for m in basis_monomials(sig, p)]
-            columns = [{mono_key(sig, m): c for m, c in col.items()} for col in packed]
-            rows = [mono_key(sig, m) for m in basis_monomials(sig, p + 1)]
+            columns = [{mono_factors(sig, m): c for m, c in col.items()} for col in packed]
+            rows = [mono_factors(sig, m) for m in basis_monomials(sig, p + 1)]
             _assert_row_keys_do_not_matter(columns, rows)
             assert rank_of_columns(packed) == rank_of_columns(columns)
 
@@ -132,6 +134,90 @@ def test_module_columns_keyed_by_generators_reduce_as_by_positions():
             columns = [M.d_of(i) for i, d in enumerate(degrees) if d == p]
             rows = [i for i, d in enumerate(degrees) if d == p + 1]
             _assert_row_keys_do_not_matter(columns, rows)
+
+
+def _rekeyed(columns, key):
+    return [{key[r]: c for r, c in col.items()} for col in columns]
+
+
+def _assert_kernels_as_defined(columns, rank, kernel):
+    # a kernel vector belongs to the dependent column it ends on: 1 there,
+    # its other support on earlier pivot columns, and a vanishing combination;
+    # the pivot columns are independent and as many as the rank
+    own = [max(combo) for combo in kernel]
+    assert own == sorted(set(own))
+    pivots = [k for k in range(len(columns)) if k not in set(own)]
+    assert rank == len(pivots) == rank_of_columns(columns) \
+        == rank_of_columns([columns[k] for k in pivots])
+    for pos, combo in zip(own, kernel):
+        assert combo[pos] == 1
+        assert all(c and (k == pos or (k < pos and k not in own)) for k, c in combo.items())
+        total = {}
+        for k, c in combo.items():
+            lin_axpy(total, c, columns[k])
+        assert total == {}
+
+
+def _assert_every_keying_gives_the_same_kernels(columns, keyings):
+    rank, kernel = column_reduce(columns)
+    _assert_kernels_as_defined(columns, rank, kernel)
+    for key in keyings:
+        assert column_reduce(_rekeyed(columns, key)) == (rank, kernel)
+
+
+def test_kernels_do_not_depend_on_the_order_of_row_keys():
+    # the chain correction and the random pools hand column_reduce packed
+    # monomials, whose int order is not the basis order: every total order
+    # of the row keys gives the same rank and the same kernels
+    rng = random.Random(20261019)
+    for _ in range(20):
+        dga = random_sullivan_algebra(rng, max_gens=10)
+        sig = dga.sig
+        for p in range(7):
+            columns = [dga.ev.on_monomial(m) for m in basis_monomials(sig, p)]
+            rows = basis_monomials(sig, p + 1)
+            relabel = rng.sample(range(10 * len(rows) + 1), len(rows))
+            _assert_every_keying_gives_the_same_kernels(columns, [
+                {m: mono_factors(sig, m) for m in rows},
+                {m: k for k, m in enumerate(rows)},
+                dict(zip(rows, relabel))])
+    for _ in range(40):
+        M = random_dg_module(rng, max_gens=30, max_degree=5)
+        degrees = [d for _, d in M.generators]
+        for p in range(max(degrees) + 1):
+            columns = [M.d_of(i) for i, d in enumerate(degrees) if d == p]
+            rows = [i for i, d in enumerate(degrees) if d == p + 1]
+            relabel = rng.sample(range(10 * len(rows) + 1), len(rows))
+            _assert_every_keying_gives_the_same_kernels(columns, [
+                {i: k for k, i in enumerate(rows)}, dict(zip(rows, relabel))])
+
+
+def test_d_preimage_solves_over_the_prefix():
+    # the chain correction's u satisfies d(u) = target over the first i
+    # generators, and is the target column's kernel vector for every keying
+    rng = random.Random(20261020)
+    solved = 0
+    for _ in range(30):
+        dga = random_sullivan_algebra(rng, max_gens=10)
+        sig = dga.sig
+        i = rng.randint(1, len(sig))
+        prefix = Signature(sig.generators[:i])
+        for p in range(1, 6):
+            target = dga.ev.on_element(random_homogeneous_element(rng, prefix, p))
+            if not target:
+                continue
+            u = _d_preimage(prefix, dga.ev, p, target)
+            assert dga.ev.on_element(u) == target
+            assert all(map(subset_test(sig, range(i)), u))
+            basis = basis_monomials(prefix, p)
+            columns = [dga.ev.on_monomial(m) for m in basis] + [target]
+            _, kernel = column_reduce(_rekeyed(
+                columns, {m: mono_factors(sig, m) for m in basis_monomials(prefix, p + 1)}))
+            combo = next(k for k in kernel if len(basis) in k)
+            assert u == {basis[k]: Fraction(-c) / combo[len(basis)]
+                         for k, c in combo.items() if k != len(basis)}
+            solved += 1
+    assert solved > 20
 
 
 def test_rank_plus_kernel_is_dimension():
