@@ -180,7 +180,7 @@ def verify_algebra(dga: DGAlgebra, max_degree: int) -> Verification:
     signature's memoised bases."""
     c = compute_minimal_model(dga)
     report = check_contraction(c, max_degree)
-    minimal = all(in_lambda_geq2(c.sig, c.dW.get(w, {}), c.W) for w in c.W)
+    minimal = in_lambda_geq2(c.sig, {m: 1 for dw in c.dW.values() for m in dw}, c.W)
     comparison = compare_cohomology((dga, None), (c.model, c.W), max_degree)
     return Verification(c, report, minimal, comparison)
 

@@ -12,19 +12,21 @@ b = m - phi(d(m)):
   a, a word of length >= 2 in the surviving generators, is the induced
   derivative of m.
 * the module layer pairs m with j: a holds j linearly with coefficient
-  alpha, j is removed, and the earlier f/phi tables are corrected.
+  alpha, j is removed, and the tables are corrected.
 
-The correction realizes the composition with the elementary contraction that
-collapses the pair.  On f it substitutes j -> j - a/alpha (an algebra map),
-which on a linear occurrence of j is exactly the module layer's column update
-f(x) -= lambda * a; the substitution form also clears occurrences of j inside
-product terms, which the linear update cannot reach, and keeps every f image
-inside the surviving subalgebra.  The phi correction is the matching homotopy
-term, again reducing to phi(x) += lambda * b on linear occurrences: the pair
-homotopy sends j to m/alpha and every other generator to zero, and extends
-to products with the substitution as its right leg.  Both are
-``differential.Extension`` evaluators, as are f, g, phi and d themselves.
-So the linear part of every f, g and phi entry is the module layer's.
+The correction composes the contraction with the elementary one that
+collapses the pair (FHT, §14).  On f it is the algebra map j -> j - a/alpha,
+which on a linear occurrence of j is the module layer's update f(x) -=
+lambda * a.  On phi it adds the pair homotopy, which sends j to m/alpha and
+every other generator to zero, with the substitution as its right leg.  So
+the linear part of every f, g and phi entry is the module layer's.
+
+A collapse touches only the entries that mention j, and these leave the
+surviving subalgebra once j does, so one test, ``outside``, finds them.  A
+survivor's f image is itself and a killer's is zero, so only the generators
+killed so far, j included, have f and phi entries to correct.  Over the
+survivors a collapse scans their derivatives and snapshots g.  The
+substitution reads one identity table under its one changed entry.
 
 Each step checks that a bears the module layer's decision, and after the
 sweep the induced derivative is recomputed from the final tables and
@@ -35,6 +37,7 @@ internal invariant breach and raises.
 
 from __future__ import annotations
 
+from collections import ChainMap
 from typing import Dict
 
 from .at_model import DGModule, compute_at_model
@@ -50,10 +53,10 @@ from .graded_algebra import (
     elem_sub,
     in_lambda_geq2,
     linear_part,
+    mono_factors,
     mono_gen,
     mono_str,
     q_div,
-    subset_test,
 )
 from .morphisms import FullContraction, homotopy_extension
 
@@ -97,6 +100,7 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
                       {i: linear_part(sig, dx) for i, dx in dga.diff.items()})
     pairs = compute_at_model(linear).pairs
     killed = dict(pairs)
+    targets = []  # the generators killed so far
     f: Dict[int, Elem] = {}
     g: Dict[int, Elem] = {}
     phi: Dict[int, Elem] = {}
@@ -104,6 +108,15 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
     # the survivors so far, in declaration order
     dw_current: Dict[int, Elem] = {}
 
+    factors: Dict[int, frozenset] = {}  # the generators of each monomial met
+
+    def outside(m) -> bool:
+        """Whether monomial m leaves the survivors' subalgebra."""
+        if m not in factors:
+            factors[m] = frozenset(k for k, _ in mono_factors(sig, m))
+        return not dw_current.keys() >= factors[m]
+
+    identity = {k: elem_gen(sig, k) for k in range(len(sig))}
     d_ev = dga.ev
     for i in range(len(sig)):
         di = dga.d_of(i)
@@ -113,17 +126,16 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
         a = f_ev.on_element(di)
         b = elem_sub(elem_gen(sig, i), phi_ev.on_element(di))
 
-        surviving = subset_test(sig, dw_current)
         for m in a:
-            if not surviving(m):
+            if outside(m):
                 raise InternalInvariantError(
                     f"projected derivative of {sig.name(i)} leaves the surviving "
                     f"subalgebra at term {mono_str(sig, m)}")
 
-        # the recursion for phi can undershoot on products once earlier pairs
-        # interact, leaving b short of the chain property d(b) = g(a); repair
-        # with an exact derivative preimage, projected off the surviving part
-        # (never triggers on inputs whose pairs do not interact)
+        # phi's recursion can undershoot on products once earlier pairs
+        # interact, leaving b short of d(b) = g(a); repair with an exact
+        # derivative preimage, projected off the surviving part (never
+        # triggers on inputs whose pairs do not interact)
         residual = elem_sub(d_ev.on_element(b), g_ev.on_element(a))
         if residual:
             delta = _d_preimage(Signature(sig.generators[:i]), d_ev, sig.degree(i), residual)
@@ -134,14 +146,14 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
                     f"chain correction failed for {sig.name(i)}")
 
         target = killed.get(i)
+        phi[i] = {}
         if target is None:
-            if not in_lambda_geq2(sig, a, dw_current):
+            if not in_lambda_geq2(sig, a):
                 raise InternalInvariantError(
                     f"projected derivative of {sig.name(i)} is not a product, "
                     "yet the module layer keeps it")
             f[i] = elem_gen(sig, i)
             g[i] = b
-            phi[i] = {}
             dw_current[i] = a
         else:
             alpha = a.get(mono_gen(sig, target))
@@ -150,46 +162,34 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
                     f"projected derivative of {sig.name(i)} does not hold "
                     f"{sig.name(target)}, which the module layer pairs it with")
             del dw_current[target]
+            targets.append(target)
             f[i] = {}
-            phi[i] = {}
 
             inverse = q_div(1, alpha)
             replacement = elem_sub(elem_gen(sig, target), elem_scale(a, inverse))
             kill_image = elem_scale(elem_gen(sig, i), inverse)
-            # the collapse substitutes target -> replacement (an algebra map);
-            # its homotopy sends target to kill_image, every other generator to
-            # zero, and has the substitution as its right leg
-            subst_table = {k: elem_gen(sig, k) for k in range(i)}
-            subst_table[target] = replacement
-            subst = Extension(sig, subst_table)
+            # the collapse substitutes target -> replacement; its homotopy
+            # sends target to kill_image and every other generator to zero
+            subst = Extension(sig, ChainMap({target: replacement}, identity))
             pair_phi = Extension(sig, {target: kill_image}, subst.on_monomial)
 
-            g_mid = dict(g)
-            g_mid[i] = b  # the killer embeds as b while the collapse composes
-            g_mid_ev = Extension(sig, g_mid)
+            # g's snapshot; the killer embeds as b while the collapse composes
+            g_mid_ev = Extension(sig, {**g, i: b})
             g.pop(target, None)
 
-            avoids_target = subset_test(sig, (k for k in range(len(sig)) if k != target))
+            def collapse(x: Elem):
+                """x substituted, and the homotopy term its image absorbs."""
+                return subst.on_element(x), g_mid_ev.on_element(pair_phi.on_element(x))
 
-            def mentions_target(x: Elem) -> bool:
-                return not all(map(avoids_target, x))
-
-            for k in range(i):
-                fk = f[k]
-                if mentions_target(fk):
-                    f[k] = subst.on_element(fk)
-                    correction = pair_phi.on_element(fk)
-                    phi[k] = elem_add(phi[k], g_mid_ev.on_element(correction))
-            # a survivor whose induced derivative mentioned the killed
-            # generator changes derivative under the substitution, and its
-            # inclusion image must absorb the matching homotopy term to stay
-            # a chain map (no-op whenever the killed generator only ever
-            # appeared linearly, as in the small worked cases)
+            for k in targets:
+                if any(map(outside, f[k])):
+                    f[k], correction = collapse(f[k])
+                    phi[k] = elem_add(phi[k], correction)
+            # g absorbs the homotopy term, so it stays a chain map
             for w, dw in dw_current.items():
-                if mentions_target(dw):
-                    correction = pair_phi.on_element(dw)
-                    g[w] = elem_sub(g[w], g_mid_ev.on_element(correction))
-                    dw_current[w] = subst.on_element(dw)
+                if any(map(outside, dw)):
+                    dw_current[w], correction = collapse(dw)
+                    g[w] = elem_sub(g[w], correction)
 
     # finalize the induced derivative from the final projection table
     W = tuple(dw_current)
@@ -200,7 +200,7 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
         if final != dw_current[w]:
             raise InternalInvariantError(
                 f"induced derivative of {sig.name(w)} drifted from its recorded value")
-        if not in_lambda_geq2(sig, final, W):
+        if not in_lambda_geq2(sig, final) or any(map(outside, final)):
             raise InternalInvariantError(
                 f"induced derivative of {sig.name(w)} is not minimal")
         fdg = f_ev.on_element(d_ev.on_element(g[w]))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from conftest import PLANTED, mono
 from sulmin.at_model import DGModule, compute_at_model
 from sulmin.differential import Extension
-from sulmin.dsl import emit_report, parse, parse_expression
+from sulmin.dsl import emit_machine, emit_report, parse, parse_expression
 from sulmin.graded_algebra import (
     elem_add,
     elem_gen,
@@ -180,6 +181,10 @@ def test_finalization_invariants(contractions):
         g_ev = Extension(sig, c.g)
         d_ev = Extension(sig, c.source.diff, mono_elem)
         dw_ev = Extension(sig, c.dW, mono_elem)
+        # the collapse corrections visit only the targets: a survivor's f
+        # image is itself and a killer's is zero
+        for killer, _ in c.pairs:
+            assert c.f[killer] == {}
         for w in c.W:
             assert c.f[w] == elem_gen(sig, w)
             dw = c.dW.get(w, {})
@@ -210,6 +215,23 @@ d h2 = -a2*f1 - 2*c3
     report = check_contraction(c, 10)
     failing = {ch.name for ch in report.checks if not ch.ok}
     assert not (failing & set(STRUCTURAL)), failing
+
+
+def test_collapse_ladder_machine_document():
+    # 30 rungs, declared degree by degree: closed x_j:2 and t_j:2 (t up to
+    # t31), w_j:3 with d w_j = t_j*x_j + t_{j+1}*x_j, and u_j:1 with
+    # d u_j = t_j.  Each u_j kills t_j, so every collapse rewrites the
+    # derivatives of the survivors w_{j-1} and w_j, which mention its target
+    rungs = range(1, 31)
+    lines = [f"gen {x}{j}:2" for j in rungs for x in "xt"] + ["gen t31:2"]
+    lines += [f"gen w{j}:3\nd w{j} = t{j}*x{j} + t{j + 1}*x{j}" for j in rungs]
+    lines += [f"gen u{j}:1\nd u{j} = t{j}" for j in rungs]
+    c = compute_minimal_model(parse("\n".join(lines) + "\n"))
+    assert len(c.sig) == 121
+    assert len(c.W) == 61
+    assert len(c.pairs) == 30
+    assert hashlib.sha256(emit_machine(c).encode()).hexdigest() == (
+        "5a4706f90b5e4de328aee0ccf7690cea36be47ecfbd6c11499c9a214cabeac46")
 
 
 def test_chain_correction_when_homotopy_recursion_undershoots():
