@@ -20,13 +20,12 @@ No ``Fraction`` arithmetic runs here: ``row_apply``, the one linear extension
 of a table of rows, sums over a common denominator with
 ``graded_algebra.lin_axpy`` on ``int``s, and the sweep's corrections
 cross-multiply.  A module's differential becomes rows once (``DGModule.rows``,
-built by the first ``validate_module`` and reused by the sweep), and
-``check_at_model`` turns the tables it checks into rows.  Rows become
-coefficients again (``graded_algebra.row_coeffs``) only at the ``ATModel``
-boundary, whose ``f``, ``g`` and ``phi`` are plain ``Lin`` dicts under the
-coefficient rule.  The sweep owns every row it builds and no two share a
-dict, so it corrects a row in place and hands each dict to the ``ATModel``
-at most once.
+built by the first ``validate_module`` and reused by the sweep), and vectors
+stay rows from there to stdout: the ``ATModel`` tables are the sweep's own
+rows, ``check_at_model`` reads them as rows, and ``at-model`` prints them
+with ``dsl.format_linear``; nothing turns them back into coefficients.  The
+sweep owns every row it builds and no two share a dict, so it corrects a row
+in place and hands each dict to the ``ATModel`` at most once.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Dict, List, Mapping, Set, Tuple
 
-from .graded_algebra import Coeff, Row, int_row, lin_axpy, q_table, row_coeffs
+from .graded_algebra import Coeff, Row, int_row, lin_axpy, q_table
 from .morphisms import IdentityCheck
 
 Lin = Dict[int, Coeff]
@@ -153,12 +152,16 @@ class ModuleValidationError(ValueError):
 
 @dataclass(frozen=True)
 class ATModel:
-    """Contraction of a DG-module onto its homology (zero differential)."""
+    """Contraction of a DG-module onto its homology (zero differential).
+
+    ``f``, ``g`` and ``phi`` map a generator index to its image as an integer
+    row ``(den, vals)`` in lowest terms, as ``graded_algebra.int_row`` defines
+    them: the coefficient of generator ``k`` is ``q_div(vals[k], den)``."""
 
     H: Tuple[int, ...]
-    f: Mapping[int, Lin]
-    g: Mapping[int, Lin]
-    phi: Mapping[int, Lin]
+    f: Mapping[int, Row]
+    g: Mapping[int, Row]
+    phi: Mapping[int, Row]
     pairs: Tuple[Tuple[int, int], ...]
 
 
@@ -169,7 +172,6 @@ def compute_at_model(M: DGModule) -> ATModel:
 
     rows = M.rows
     H: List[int] = []
-    # f, g and phi as rows until the ATModel is built
     f: Dict[int, Row] = {}
     g: Dict[int, Row] = {}
     phi: Dict[int, Row] = {}
@@ -225,8 +227,7 @@ def compute_at_model(M: DGModule) -> ATModel:
                         else:
                             users[k].discard(m)
 
-    return ATModel(tuple(H), *({m: row_coeffs(r) for m, r in table.items()}
-                               for table in (f, g, phi)), tuple(pairs))
+    return ATModel(tuple(H), f, g, phi, tuple(pairs))
 
 
 def check_at_model(M: DGModule, A: ATModel) -> Tuple[IdentityCheck, ...]:
@@ -242,9 +243,9 @@ def check_at_model(M: DGModule, A: ATModel) -> Tuple[IdentityCheck, ...]:
         """The row of the sum of ``rows``."""
         return row_apply(dict(enumerate(rows)), (1, dict.fromkeys(range(len(rows)), 1)))
 
-    # rows are in lowest terms, so each identity is an equality of rows
+    # rows in lowest terms (``_lowest``) make each identity an equality of rows
     D = M.rows
-    F, G, P = ({k: int_row(v) for k, v in table.items()} for table in (A.f, A.g, A.phi))
+    F, G, P = ({k: _lowest(*v) for k, v in table.items()} for table in (A.f, A.g, A.phi))
     for i in range(len(M.generators)):
         name = M.name(i)
         di = D.get(i, _ZERO)

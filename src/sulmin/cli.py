@@ -122,13 +122,13 @@ def _cmd_at_model(parsed, config: RunConfig) -> Tuple[int, str, str]:
     if not isinstance(parsed, DGModule):
         return EXIT_USER, "", "at-model needs a module-mode input\n"
     model = compute_at_model(parsed)
+    everything = range(len(parsed.generators))
     lines = ["H = {" + ", ".join(parsed.name(h) for h in model.H) + "}"]
-    for i in range(len(parsed.generators)):
-        lines.append(f"f {parsed.name(i)} = {format_linear(parsed, model.f[i])}")
-    for h in model.H:
-        lines.append(f"g {parsed.name(h)} = {format_linear(parsed, model.g[h])}")
-    for i in range(len(parsed.generators)):
-        lines.append(f"phi {parsed.name(i)} = {format_linear(parsed, model.phi[i])}")
+    for kind, table, keys in (("f", model.f, everything), ("g", model.g, model.H),
+                              ("phi", model.phi, everything)):
+        for i in keys:
+            den, x = table[i]
+            lines.append(f"{kind} {parsed.name(i)} = {format_linear(parsed, x, den)}")
     for i, j in model.pairs:
         lines.append(f"pair {parsed.name(i)} {parsed.name(j)}")
     return EXIT_OK, "\n".join(lines) + "\n", ""

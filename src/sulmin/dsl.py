@@ -30,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import islice
+from math import gcd
 from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
@@ -402,10 +403,10 @@ def _term_key(sig: Signature, m: Mono):
     return (mono_degree(sig, m), tuple((i, -e) for i, e in mono_factors(sig, m)))
 
 
-def _signed_term(c: Coeff, body: str) -> str:
-    """``c * body`` as ``"+ ..."`` or ``"- ..."``, the magnitude as
-    ``str(Fraction)`` writes it; an empty ``body`` stands for the unit."""
-    n, d = c.as_integer_ratio()
+def _signed_term(n: int, d: int, body: str) -> str:
+    """``n/d * body`` (``n`` nonzero, ``d`` > 0, in lowest terms) as
+    ``"+ ..."`` or ``"- ..."``, the magnitude as ``str(Fraction)`` writes it;
+    an empty ``body`` stands for the unit."""
     sign = "+ " if n > 0 else "- "
     n = abs(n)
     if d != 1:
@@ -426,15 +427,24 @@ def format_element(sig: Signature, x: Elem) -> str:
     """Canonical text for an element: ascending degree, then lexicographic."""
     if not x:
         return "0"
-    return _join_terms([_signed_term(x[m], mono_str(sig, m) if m else "")
+    return _join_terms([_signed_term(*x[m].as_integer_ratio(), mono_str(sig, m) if m else "")
                         for m in sorted(x, key=lambda mm: _term_key(sig, mm))])
 
 
-def format_linear(M: DGModule, x: Lin) -> str:
+def format_linear(M: DGModule, x: Lin, den: int = 1) -> str:
+    """Canonical text for the module vector ``x / den``, in index order: a
+    coefficient map with ``den`` 1, or the values of an integer row
+    ``(den, x)``, in lowest terms or not.  Each term is reduced by its gcd
+    with ``den``."""
     if not x:
         return "0"
     gens = M.generators
-    return _join_terms([_signed_term(x[i], gens[i][0]) for i in sorted(x)])
+    parts = []
+    for i in sorted(x):
+        n, d = x[i].as_integer_ratio()
+        c = gcd(n, d * den)
+        parts.append(_signed_term(n // c, d * den // c, gens[i][0]))
+    return _join_terms(parts)
 
 
 def emit_machine(c: FullContraction) -> str:

@@ -12,9 +12,8 @@ cheaper than a ``Fraction`` one).  Given coefficients in this form, every
 kernel here returns its results in this form.  ``q_norm`` brings any
 rational to it, and ``q_div`` is the one true division of the package, so no
 float can arise.  ``int_row`` scales a linear combination to an integer row,
-one positive denominator and ``int`` values, and ``row_coeffs`` turns a row
-back into coefficients: the module layer and the oracle's ranks compute on
-rows, with no ``Fraction`` arithmetic.
+one positive denominator and ``int`` values: the module layer and the
+oracle's ranks compute on rows, with no ``Fraction`` arithmetic.
 
 A monomial is one non-negative ``int``, packed by its signature; only this
 module reads the layout.  Everywhere else a monomial is an opaque hashable
@@ -132,22 +131,11 @@ def int_row(x: Mapping) -> Row:
     row ``(den, vals)``: ``x = vals / den``, where ``den`` is the lcm of the
     coefficients' denominators and every value is an ``int``.  A zero
     coefficient is dropped, and the key order is kept.  ``den`` and the
-    values have no common prime factor, so the row is in lowest terms;
-    ``row_coeffs`` turns it back."""
+    values have no common prime factor, so the row is in lowest terms."""
     den = lcm(*[c.denominator for c in x.values()])
     if den == 1:
         return 1, {k: c.numerator for k, c in x.items() if c}
     return den, {k: c.numerator * (den // c.denominator) for k, c in x.items() if c}
-
-
-def row_coeffs(row: Row) -> Dict:
-    """The coefficients ``vals / den`` of an integer row, under the
-    coefficient rule: ``vals`` itself when ``den`` is 1 (its values are
-    ``int``s already), else a new dict.  The caller hands the row over."""
-    den, vals = row
-    if den == 1:
-        return vals
-    return {k: q_div(v, den) for k, v in vals.items()}
 
 
 class SignatureError(ValueError):

@@ -1,5 +1,6 @@
 import pathlib
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -37,6 +38,15 @@ def is_coefficient(c) -> bool:
     """The coefficient rule: an ``int``, or a ``Fraction`` with denominator > 1
     (so neither ``Fraction(2, 1)`` nor a float)."""
     return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def is_row(row) -> bool:
+    """An integer row in lowest terms, as ``graded_algebra.int_row`` makes
+    them: ``(den, vals)`` with ``den`` > 0, nonzero ``int`` values, and no
+    factor common to ``den`` and all the values."""
+    den, vals = row
+    return (type(den) is int and den > 0 and gcd(den, *vals.values()) == 1
+            and all(type(v) is int and v for v in vals.values()))
 
 
 def mono(sig, *factors):

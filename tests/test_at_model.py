@@ -1,6 +1,5 @@
 import copy
 import random
-import sys
 from fractions import Fraction
 from math import gcd
 
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import is_coefficient
+from conftest import is_row
 from sulmin.at_model import (
     ATModel,
     DGModule,
@@ -18,7 +17,9 @@ from sulmin.at_model import (
     row_apply,
     validate_module,
 )
-from sulmin.graded_algebra import int_row, lin_axpy, q_div, row_coeffs
+from sulmin.cli import RunConfig, _cmd_at_model
+from sulmin.dsl import format_linear
+from sulmin.graded_algebra import int_row, lin_axpy
 from sulmin.homology_oracle import module_homology_dims
 from sulmin.random_inputs import random_dg_module
 
@@ -28,9 +29,9 @@ def test_all_cycles_survive():
     A = compute_at_model(M)
     assert A.H == (0, 1, 2)
     for i in range(3):
-        assert A.f[i] == {i: 1}
-        assert A.g[i] == {i: 1}
-        assert A.phi[i] == {}
+        assert A.f[i] == (1, {i: 1})
+        assert A.g[i] == (1, {i: 1})
+        assert A.phi[i] == (1, {})
     assert A.pairs == ()
 
 
@@ -40,8 +41,8 @@ def test_segment_collapse():
                  {2: {1: Fraction(1), 0: Fraction(-1)}})
     A = compute_at_model(M)
     assert A.H == (0,)
-    assert A.f[1] == {0: Fraction(1)}
-    assert A.phi[1] == {2: Fraction(1)}
+    assert A.f[1] == int_row({0: Fraction(1)})
+    assert A.phi[1] == int_row({2: Fraction(1)})
     assert A.pairs == ((2, 1),)
 
 
@@ -49,7 +50,7 @@ def test_non_unit_pivot_coefficient():
     M = DGModule((("m0", 1), ("m1", 0)), {1: {0: Fraction(2)}})
     A = compute_at_model(M)
     assert A.H == ()
-    assert A.phi[0] == {1: Fraction(1, 2)}
+    assert A.phi[0] == int_row({1: Fraction(1, 2)})
     assert A.pairs == ((1, 0),)
 
 
@@ -62,27 +63,53 @@ def test_identities_hold_on_computed_models():
         assert all(ch.ok for ch in report), "\n".join(str(ch) for ch in report)
 
 
+_CORRUPTED_REPORT = [
+    "f d = 0: pass",
+    "d g = 0: pass",
+    "f phi = 0: pass",
+    "phi g = 0: pass",
+    "phi phi = 0: pass",
+    "id - gf = phi d + d phi: FAIL at v1",
+    "f g = id: pass",
+    "phi d phi = phi: pass",
+    "d phi d = d: FAIL at e",
+]
+
+
 def test_corrupted_homotopy_detected():
     M = DGModule((("v0", 1), ("v1", 1), ("e", 0)),
                  {2: {1: Fraction(1), 0: Fraction(-1)}})
     A = compute_at_model(M)
     bad_phi = dict(A.phi)
-    bad_phi[1] = {}
+    bad_phi[1] = (1, {})
     bad = ATModel(A.H, A.f, A.g, bad_phi, A.pairs)
     report = check_at_model(M, bad)
     failing = [ch.name for ch in report if not ch.ok]
     assert "id - gf = phi d + d phi" in failing
-    assert [str(ch) for ch in report] == [
-        "f d = 0: pass",
-        "d g = 0: pass",
-        "f phi = 0: pass",
-        "phi g = 0: pass",
-        "phi phi = 0: pass",
-        "id - gf = phi d + d phi: FAIL at v1",
-        "f g = id: pass",
-        "phi d phi = phi: pass",
-        "d phi d = d: FAIL at e",
-    ]
+    assert [str(ch) for ch in report] == _CORRUPTED_REPORT
+
+
+def _scaled(table, k):
+    """Every row of ``table`` with its denominator and values times ``k``."""
+    return {m: (k * den, {j: k * v for j, v in vals.items()}) for m, (den, vals) in table.items()}
+
+
+def test_checker_reads_rows_not_in_lowest_terms():
+    rng = random.Random(17)
+    for _ in range(10):
+        M = random_dg_module(rng, max_gens=30)
+        A = compute_at_model(M)
+        scaled = ATModel(A.H, _scaled(A.f, 3), _scaled(A.g, 3), _scaled(A.phi, 3), A.pairs)
+        report = check_at_model(M, scaled)
+        assert all(ch.ok for ch in report), "\n".join(str(ch) for ch in report)
+    # the corrupted homotopy above, every row scaled, the wrong entry as a row
+    M = DGModule((("v0", 1), ("v1", 1), ("e", 0)),
+                 {2: {1: Fraction(1), 0: Fraction(-1)}})
+    A = compute_at_model(M)
+    bad_phi = _scaled(A.phi, 3)
+    bad_phi[1] = (3, {})
+    bad = ATModel(A.H, _scaled(A.f, 3), _scaled(A.g, 3), bad_phi, A.pairs)
+    assert [str(ch) for ch in check_at_model(M, bad)] == _CORRUPTED_REPORT
 
 
 def test_empty_module_passes_vacuously():
@@ -185,13 +212,12 @@ def test_row_apply_matches_the_fold(case):
     rows = {k: int_row(v) for k, v in table.items()}
     before = copy.deepcopy(rows)
     den, out = got = row_apply(rows, int_row(x))
-    assert row_coeffs(got) == _fold_apply(table, x)
+    assert got == int_row(_fold_apply(table, x))
     assert rows == before
     assert all(out is not image for _, image in rows.values())
     # in lowest terms, so equal vectors are equal rows
     assert den > 0 and all(v.__class__ is int and v for v in out.values())
     assert gcd(den, *out.values()) == 1
-    assert all(is_coefficient(v) and v for v in row_coeffs(got).values())
 
 
 def test_module_tables_are_not_shared_or_written():
@@ -200,14 +226,16 @@ def test_module_tables_are_not_shared_or_written():
         M = random_dg_module(rng, max_gens=40)
         before = copy.deepcopy(M.diff)
         assert validate_module(M) == []
+        rows_before = copy.deepcopy(M.rows)
         A = compute_at_model(M)
         assert all(ch.ok for ch in check_at_model(M, A))
-        assert M.diff == before
-        entries = [*A.f.values(), *A.g.values(), *A.phi.values()]
+        assert M.diff == before and M.rows == rows_before
+        rows = [*A.f.values(), *A.g.values(), *A.phi.values()]
+        entries = [vals for _, vals in rows]
         assert len({id(e) for e in entries}) == len(entries)
         assert not {id(e) for e in entries} & {id(e) for e in M.diff.values()}
-        for image in entries:
-            assert all(is_coefficient(v) for v in image.values())
+        assert not {id(e) for e in entries} & {id(vals) for _, vals in M.rows.values()}
+        assert all(is_row(row) for row in rows)
 
 
 def _scanning_at_model(M):
@@ -244,17 +272,24 @@ def _scanning_at_model(M):
     return ATModel(tuple(H), f, g, phi, tuple(pairs))
 
 
+def _rows(A):
+    """A model whose tables hold coefficient maps, with every entry brought
+    to a row by ``int_row``."""
+    return ATModel(A.H, *({m: int_row(v) for m, v in table.items()}
+                          for table in (A.f, A.g, A.phi)), A.pairs)
+
+
 @given(st.integers(0, 10**9), st.integers(2, 80))
 @settings(max_examples=60, deadline=None)
 def test_indexed_corrections_match_the_scan(seed, max_gens):
     M = random_dg_module(random.Random(seed), max_gens=max_gens)
     A = compute_at_model(M)
-    ref = _scanning_at_model(M)
+    ref = _rows(_scanning_at_model(M))
     assert A == ref
     # entry by entry in the same key order, so the emitted text is the same too
     for table, expected in ((A.f, ref.f), (A.g, ref.g), (A.phi, ref.phi)):
-        assert [list(table[m].items()) for m in table] == \
-            [list(expected[m].items()) for m in expected]
+        assert [list(table[m][1].items()) for m in table] == \
+            [list(expected[m][1].items()) for m in expected]
 
 
 # -- integer rows: exact, and free of Fraction arithmetic ------------------------
@@ -303,27 +338,35 @@ _FRACTION_ARITHMETIC = (
     "__pos__", "__abs__")
 
 
+def _at_model_text(M, A):
+    """The ``at-model`` document of a model whose tables hold coefficient
+    maps, each printed as a coefficient map."""
+    n = range(len(M.generators))
+    lines = ["H = {" + ", ".join(M.name(h) for h in A.H) + "}"]
+    lines += [f"f {M.name(i)} = {format_linear(M, A.f[i])}" for i in n]
+    lines += [f"g {M.name(h)} = {format_linear(M, A.g[h])}" for h in A.H]
+    lines += [f"phi {M.name(i)} = {format_linear(M, A.phi[i])}" for i in n]
+    lines += [f"pair {M.name(i)} {M.name(j)}" for i, j in A.pairs]
+    return "\n".join(lines) + "\n"
+
+
 def test_module_layer_does_no_fraction_arithmetic(monkeypatch):
     M = random_dg_module(random.Random(5), max_gens=60)
     assert any(type(c) is Fraction for dx in M.diff.values() for c in dx.values())
-    expected = _scanning_at_model(M)
+    reference = _scanning_at_model(M)
     M = DGModule(M.generators, M.diff)  # no rows built yet
 
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("Fraction arithmetic in the module layer")
 
+    # from a built module to stdout, no Fraction is made or computed with
     for name in _FRACTION_ARITHMETIC:
         monkeypatch.setattr(Fraction, name, refuse)
-    new = Fraction.__new__
-
-    def built_by_q_div(cls, *args, **kwargs):
-        # the boundary: rows turn back into coefficients through q_div only
-        assert sys._getframe(1).f_code is q_div.__code__
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(built_by_q_div))
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(refuse))
     assert validate_module(M) == []
     A = compute_at_model(M)
+    printed = _cmd_at_model(M, RunConfig("at-model", "module.sul"))
     monkeypatch.undo()
-    assert A == expected
-    assert any(type(c) is Fraction for image in A.phi.values() for c in image.values())
+    assert A == _rows(reference)
+    assert any(den != 1 for den, _ in A.phi.values())
+    assert printed == (0, _at_model_text(M, reference), "")

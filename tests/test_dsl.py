@@ -273,10 +273,19 @@ def test_format_element_matches_the_fraction_formatter(x):
     assert format_element(_FORMAT_SIG, x) == _reference_format_element(_FORMAT_SIG, x)
 
 
-@given(st.dictionaries(st.integers(0, 5), _COEFFS, max_size=6))
+# integer rows: small values that share factors with the denominator, so
+# rows not in lowest terms and integral terms arise, and values past a word
+_ROW_INTS = st.one_of(st.integers(1, 12), st.integers(1, 10**30))
+_ROW_VALUES = st.builds(lambda v, s: s * v, _ROW_INTS, st.sampled_from([1, -1]))
+
+
+@given(st.dictionaries(st.integers(0, 5), _COEFFS, max_size=6),
+       st.dictionaries(st.integers(0, 5), _ROW_VALUES, max_size=6), _ROW_INTS)
 @settings(max_examples=200, deadline=None)
-def test_format_linear_matches_the_fraction_formatter(x):
+def test_format_linear_matches_the_fraction_formatter(x, vals, den):
     assert format_linear(_FORMAT_MODULE, x) == _reference_format_linear(_FORMAT_MODULE, x)
+    assert format_linear(_FORMAT_MODULE, vals, den) == _reference_format_linear(
+        _FORMAT_MODULE, {i: Fraction(v, den) for i, v in vals.items()})
 
 
 def _expanded_key(sig, factors):

@@ -16,6 +16,7 @@ from sulmin.graded_algebra import (
     elem_scale,
     elem_sub,
     in_lambda_geq2,
+    int_row,
     linear_part,
     mono_elem,
     mono_factors,
@@ -269,10 +270,10 @@ def test_the_sweep_lifts_the_module_model_of_the_linear_part(algebras, seed):
         assert A.H == c.W
         assert A.pairs == c.pairs
         for i in range(len(dga.sig)):
-            assert linear_part(dga.sig, c.f[i]) == A.f[i]
-            assert linear_part(dga.sig, c.phi[i]) == A.phi[i]
+            assert int_row(linear_part(dga.sig, c.f[i])) == A.f[i]
+            assert int_row(linear_part(dga.sig, c.phi[i])) == A.phi[i]
         for w in c.W:
-            assert linear_part(dga.sig, c.g[w]) == A.g[w]
+            assert int_row(linear_part(dga.sig, c.g[w])) == A.g[w]
 
 
 @pytest.mark.parametrize("pairs, message", [
