@@ -16,26 +16,33 @@ Inside this module every vector is an integer row ``(den, vals)`` (see
 ``graded_algebra.int_row``): the vector ``vals / den`` with ``den > 0``,
 ``int`` values, and no factor common to ``den`` and all the values.  A row
 is in lowest terms, so two rows are equal exactly when their vectors are.
-No ``Fraction`` arithmetic runs here: ``row_apply``, the one linear extension
-of a table of rows, sums over a common denominator with
-``graded_algebra.lin_axpy`` on ``int``s, and the sweep's corrections
-cross-multiply.  A module's differential becomes rows once (``DGModule.rows``,
-built by the first ``validate_module`` and reused by the sweep), and vectors
-stay rows from there to stdout: the ``ATModel`` tables are the sweep's own
-rows, ``check_at_model`` reads them as rows, and ``at-model`` prints them
-with ``dsl.format_linear``; nothing turns them back into coefficients.  The
-sweep owns every row it builds and no two share a dict, so it corrects a row
-in place and hands each dict to the ``ATModel`` at most once.
+Validation, the sweep and the checker run no ``Fraction`` arithmetic:
+``row_apply``, the one linear extension of a table of rows, sums over a
+common denominator with ``graded_algebra.lin_axpy`` on ``int``s, and the
+sweep's corrections cross-multiply.
+
+A parsed module holds its differential as rows from the start: the parser
+reads each derivative into a row (``row_of_terms``) and builds the module
+with ``DGModule.from_rows``.  A module built from coefficient maps becomes
+rows once, on the first read of ``DGModule.rows``.  The coefficient maps of
+a parsed module (``DGModule.diff``, which ``homology`` and the benchmark's
+writer read) are derived only when read, and ``at-model`` never reads them.
+Vectors stay rows from there to stdout: the ``ATModel`` tables are the
+sweep's own rows, ``check_at_model`` reads them as rows, and ``at-model``
+prints them with ``dsl.format_linear``; nothing turns them back into
+coefficients.  The sweep owns every row it builds and no two share a dict,
+so it corrects a row in place and hands each dict to the ``ATModel`` at
+most once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
-from typing import Dict, List, Mapping, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
-from .graded_algebra import Coeff, Row, int_row, lin_axpy, q_table
+from .graded_algebra import Coeff, Row, int_row, lin_axpy, q_div, q_table
 from .morphisms import IdentityCheck
 
 Lin = Dict[int, Coeff]
@@ -50,6 +57,34 @@ def _lowest(den: int, vals: Dict[int, int]) -> Row:
         if c != 1:
             return den // c, {k: v // c for k, v in vals.items()}
     return den, vals
+
+
+def row_of_terms(terms: Iterable[Tuple[int, int, int]]) -> Row:
+    """The row of the sum of ``num / den`` times generator ``k`` over the
+    ``(num, den, k)`` of ``terms`` (``den`` > 0), in lowest terms: how a
+    parsed derivative becomes a row.  The sum accumulates over a common
+    denominator, the lcm of the denominators so far, as in ``row_apply``; a
+    zero numerator adds nothing, and a sum that cancels drops its key."""
+    vals: Dict[int, int] = {}
+    common = 1
+    for num, den, k in terms:
+        if not num:
+            continue
+        if common % den:
+            grown = lcm(common, den)
+            scale = grown // common
+            vals = {j: scale * v for j, v in vals.items()}
+            common = grown
+        if den != common:
+            num *= common // den
+        s = vals.get(k)
+        if s is None:
+            vals[k] = num
+        elif s + num:
+            vals[k] = s + num
+        else:
+            del vals[k]
+    return _lowest(common, vals)
 
 
 def row_apply(table: Mapping[int, Row], x: Row) -> Row:
@@ -82,23 +117,51 @@ def row_apply(table: Mapping[int, Row], x: Row) -> Row:
 _ZERO: Row = (1, {})  # read only
 
 
-@dataclass(frozen=True)
 class DGModule:
-    """Ordered generators (name, degree >= 0) with a linear differential
-    table; an index that names no generator raises ``ValueError``."""
+    """Ordered generators (name, degree >= 0) with a linear differential.
 
-    generators: Tuple[Tuple[str, int], ...]
-    diff: Mapping[int, Lin] = field(default_factory=dict)
+    The differential has two forms, each derived from the other when first
+    read and then kept; neither may be mutated.  ``diff`` maps a generator
+    index to its derivative as a coefficient map under the int/``Fraction``
+    rule, and ``rows`` maps it to the same vector as an integer row in lowest
+    terms; a zero derivative has no entry in either.  ``DGModule(generators,
+    diff)`` brings the maps to the rule (``q_table``) and raises
+    ``ValueError`` on an index that names no generator; ``from_rows`` takes
+    rows as they are.  Two modules are equal when their generators and
+    differentials are, whichever form built them."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "diff", q_table(self.diff))
+    def __init__(self, generators: Tuple[Tuple[str, int], ...],
+                 diff: Optional[Mapping[int, Lin]] = None):
+        self.__dict__.update(generators=tuple(generators), diff=q_table(diff or {}))
         n = len(self.generators)
         for i, dx in self.diff.items():
             for j in (i, *dx):
                 if not 0 <= j < n:
                     raise ValueError(
                         f"differential table mentions index {j} outside the generators")
+
+    @classmethod
+    def from_rows(cls, generators: Tuple[Tuple[str, int], ...],
+                  rows: Mapping[int, Row]) -> "DGModule":
+        """The module whose differential takes generator ``i`` to the row
+        ``rows[i]``, as the parser builds it.  Every row must be in lowest
+        terms and every index name a generator; neither is checked.  A zero
+        row is dropped, and the module keeps the rest in a new dict."""
+        M = cls.__new__(cls)
+        M.__dict__.update(generators=tuple(generators),
+                          rows={i: row for i, row in rows.items() if row[1]})
+        return M
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to DGModule.{name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.generators == other.generators and self.rows == other.rows
+
+    def __repr__(self):
+        return f"DGModule(generators={self.generators!r}, diff={self.diff!r})"
 
     def degree(self, index: int) -> int:
         return self.generators[index][1]
@@ -110,9 +173,18 @@ class DGModule:
         return self.diff.get(index, {})
 
     @cached_property
+    def diff(self) -> Dict[int, Lin]:
+        """The coefficient maps, derived from the rows on first read by a
+        module built from rows (a parsed one): ``d_of``, ``homology`` and
+        the benchmark's writer read them, ``at-model`` does not."""
+        return {i: {k: q_div(v, den) for k, v in vals.items()}
+                for i, (den, vals) in self.rows.items()}
+
+    @cached_property
     def rows(self) -> Dict[int, Row]:
-        """The differential as integer rows, built on first use and kept;
-        like ``diff``, it must not be mutated."""
+        """The integer rows that validation and the sweep read.  A parsed
+        module holds them from the start; one built from coefficient maps
+        derives them on first read (``int_row``)."""
         return {i: int_row(dx) for i, dx in self.diff.items()}
 
 
@@ -127,9 +199,9 @@ def validate_module(M: DGModule) -> List[str]:
             problems.append(f"duplicate generator name {name}")
         names.add(name)
     rows = M.rows
-    for i, dx in sorted(M.diff.items()):
+    for i, (_, vals) in sorted(rows.items()):
         name, deg = M.generators[i]
-        for j in dx:
+        for j in vals:
             if j >= i:
                 problems.append(
                     f"d({name}) uses {M.name(j)} (index {j} >= {i})")

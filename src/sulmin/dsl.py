@@ -15,6 +15,20 @@ graded-commutativity sign, so for odd a and b the text ``b*a`` denotes
 ``-1 * a*b``.  In module mode an expression must be a linear combination of
 generator names.
 
+A module document in the written form, the one ``format_linear`` and the
+benchmark's module writer produce, is read without the token lexer: the
+header ``mode module``, ``gen NAME:INT`` lines, then ``d NAME = [-]TERM
+( [+-] TERM)*`` lines, where ``TERM = [INT[/INT]*]NAME``, with ASCII names,
+single spaces and one statement per ``\n``.  ``_scan_module`` checks such a
+document with one compiled pattern and reads it with two ``findall`` calls.
+Everything else goes to the token cursor below, as does a written document
+that the cursor would refuse; the cursor is the one parser of algebra
+documents and the one place where an error is raised and worded, so a
+comment, a CR LF or a ``2 m1`` term only costs the fallback.  Both module
+paths hand each term to ``at_model.row_of_terms`` as a numerator, a
+denominator and an index, and the derivative becomes an integer row with no
+``Fraction``; the module is built from its rows (``DGModule.from_rows``).
+
 Lexing runs no Python code per character.  One compiled-regex ``findall``
 splits the document into tokens, each match skipping the blanks and the
 comment in front of its token; the kind of a token comes from a table keyed
@@ -32,14 +46,14 @@ from dataclasses import dataclass
 from itertools import islice
 from math import gcd
 from operator import itemgetter
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
-from .at_model import DGModule, Lin
+from .at_model import DGModule, Lin, row_of_terms
 from .differential import DGAlgebra
 from .graded_algebra import (
-    Coeff,
     Elem,
     Mono,
+    Row,
     Signature,
     elem_add,
     elem_const,
@@ -47,7 +61,6 @@ from .graded_algebra import (
     elem_mul,
     elem_pow,
     elem_scale,
-    lin_axpy,
     mono_degree,
     mono_factors,
     mono_str,
@@ -178,8 +191,9 @@ def _parse_uint(cur: _Cursor) -> int:
         raise cur.error("integer literal too long", i) from None
 
 
-def _parse_coeff(cur: _Cursor, sign: int = 1) -> Coeff:
-    """A coefficient literal, times ``sign`` (1 or -1)."""
+def _parse_ratio(cur: _Cursor, sign: int = 1) -> Tuple[int, int]:
+    """A coefficient literal times ``sign`` (1 or -1), as a numerator and a
+    positive denominator, not reduced."""
     num = sign * _parse_uint(cur)
     if cur.texts[cur.pos] == "/":
         cur.pos += 1
@@ -187,8 +201,8 @@ def _parse_coeff(cur: _Cursor, sign: int = 1) -> Coeff:
         den = _parse_uint(cur)
         if den == 0:
             raise cur.error("zero denominator", i)
-        return q_div(num, den)
-    return num
+        return num, den
+    return num, 1
 
 
 _ADD_OPS = frozenset("+-")
@@ -222,7 +236,7 @@ class _AlgebraEval:
 
     def term(self, cur: _Cursor) -> Elem:
         if cur.kinds[cur.pos] == "INT":
-            acc = elem_const(_parse_coeff(cur))
+            acc = elem_const(q_div(*_parse_ratio(cur)))
             if cur.at_sym("*"):
                 cur.pos += 1
             elif cur.kinds[cur.pos] != "IDENT" and not cur.at_sym("("):
@@ -257,21 +271,22 @@ _NONLINEAR = frozenset("*^(")
 
 
 class _ModuleEval:
-    """Evaluate a linear expression into a generator -> coefficient map."""
+    """Read a linear expression as the terms of its row."""
 
     def __init__(self, declared: Dict[str, int]):
         self.declared = declared
 
-    def term(self, cur: _Cursor, sign: int) -> Lin:
-        """One term, times ``sign`` (1 or -1)."""
+    def term(self, cur: _Cursor, sign: int) -> Optional[Tuple[int, int, int]]:
+        """One term, times ``sign`` (1 or -1), as ``(num, den, index)``;
+        None for a zero constant."""
         kinds = cur.kinds
         saw_coeff = kinds[cur.pos] == "INT"
         if saw_coeff:
-            coeff = _parse_coeff(cur, sign)
+            num, den = _parse_ratio(cur, sign)
             if cur.at_sym("*"):
                 cur.pos += 1
         else:
-            coeff = sign
+            num, den = sign, 1
         i = cur.pos
         if kinds[i] == "IDENT":
             name = cur.texts[i]
@@ -281,38 +296,91 @@ class _ModuleEval:
                 raise cur.error(f"undeclared identifier {name!r}", i)
             if cur.texts[i + 1] in _NONLINEAR:
                 raise cur.error("nonlinear expression in module mode")
-            return {idx: coeff} if coeff else {}
+            return num, den, idx
         if saw_coeff:
-            if coeff:
+            if num:
                 raise cur.error("constant term in a module differential")
-            return {}
+            return None
         raise cur.error("expected a generator name")
 
-    def expr(self, cur: _Cursor) -> Lin:
+    def terms(self, cur: _Cursor) -> Iterator[Tuple[int, int, int]]:
         texts = cur.texts
         sign = -1 if texts[cur.pos] == "-" else 1
         if texts[cur.pos] in _ADD_OPS:
             cur.pos += 1
-        acc: Lin = {}
         while True:
-            lin_axpy(acc, 1, self.term(cur, sign))
+            term = self.term(cur, sign)
+            if term is not None:
+                yield term
             op = texts[cur.pos]
             if op not in _ADD_OPS:
-                return acc
+                return
             sign = -1 if op == "-" else 1
             cur.pos += 1
+
+
+# -- the written form ----------------------------------------------------------
+
+# ``_WRITTEN`` checks a whole document in the written form (see the module
+# docstring); ``_WRITTEN_GEN`` then reads one declaration per match and
+# ``_WRITTEN_TERM`` one term, a term that opens a derivative with its target.
+# ``_WRITTEN_TERM`` only reads text that ``_WRITTEN`` took, so it need not
+# reject anything: its optional blanks fit a first term as well as the
+# `` + `` or `` - `` in front of a later one.
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_TERM = rf"(?:[0-9]+(?:/[0-9]+)?\*)?{_NAME}"
+_WRITTEN = re.compile(rf"mode module\n((?:gen {_NAME}:[0-9]+\n)*)"
+                      rf"((?:d {_NAME} = -?{_TERM}(?: [+-] {_TERM})*\n)*)")
+_WRITTEN_GEN = re.compile(rf"gen ({_NAME}):([0-9]+)\n")
+_WRITTEN_TERM = re.compile(rf"(?:d ({_NAME}) = )? ?([+-]?) ?(?:([0-9]+)(?:/([0-9]+))?\*)?({_NAME})")
+
+
+def _scan_module(text: str) -> Optional[DGModule]:
+    """The module of a document in the written form, read without the token
+    cursor; None if ``text`` is not in that form or holds anything the
+    cursor would refuse (a duplicate or undeclared name, a second derivative
+    of one generator, a zero denominator, a literal past the interpreter's
+    digit limit), so that the cursor reads it and words the error."""
+    doc = _WRITTEN.fullmatch(text)
+    if doc is None:
+        return None
+    gens = _WRITTEN_GEN.findall(text, *doc.span(1))
+    names = {name: i for i, (name, _) in enumerate(gens)}
+    if len(names) != len(gens):
+        return None
+    lines: Dict[int, List[Tuple[int, int, int]]] = {}  # target: its terms
+    try:
+        degrees = tuple((name, int(deg)) for name, deg in gens)
+        for target, sign, num, den, name in _WRITTEN_TERM.findall(text, *doc.span(2)):
+            if target:
+                i = names.get(target)
+                if i is None or i in lines:
+                    return None
+                terms = lines[i] = []
+            k = names.get(name)
+            den = int(den) if den else 1
+            if k is None or not den:
+                return None
+            num = int(num) if num else 1
+            terms.append((-num if sign == "-" else num, den, k))
+    except ValueError:  # past the limit on int string digits
+        return None
+    return DGModule.from_rows(degrees, {i: row_of_terms(terms) for i, terms in lines.items()})
 
 
 # -- document parsing ---------------------------------------------------------
 
 def parse(text: str) -> Union[DGAlgebra, DGModule]:
     """Parse a source document into an algebra or module description."""
+    module = _scan_module(text)
+    if module is not None:
+        return module
     cur = _Cursor(text)
     kinds, texts = cur.kinds, cur.texts
     mode = "algebra"
     names: Dict[str, int] = {}
     degrees: List[Tuple[str, int]] = []
-    diffs: Dict[int, Union[Elem, Lin]] = {}
+    diffs: Dict[int, Union[Elem, Row]] = {}
     has_diff: set = set()
     # the generators declared so far; a derivative is built against them,
     # and the monomial layout packs their monomials as the final signature
@@ -366,10 +434,10 @@ def parse(text: str) -> Union[DGAlgebra, DGModule]:
                     sig = sig.extended(degrees[len(sig):])
                 value = _AlgebraEval(sig, names).expr(cur)
             else:
-                value = module_eval.expr(cur)
+                value = row_of_terms(module_eval.terms(cur))
             cur.end_of_statement()
             has_diff.add(idx)
-            if value:
+            if value:  # always, for a row: ``from_rows`` drops a zero one
                 diffs[idx] = value
         elif word == "mode":
             raise cur.error("mode header must be the first statement")
@@ -380,7 +448,7 @@ def parse(text: str) -> Union[DGAlgebra, DGModule]:
         if len(sig) != len(degrees):
             sig = sig.extended(degrees[len(sig):])
         return DGAlgebra(sig, diffs)
-    return DGModule(tuple(degrees), diffs)
+    return DGModule.from_rows(tuple(degrees), diffs)
 
 
 def parse_expression(sig: Signature, text: str) -> Elem:

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from sulmin import compute_minimal_model, parse
+from sulmin.dsl import format_linear
 from sulmin.graded_algebra import ONE_MONO, mono_gen, mono_mul
 
 INPUTS = pathlib.Path(__file__).resolve().parent.parent / "inputs"
@@ -32,6 +33,14 @@ PLANTED = (
     "d u1 = -1/2*y0\nd m4 = 1/6*y0^2 + 1/6*y0*m3\nd u5 = -9/4*y0 - 1/2*y2\n"
     "d m6 = -3/4*y0^2 - 7/4*y0*y2 + 2*y0*m3 - 5/8*y2^2 - y2*m3 - 2*m3^2\n",
 )
+
+
+def written_module(M) -> str:
+    """The document of the module ``M`` in the written form, as
+    ``perfbench/workloads.module_text`` writes it."""
+    lines = ["mode module"] + [f"gen {name}:{deg}" for name, deg in M.generators]
+    lines += [f"d {M.name(i)} = {format_linear(M, M.diff[i])}" for i in sorted(M.diff)]
+    return "\n".join(lines) + "\n"
 
 
 def is_coefficient(c) -> bool:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import is_row
+from conftest import is_coefficient, is_row, written_module
+from sulmin import dsl
 from sulmin.at_model import (
     ATModel,
     DGModule,
@@ -17,8 +18,8 @@ from sulmin.at_model import (
     row_apply,
     validate_module,
 )
-from sulmin.cli import RunConfig, _cmd_at_model
-from sulmin.dsl import format_linear
+from sulmin.cli import RunConfig, _cmd_at_model, run
+from sulmin.dsl import format_linear, parse
 from sulmin.graded_algebra import int_row, lin_axpy
 from sulmin.homology_oracle import module_homology_dims
 from sulmin.random_inputs import random_dg_module
@@ -350,19 +351,23 @@ def _at_model_text(M, A):
     return "\n".join(lines) + "\n"
 
 
+def _refuse_fraction_arithmetic(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fraction arithmetic in the module layer")
+
+    for name in _FRACTION_ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, refuse)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(refuse))
+
+
 def test_module_layer_does_no_fraction_arithmetic(monkeypatch):
     M = random_dg_module(random.Random(5), max_gens=60)
     assert any(type(c) is Fraction for dx in M.diff.values() for c in dx.values())
     reference = _scanning_at_model(M)
     M = DGModule(M.generators, M.diff)  # no rows built yet
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("Fraction arithmetic in the module layer")
-
     # from a built module to stdout, no Fraction is made or computed with
-    for name in _FRACTION_ARITHMETIC:
-        monkeypatch.setattr(Fraction, name, refuse)
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(refuse))
+    _refuse_fraction_arithmetic(monkeypatch)
     assert validate_module(M) == []
     A = compute_at_model(M)
     printed = _cmd_at_model(M, RunConfig("at-model", "module.sul"))
@@ -370,3 +375,47 @@ def test_module_layer_does_no_fraction_arithmetic(monkeypatch):
     assert A == _rows(reference)
     assert any(den != 1 for den, _ in A.phi.values())
     assert printed == (0, _at_model_text(M, reference), "")
+
+
+def test_at_model_from_written_text_makes_no_fraction_and_lexes_nothing(monkeypatch, tmp_path):
+    M = random_dg_module(random.Random(5), max_gens=60)
+    reference = _scanning_at_model(M)
+    path = tmp_path / "module.sul"
+    path.write_text(written_module(M), encoding="utf-8")
+
+    def refuse(*args):
+        raise AssertionError("the token lexer on the at-model path")
+
+    # from the written text to stdout: no Fraction, and no token cursor
+    _refuse_fraction_arithmetic(monkeypatch)
+    monkeypatch.setattr(dsl, "_lex", refuse)
+    printed = run(RunConfig("at-model", str(path)))
+    monkeypatch.undo()
+    assert printed == (0, _at_model_text(M, reference), "")
+
+
+@given(st.integers(0, 10**9), st.integers(2, 60))
+@settings(max_examples=40, deadline=None)
+def test_a_parsed_module_equals_the_module_built_from_its_maps(seed, max_gens):
+    M = random_dg_module(random.Random(seed), max_gens=max_gens)
+    parsed = parse(written_module(M))
+    built = DGModule(M.generators, M.diff)
+    assert parsed == built and built == parsed
+    assert parsed.diff == built.diff == M.diff
+    assert all(is_coefficient(c) for dx in parsed.diff.values() for c in dx.values())
+    assert parsed.rows == built.rows and all(map(is_row, parsed.rows.values()))
+    if M.diff:
+        i = max(M.diff)
+        other = {**M.diff, i: {k: 2 * c for k, c in M.diff[i].items()}}
+        assert parsed != DGModule(M.generators, other)
+    assert parsed != DGModule(M.generators + (("extra", 0),), M.diff)
+
+
+def test_a_module_from_rows_drops_zero_rows_and_is_immutable():
+    rows = {1: (2, {0: 1}), 2: (1, {})}
+    M = DGModule.from_rows((("a", 1), ("b", 0), ("c", 0)), rows)
+    assert M.rows == {1: (2, {0: 1})} and M.rows is not rows
+    assert M.diff == {1: {0: Fraction(1, 2)}} and M.d_of(2) == {}
+    assert M == DGModule((("a", 1), ("b", 0), ("c", 0)), {1: {0: Fraction(1, 2)}, 2: {}})
+    with pytest.raises(AttributeError):
+        M.generators = ()

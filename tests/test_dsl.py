@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mono
+from conftest import mono, written_module
+from sulmin import dsl
 from sulmin.at_model import DGModule
 from sulmin.differential import DGAlgebra
 from sulmin.dsl import (
@@ -26,7 +27,7 @@ from sulmin.dsl import (
 from sulmin.graded_algebra import (
     MAX_EXPONENT, Signature, SignatureError, basis_monomials, mono_degree, mono_factors)
 from sulmin.minimal_model import compute_minimal_model
-from sulmin.random_inputs import random_sullivan_algebra
+from sulmin.random_inputs import random_dg_module, random_sullivan_algebra
 
 
 def test_parse_five_generator_file(algebras):
@@ -360,3 +361,16 @@ def test_extended_signature_leaves_its_prefix_alone():
     with pytest.raises(SignatureError, match="duplicate"):
         sig.extended([("a1", 3)])
     assert _signature_state(sig) == before
+
+
+def test_a_written_module_parses_without_the_lexer(monkeypatch):
+    def refuse(text):
+        raise AssertionError("the token lexer ran")
+
+    M = random_dg_module(random.Random(11), max_gens=40)
+    text = written_module(M)
+    monkeypatch.setattr(dsl, "_lex", refuse)
+    assert parse(text) == M
+    # the refusal is live: a document outside the written form reaches it
+    with pytest.raises(AssertionError, match="lexer"):
+        parse(text.replace("\n", "\r\n"))

@@ -8,14 +8,16 @@ equal value or raise a ``DslError`` with the same message, line and column.
 
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dsl_reference as ref
-from conftest import EXAMPLE_FILES, INPUTS
+from conftest import EXAMPLE_FILES, INPUTS, written_module
 from sulmin import dsl
+from sulmin.cli import RunConfig, run
 from sulmin.differential import DGAlgebra
-from sulmin.dsl import DslError, emit_machine, format_element, format_linear
+from sulmin.dsl import DslError, emit_machine, format_element
 from sulmin.graded_algebra import Signature
 from sulmin.minimal_model import compute_minimal_model
 from sulmin.random_inputs import random_dg_module, random_sullivan_algebra
@@ -72,12 +74,6 @@ _SOUPS = st.tuples(
 ).map(lambda case: case[0] + "".join(p + sep for p, sep in case[1]))
 
 
-def _module_text(M):
-    lines = ["mode module"] + [f"gen {name}:{deg}" for name, deg in M.generators]
-    lines += [f"d {M.name(i)} = {format_linear(M, M.diff[i])}" for i in sorted(M.diff)]
-    return "\n".join(lines) + "\n"
-
-
 def _algebra_text(dga):
     sig = dga.sig
     lines = [f"gen {g.name}:{g.degree}" for g in sig.generators]
@@ -97,7 +93,7 @@ def _documents(draw):
         return draw(st.sampled_from(_BUNDLED))
     rng = random.Random(draw(st.integers(0, 10**6)))
     if kind == "module":
-        return _module_text(random_dg_module(rng, max_gens=30))
+        return written_module(random_dg_module(rng, max_gens=30))
     return _algebra_text(random_sullivan_algebra(rng, max_gens=6))
 
 
@@ -129,6 +125,85 @@ def test_parse_matches_reference_on_token_soups(text):
 @settings(max_examples=150, deadline=None)
 def test_parse_matches_reference_on_edited_documents(text):
     _same(dsl.parse, ref.parse, text)
+
+
+# -- the written form of a module document --------------------------------------
+
+@st.composite
+def _written_modules(draw):
+    """A ``random_dg_module`` document in the written form."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    return written_module(random_dg_module(rng, max_gens=draw(st.integers(2, 40))))
+
+
+@given(_written_modules())
+@settings(max_examples=100, deadline=None)
+def test_written_modules_take_the_scanner_and_match_the_reference(text):
+    assert dsl._scan_module(text) is not None
+    _same(dsl.parse, ref.parse, text)
+
+
+@given(_edited(_written_modules()))
+@example("mode module\ngen m0:1\ngen m1:0\nd m1 = 2/0*m0\n")
+@example("mode module\ngen m0:1\ngen m1:0\nd m1 = 0*m0 - 1/2*m0 + 1/2*m0\n")
+@example("mode module\ngen m0:1\ngen m1:0\nd m1 = 6/4*m0 + 07*m0\n")
+@example("mode module\ngen m0:1\ngen m1:0\nd m1 = -m0 + 2*m0\nd m0 = m1\n")
+@example("mode module\ngen m0:1\ngen m1:0\nd m1 = m0\n\n")
+@settings(max_examples=300, deadline=None)
+def test_parse_matches_reference_on_edited_written_modules(text):
+    _same(dsl.parse, ref.parse, text)
+
+
+_HEAD = "mode module\ngen m0:1\ngen m1:1\ngen m2:0\n"
+_LONG = "7" * 5000  # past the interpreter's default limit on int string digits
+
+# documents in or near the written form that the scanner must leave to the
+# cursor, each an error of the cursor's
+_REFUSED = {
+    "zero denominator": _HEAD + "d m2 = 1/0*m0\n",
+    "long degree": f"mode module\ngen m0:{_LONG}\n",
+    "long numerator": _HEAD + f"d m2 = {_LONG}*m0\n",
+    "long denominator": _HEAD + f"d m2 = 1/{_LONG}*m0\n",
+    "duplicate gen": _HEAD + "gen m1:2\n",
+    "second d": _HEAD + "d m2 = m0\nd m2 = m1\n",
+    "undeclared term": _HEAD + "d m2 = m0 - m7\n",
+    "undeclared target": _HEAD + "d m7 = m0\n",
+    "no header": _HEAD.replace("mode module\n", "") + "d m2 = m0 - m1\n",
+}
+# valid documents that are not in the written form
+_VALID = {
+    "CR LF": (_HEAD + "d m2 = m0 - m1\n").replace("\n", "\r\n"),
+    "trailing comment": _HEAD + "d m2 = m0 - m1  # the segment\n",
+}
+
+
+def _at_model(tmp_path, text):
+    path = tmp_path / "module.sul"
+    path.write_text(text, encoding="utf-8", newline="")
+    return run(RunConfig("at-model", str(path)))
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_refused_written_modules_are_the_cursors_errors(case, tmp_path):
+    text = _REFUSED[case]
+    assert dsl._scan_module(text) is None
+    _same(dsl.parse, ref.parse, text)
+    with pytest.raises(DslError) as err:
+        dsl.parse(text)
+    code, out, msg = _at_model(tmp_path, text)
+    assert (code, out) == (2, "")
+    assert msg == f"{tmp_path / 'module.sul'}: {err.value}\n"
+
+
+@pytest.mark.parametrize("case", sorted(_VALID))
+def test_valid_documents_outside_the_written_form_read_alike(case, tmp_path):
+    text = _VALID[case]
+    assert dsl._scan_module(text) is None
+    _same(dsl.parse, ref.parse, text)
+    written = _HEAD + "d m2 = m0 - m1\n"
+    assert dsl.parse(text) == dsl.parse(written)
+    assert _at_model(tmp_path, text) == _at_model(tmp_path, written)
+    assert _at_model(tmp_path, text)[0] == 0
 
 
 _SIG = Signature.from_pairs([("x", 1), ("y", 1), ("v2", 2), ("a1", 1), ("x²", 3)])
