@@ -25,14 +25,18 @@ A parsed module holds its differential as rows from the start: the parser
 reads each derivative into a row (``row_of_terms``) and builds the module
 with ``DGModule.from_rows``.  A module built from coefficient maps becomes
 rows once, on the first read of ``DGModule.rows``.  The coefficient maps of
-a parsed module (``DGModule.diff``, which ``homology`` and the benchmark's
-writer read) are derived only when read, and ``at-model`` never reads them.
+a parsed module (``DGModule.diff``, which the benchmark's writer reads) are
+derived only when read; ``at-model`` and ``homology`` never read them.
 Vectors stay rows from there to stdout: the ``ATModel`` tables are the
 sweep's own rows, ``check_at_model`` reads them as rows, and ``at-model``
 prints them with ``dsl.format_linear``; nothing turns them back into
 coefficients.  The sweep owns every row it builds and no two share a dict,
 so it corrects a row in place and hands each dict to the ``ATModel`` at
 most once.
+
+No work is spent on a zero row.  A closed generator (no row) births its
+class with fresh unit rows and applies no table, and ``at-model`` prints
+each empty row as ``0`` without calling ``format_linear``.
 """
 
 from __future__ import annotations
@@ -59,6 +63,14 @@ def _lowest(den: int, vals: Dict[int, int]) -> Row:
     return den, vals
 
 
+def _grow(den: int, vals: Dict[int, int], d: int) -> Row:
+    """``vals / den`` over the common denominator ``lcm(den, d)``, in a new
+    dict; callers ask for it only when ``d`` does not divide ``den``."""
+    grown = lcm(den, d)
+    scale = grown // den
+    return grown, {j: scale * v for j, v in vals.items()}
+
+
 def row_of_terms(terms: Iterable[Tuple[int, int, int]]) -> Row:
     """The row of the sum of ``num / den`` times generator ``k`` over the
     ``(num, den, k)`` of ``terms`` (``den`` > 0), in lowest terms: how a
@@ -71,10 +83,7 @@ def row_of_terms(terms: Iterable[Tuple[int, int, int]]) -> Row:
         if not num:
             continue
         if common % den:
-            grown = lcm(common, den)
-            scale = grown // common
-            vals = {j: scale * v for j, v in vals.items()}
-            common = grown
+            common, vals = _grow(common, vals, den)
         if den != common:
             num *= common // den
         s = vals.get(k)
@@ -106,10 +115,7 @@ def row_apply(table: Mapping[int, Row], x: Row) -> Row:
             continue
         d, y = img
         if common % d:
-            grown = lcm(common, d)
-            scale = grown // common
-            out = {j: scale * v for j, v in out.items()}
-            common = grown
+            common, out = _grow(common, out, d)
         lin_axpy(out, c if d == common else c * (common // d), y)
     return _lowest(den * common, out)
 
@@ -163,28 +169,22 @@ class DGModule:
     def __repr__(self):
         return f"DGModule(generators={self.generators!r}, diff={self.diff!r})"
 
-    def degree(self, index: int) -> int:
-        return self.generators[index][1]
-
     def name(self, index: int) -> str:
         return self.generators[index][0]
-
-    def d_of(self, index: int) -> Lin:
-        return self.diff.get(index, {})
 
     @cached_property
     def diff(self) -> Dict[int, Lin]:
         """The coefficient maps, derived from the rows on first read by a
-        module built from rows (a parsed one): ``d_of``, ``homology`` and
-        the benchmark's writer read them, ``at-model`` does not."""
+        module built from rows (a parsed one): the benchmark's writer reads
+        them; ``at-model`` and ``homology`` read the rows."""
         return {i: {k: q_div(v, den) for k, v in vals.items()}
                 for i, (den, vals) in self.rows.items()}
 
     @cached_property
     def rows(self) -> Dict[int, Row]:
-        """The integer rows that validation and the sweep read.  A parsed
-        module holds them from the start; one built from coefficient maps
-        derives them on first read (``int_row``)."""
+        """The integer rows that validation, the sweep and the homology
+        oracle read.  A parsed module holds them from the start; one built
+        from coefficient maps derives them on first read (``int_row``)."""
         return {i: int_row(dx) for i, dx in self.diff.items()}
 
 
@@ -198,16 +198,17 @@ def validate_module(M: DGModule) -> List[str]:
         if name in names:
             problems.append(f"duplicate generator name {name}")
         names.add(name)
+    gens = M.generators
     rows = M.rows
     for i, (_, vals) in sorted(rows.items()):
-        name, deg = M.generators[i]
+        name, deg = gens[i]
         for j in vals:
+            name_j, deg_j = gens[j]
             if j >= i:
+                problems.append(f"d({name}) uses {name_j} (index {j} >= {i})")
+            if deg_j != deg + 1:
                 problems.append(
-                    f"d({name}) uses {M.name(j)} (index {j} >= {i})")
-            if M.degree(j) != deg + 1:
-                problems.append(
-                    f"d({name}) term {M.name(j)} has degree {M.degree(j)}, expected {deg + 1}")
+                    f"d({name}) term {name_j} has degree {deg_j}, expected {deg + 1}")
         if row_apply(rows, rows[i])[1]:
             problems.append(f"d(d({name})) is nonzero")
     return problems
@@ -243,22 +244,25 @@ def compute_at_model(M: DGModule) -> ATModel:
         raise ModuleValidationError(problems)
 
     rows = M.rows
-    H: List[int] = []
     f: Dict[int, Row] = {}
     g: Dict[int, Row] = {}
     phi: Dict[int, Row] = {}
     pairs: List[Tuple[int, int]] = []
     # users[k]: the generators whose f image mentions the class k, for
-    # exactly the classes k still in H
+    # exactly the surviving classes k, in index order
     users: Dict[int, Set[int]] = {}
 
     for i in range(len(M.generators)):
-        di = rows.get(i, _ZERO)
-        a_den, a = row_apply(f, di)
-        b_den, b = row_apply(phi, di)
-        b = lin_axpy({i: b_den}, -1, b)  # i - phi(d i)
+        di = rows.get(i)
+        if di is None:  # a closed generator: nothing to apply
+            a, b_den, b = None, 1, {i: 1}
+        else:
+            a_den, a = row_apply(f, di)
+            b_den, b = row_apply(phi, di)
+            b = lin_axpy({i: b_den}, -1, b) if b else {i: 1}  # i - phi(d i)
         if not a:
-            H.append(i)
+            # a birth; every table gets a fresh dict, since the corrections
+            # below write rows in place
             f[i] = (1, {i: 1})
             g[i] = (b_den, b)
             phi[i] = (1, {})
@@ -268,7 +272,6 @@ def compute_at_model(M: DGModule) -> ATModel:
             # alpha = a[j] / a_den; dividing by p = |a[j]| and multiplying by
             # sign keeps every denominator below positive
             p, sign = (a[j], 1) if a[j] > 0 else (-a[j], -1)
-            H.remove(j)
             f[i] = (1, {})
             phi[i] = (1, {})
             g.pop(j, None)
@@ -287,11 +290,9 @@ def compute_at_model(M: DGModule) -> ATModel:
                 # phi[m] + lam * b over the lcm of both denominators
                 lam_den = den * p * b_den
                 phi_den, phi_m = phi[m]
-                common = lcm(phi_den, lam_den)
-                if common != phi_den:
-                    scale = common // phi_den
-                    phi_m = {k: scale * v for k, v in phi_m.items()}
-                phi[m] = _lowest(common, lin_axpy(phi_m, t * a_den * (common // lam_den), b))
+                if phi_den % lam_den:
+                    phi_den, phi_m = _grow(phi_den, phi_m, lam_den)
+                phi[m] = _lowest(phi_den, lin_axpy(phi_m, t * a_den * (phi_den // lam_den), b))
                 for k in a:
                     if k != j:
                         if k in fm:
@@ -299,7 +300,7 @@ def compute_at_model(M: DGModule) -> ATModel:
                         else:
                             users[k].discard(m)
 
-    return ATModel(tuple(H), f, g, phi, tuple(pairs))
+    return ATModel(tuple(users), f, g, phi, tuple(pairs))
 
 
 def check_at_model(M: DGModule, A: ATModel) -> Tuple[IdentityCheck, ...]:
@@ -347,12 +348,3 @@ def check_at_model(M: DGModule, A: ATModel) -> Tuple[IdentityCheck, ...]:
     ]
     return tuple(
         IdentityCheck(n, n not in failures, failures.get(n)) for n in names)
-
-
-def homology_class_dims(M: DGModule, A: ATModel) -> Dict[int, int]:
-    """Number of surviving classes per degree."""
-    out: Dict[int, int] = {}
-    for h in A.H:
-        d = M.degree(h)
-        out[d] = out.get(d, 0) + 1
-    return out

@@ -122,15 +122,16 @@ def _cmd_at_model(parsed, config: RunConfig) -> Tuple[int, str, str]:
     if not isinstance(parsed, DGModule):
         return EXIT_USER, "", "at-model needs a module-mode input\n"
     model = compute_at_model(parsed)
-    everything = range(len(parsed.generators))
-    lines = ["H = {" + ", ".join(parsed.name(h) for h in model.H) + "}"]
-    for kind, table, keys in (("f", model.f, everything), ("g", model.g, model.H),
-                              ("phi", model.phi, everything)):
+    names = [name for name, _ in parsed.generators]
+    lines = ["H = {" + ", ".join([names[h] for h in model.H]) + "}"]
+    for kind, table, keys in (("f", model.f, range(len(names))), ("g", model.g, model.H),
+                              ("phi", model.phi, range(len(names)))):
         for i in keys:
             den, x = table[i]
-            lines.append(f"{kind} {parsed.name(i)} = {format_linear(parsed, x, den)}")
+            # format_linear writes "0" too; most rows are empty, so skip the call
+            lines.append(f"{kind} {names[i]} = {format_linear(parsed, x, den) if x else '0'}")
     for i, j in model.pairs:
-        lines.append(f"pair {parsed.name(i)} {parsed.name(j)}")
+        lines.append(f"pair {names[i]} {names[j]}")
     return EXIT_OK, "\n".join(lines) + "\n", ""
 
 

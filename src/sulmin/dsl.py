@@ -509,9 +509,17 @@ def format_linear(M: DGModule, x: Lin, den: int = 1) -> str:
     gens = M.generators
     parts = []
     for i in sorted(x):
-        n, d = x[i].as_integer_ratio()
-        c = gcd(n, d * den)
-        parts.append(_signed_term(n // c, d * den // c, gens[i][0]))
+        n = x[i]
+        if n.__class__ is int:
+            d = den
+        else:
+            n, d = n.as_integer_ratio()
+            d *= den
+        if d != 1:
+            c = gcd(n, d)
+            n //= c
+            d //= c
+        parts.append(_signed_term(n, d, gens[i][0]))
     return _join_terms(parts)
 
 

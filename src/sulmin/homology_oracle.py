@@ -155,7 +155,9 @@ def module_homology_dims(M: DGModule, max_degree: Optional[int] = None) -> List[
         max_degree = max((d for _, d in M.generators), default=0)
     bases = [[i for i, (_, d) in enumerate(M.generators) if d == p]
              for p in range(max_degree + 1)]
-    return _dims(bases, M.d_of)
+    # a row's values are its vector times den > 0, so they have its rank
+    rows = M.rows
+    return _dims(bases, lambda i: rows[i][1] if i in rows else {})
 
 
 @dataclass(frozen=True)

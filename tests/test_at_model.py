@@ -1,5 +1,6 @@
 import copy
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -8,20 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import is_coefficient, is_row, written_module
-from sulmin import dsl
+from sulmin import at_model, dsl
 from sulmin.at_model import (
     ATModel,
     DGModule,
     check_at_model,
     compute_at_model,
-    homology_class_dims,
     row_apply,
     validate_module,
 )
 from sulmin.cli import RunConfig, _cmd_at_model, run
 from sulmin.dsl import format_linear, parse
 from sulmin.graded_algebra import int_row, lin_axpy
-from sulmin.homology_oracle import module_homology_dims
+from sulmin.homology_oracle import module_homology_dims, rank_of_columns
 from sulmin.random_inputs import random_dg_module
 
 
@@ -153,7 +153,7 @@ def test_pairs_and_survivors_partition_generators():
         for i, j in A.pairs:
             assert j < i
             # the differential raises degree, so the killed class sits one above
-            assert M.degree(j) == M.degree(i) + 1
+            assert M.generators[j][1] == M.generators[i][1] + 1
             touched.update((i, j))
         assert touched == set(range(len(M.generators)))
 
@@ -163,9 +163,60 @@ def test_class_counts_match_oracle():
     for _ in range(10):
         M = random_dg_module(rng, max_gens=30)
         A = compute_at_model(M)
-        counts = homology_class_dims(M, A)
+        counts = Counter(M.generators[h][1] for h in A.H)
         for p, dim in module_homology_dims(M):
             assert counts.get(p, 0) == dim
+
+
+def _lemma_pairs(M):
+    """The persistence pairs of ``M`` with the declaration order as the
+    filtration, by the pairing lemma: ``(i, j)``, ``j < i``, is a pair
+    exactly when ``rk D[j:, :i] - rk D[j+1:, :i] - rk D[j:, :i-1] +
+    rk D[j+1:, :i-1] = 1``, where ``D[r:, :c]`` is the differential on the
+    columns ``<= c`` restricted to the rows ``>= r``.  Only degree
+    ``deg i + 1`` rows can pair with column ``i``."""
+    degrees = [d for _, d in M.generators]
+
+    def rk(r, c):
+        return rank_of_columns([{k: v for k, v in M.diff.get(m, {}).items() if k >= r}
+                                for m in range(c + 1)])
+
+    return {(i, j) for i in range(len(degrees)) for j in range(i)
+            if degrees[j] == degrees[i] + 1
+            and rk(j, i) - rk(j + 1, i) - rk(j, i - 1) + rk(j + 1, i - 1) == 1}
+
+
+@given(st.integers(0, 10**9), st.integers(2, 40))
+@settings(max_examples=25, deadline=None)
+def test_the_pairs_are_the_persistence_pairs(seed, max_gens):
+    M = random_dg_module(random.Random(seed), max_gens=max_gens)
+    assert set(compute_at_model(M).pairs) == _lemma_pairs(M)
+
+
+def test_killing_the_lowest_class_breaks_the_pairing_lemma(monkeypatch):
+    # the sweep's one max picks the class to kill; min kills the lowest one,
+    # which still contracts but pairs differently
+    monkeypatch.setattr(at_model, "max", min, raising=False)
+    rng = random.Random(5)
+    modules = [random_dg_module(rng, max_gens=40) for _ in range(10)]
+    assert any(set(compute_at_model(M).pairs) != _lemma_pairs(M) for M in modules)
+
+
+def test_closed_generators_get_rows_of_their_own():
+    # a and b are closed; c kills b, so the correction writes b's f and phi
+    # rows in place, and no other row may change with them
+    M = DGModule((("a", 1), ("b", 1), ("c", 0), ("e", 2)),
+                 {2: {0: Fraction(1), 1: Fraction(2)}})
+    A = compute_at_model(M)
+    assert A.H == (0, 3) and A.pairs == ((2, 1),)
+    assert A.phi == {0: (1, {}), 1: (2, {2: 1}), 2: (1, {}), 3: (1, {})}
+    assert A.f[3] == A.g[3] == (1, {3: 1}) and A.g[0] == (1, {0: 1})
+    for M in [M] + [random_dg_module(random.Random(s), max_gens=40) for s in range(8)]:
+        A = compute_at_model(M)
+        entries = [vals for table in (A.f, A.g, A.phi) for _, vals in table.values()]
+        assert len({id(e) for e in entries}) == len(entries)
+        assert not {id(e) for e in entries} & {id(vals) for _, vals in M.rows.values()}
+        assert at_model._ZERO == (1, {})
 
 
 # -- the linear extension ---------------------------------------------------------
@@ -245,7 +296,7 @@ def _scanning_at_model(M):
     H, in_h, f, g, phi, pairs = [], set(), {}, {}, {}, []
     one = Fraction(1)
     for i in range(len(M.generators)):
-        di = M.d_of(i)
+        di = M.diff.get(i, {})
         a = _fold_apply(f, di)
         b = lin_axpy({i: one}, -one, _fold_apply(phi, di))
         if not a:
@@ -394,6 +445,29 @@ def test_at_model_from_written_text_makes_no_fraction_and_lexes_nothing(monkeypa
     assert printed == (0, _at_model_text(M, reference), "")
 
 
+def _homology_text_from_maps(M, max_degree):
+    """``homology``'s listing of ``M``, ranked from its coefficient maps."""
+    lines, below = [], 0
+    for p in range(max_degree + 1):
+        columns = [M.diff.get(i, {}) for i, (_, d) in enumerate(M.generators) if d == p]
+        rank = rank_of_columns(columns)
+        lines.append(f"H^{p}: {len(columns) - rank - below}\n")
+        below = rank
+    return "".join(lines)
+
+
+def test_homology_of_written_text_makes_no_fraction(monkeypatch, tmp_path):
+    M = random_dg_module(random.Random(5), max_gens=60)
+    expected = _homology_text_from_maps(M, 10)
+    path = tmp_path / "module.sul"
+    path.write_text(written_module(M), encoding="utf-8")
+
+    _refuse_fraction_arithmetic(monkeypatch)
+    printed = run(RunConfig("homology", str(path)))
+    monkeypatch.undo()
+    assert printed == (0, expected, "")
+
+
 @given(st.integers(0, 10**9), st.integers(2, 60))
 @settings(max_examples=40, deadline=None)
 def test_a_parsed_module_equals_the_module_built_from_its_maps(seed, max_gens):
@@ -415,7 +489,7 @@ def test_a_module_from_rows_drops_zero_rows_and_is_immutable():
     rows = {1: (2, {0: 1}), 2: (1, {})}
     M = DGModule.from_rows((("a", 1), ("b", 0), ("c", 0)), rows)
     assert M.rows == {1: (2, {0: 1})} and M.rows is not rows
-    assert M.diff == {1: {0: Fraction(1, 2)}} and M.d_of(2) == {}
+    assert M.diff == {1: {0: Fraction(1, 2)}}
     assert M == DGModule((("a", 1), ("b", 0), ("c", 0)), {1: {0: Fraction(1, 2)}, 2: {}})
     with pytest.raises(AttributeError):
         M.generators = ()

@@ -80,7 +80,7 @@ def test_parenthesized_subexpressions_and_powers():
 def test_module_mode_parses_linear_combinations():
     M = parse("mode module\ngen v0:1\ngen v1:1\ngen e:0\nd e = v1 - 1/2*v0\n")
     assert isinstance(M, DGModule)
-    assert M.d_of(2) == {1: Fraction(1), 0: Fraction(-1, 2)}
+    assert M.diff[2] == {1: Fraction(1), 0: Fraction(-1, 2)}
 
 
 def test_report_contains_golden_rows(contractions):
