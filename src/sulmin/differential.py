@@ -24,6 +24,7 @@ from .graded_algebra import (
     Signature,
     WordTooLongError,
     elem_mul,
+    elem_mul_into,
     elem_one,
     elem_scale,
     lin_axpy,
@@ -32,7 +33,6 @@ from .graded_algebra import (
     mono_factors,
     mono_first,
     mono_gen,
-    mono_mul_into,
     mono_str,
     mono_valid,
     q_table,
@@ -140,7 +140,7 @@ class Extension:
             else:
                 # part is a fresh product, so the sign term adds in place
                 if out:
-                    mono_mul_into(sig, part, -1 if odd[i] else 1, mono_gen(sig, i), out)
+                    elem_mul_into(sig, part, {mono_gen(sig, i): -1 if odd[i] else 1}, out)
                 out = part
             cache[m] = out
         return out

@@ -18,8 +18,9 @@ oracle's ranks compute on rows, with no ``Fraction`` arithmetic.
 A monomial is one non-negative ``int``, packed by its signature; only this
 module reads the layout.  Everywhere else a monomial is an opaque hashable
 value, taken apart and built through ``mono_gen``, ``mono_first``,
-``mono_factors``, ``mono_splits`` (and ``basis_splits``, its memoised form
-over a whole basis) and ``subset_test``.
+``mono_factors``, ``basis_splits`` and ``subset_test``.  ``mono_splits``
+splits one monomial; no other module calls it, and the tests read it as the
+reference for ``basis_splits``, its form over a whole basis.
 
 * **Fields.**  From bit ``_BASE`` up, each generator in declaration order
   gets a field holding its exponent: 1 bit for an odd generator, 15 bits and
@@ -40,7 +41,11 @@ over a whole basis) and ``subset_test``.
   distinct.
 * **Signs and zero.**  An odd square is ``a & b & odd_mask``; the Koszul
   sign is the parity of the pairs of odd bits with the one of ``b`` below
-  the one of ``a``.
+  the one of ``a``.  ``elem_mul_into`` is the one kernel that multiplies
+  monomials: per left monomial it takes the odd bits and their sign mask
+  once, then per right monomial it makes one test for an odd square, one
+  sum, one guard test and, only when the left factor has odd generators, one
+  bit count.  ``mono_mul`` is its one-term case.
 * **Overflow.**  An exponent past ``MAX_EXPONENT``, or a salt sum past its
   room (a word of more than 2^16 factors at the least), sets a guard bit of
   ``a + b``.  Every product tests the guards and raises
@@ -404,16 +409,9 @@ def mono_mul(sig: Signature, a: Mono, b: Mono) -> Tuple[int, Optional[Mono]]:
     odd generator would be squared.  Raises ``WordTooLongError`` when the
     product does not fit the layout.
     """
-    odd = sig._odd_mask
-    oa = a & odd
-    if oa & b:
-        return 0, None
-    m = a + b
-    if m & sig._guard:
-        raise _too_long(sig, a, b)
-    if oa and (b & _sign_mask(oa, odd)).bit_count() & 1:
-        return -1, m
-    return 1, m
+    for m, sign in elem_mul_into(sig, {}, {a: 1}, {b: 1}).items():
+        return sign, m  # the product's one term
+    return 0, None  # an odd square
 
 
 def mono_from_factors(sig: Signature, indices: Sequence[int]) -> Tuple[int, Optional[Mono]]:
@@ -493,11 +491,6 @@ def elem_add(x: Elem, y: Elem) -> Elem:
 def elem_sub(x: Elem, y: Elem) -> Elem:
     return lin_axpy(dict(x), -1, y)
 
-# The two product kernels inline ``mono_mul``: per left monomial they take
-# its odd bits and sign mask once, then per right monomial one test for an
-# odd square, one sum, one guard test and, only when the left factor has odd
-# generators, one bit count.
-
 def elem_mul_into(sig: Signature, out: Elem, x: Elem, y: Elem) -> Elem:
     """Add ``x * y`` into ``out`` in place and return ``out``, which the
     caller owns; ``x`` and ``y`` are only read."""
@@ -532,35 +525,6 @@ def elem_mul_into(sig: Signature, out: Elem, x: Elem, y: Elem) -> Elem:
 
 def elem_mul(sig: Signature, x: Elem, y: Elem) -> Elem:
     return elem_mul_into(sig, {}, x, y)
-
-def mono_mul_into(sig: Signature, out: Elem, sign: int, u: Mono, y: Elem) -> Elem:
-    """Add ``sign * u * y`` into ``out`` in place and return ``out``, for a
-    monomial ``u`` and ``sign`` 1 or -1: ``elem_mul`` with the one-term left
-    factor ``sign * u``, without building it."""
-    odd, guard = sig._odd_mask, sig._guard
-    ou = u & odd
-    flip = _sign_mask(ou, odd) if ou else 0
-    for mb, cb in y.items():
-        if ou & mb:
-            continue
-        m = u + mb
-        if m & guard:
-            raise _too_long(sig, u, mb)
-        c = cb if sign > 0 else -cb
-        if flip and (mb & flip).bit_count() & 1:
-            c = -c
-        old = out.get(m)
-        if old is None:
-            out[m] = c
-            continue
-        s = old + c
-        if s.__class__ is not int and s.denominator == 1:
-            s = s.numerator
-        if s:
-            out[m] = s
-        else:
-            del out[m]
-    return out
 
 def elem_pow(sig: Signature, x: Elem, e: int) -> Elem:
     if e < 0:

@@ -45,7 +45,6 @@ from .graded_algebra import (
     elem_scale,
     lin_axpy,
     mono_elem,
-    mono_mul_into,
     mono_str,
     subset_test,
 )
@@ -157,7 +156,7 @@ def check_contraction(c: FullContraction, max_degree: int) -> ContractionReport:
         # split, whose images are cached (see below)
         out: Elem = {}
         if phi_v:
-            mono_mul_into(sig, out, -1 if du % 2 else 1, u, phi_v)
+            elem_mul_into(sig, out, {u: -1 if du % 2 else 1}, phi_v)
         if phi_u:
             elem_mul_into(sig, out, phi_u, gf(v))
         return out

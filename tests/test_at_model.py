@@ -20,9 +20,10 @@ from sulmin.at_model import (
 )
 from sulmin.cli import RunConfig, _cmd_at_model, run
 from sulmin.dsl import format_linear, parse
-from sulmin.graded_algebra import int_row, lin_axpy
+from sulmin.graded_algebra import int_row, lin_axpy, linear_part
 from sulmin.homology_oracle import module_homology_dims, rank_of_columns
-from sulmin.random_inputs import random_dg_module
+from sulmin.minimal_model import compute_minimal_model
+from sulmin.random_inputs import random_dg_module, random_sullivan_algebra
 
 
 def test_all_cycles_survive():
@@ -186,11 +187,22 @@ def _lemma_pairs(M):
             and rk(j, i) - rk(j + 1, i) - rk(j, i - 1) + rk(j + 1, i - 1) == 1}
 
 
+def _linear(dga):
+    """The module of the linear part of ``d``, as ``compute_minimal_model``
+    builds it."""
+    sig = dga.sig
+    return DGModule(tuple((gen.name, gen.degree) for gen in sig),
+                    {i: linear_part(sig, dx) for i, dx in dga.diff.items()})
+
+
 @given(st.integers(0, 10**9), st.integers(2, 40))
 @settings(max_examples=25, deadline=None)
 def test_the_pairs_are_the_persistence_pairs(seed, max_gens):
     M = random_dg_module(random.Random(seed), max_gens=max_gens)
     assert set(compute_at_model(M).pairs) == _lemma_pairs(M)
+    # an algebra's pairs are those of the linear part of its d
+    dga = random_sullivan_algebra(random.Random(seed), max_gens=4 + max_gens % 9)
+    assert set(compute_minimal_model(dga).pairs) == _lemma_pairs(_linear(dga))
 
 
 def test_killing_the_lowest_class_breaks_the_pairing_lemma(monkeypatch):
@@ -200,6 +212,10 @@ def test_killing_the_lowest_class_breaks_the_pairing_lemma(monkeypatch):
     rng = random.Random(5)
     modules = [random_dg_module(rng, max_gens=40) for _ in range(10)]
     assert any(set(compute_at_model(M).pairs) != _lemma_pairs(M) for M in modules)
+    rng = random.Random(5)
+    algebras = [random_sullivan_algebra(rng, max_gens=12) for _ in range(20)]
+    assert any(set(compute_minimal_model(dga).pairs) != _lemma_pairs(_linear(dga))
+               for dga in algebras)
 
 
 def test_closed_generators_get_rows_of_their_own():

@@ -1,5 +1,6 @@
 import copy
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PLANTED, is_coefficient, mono
+from conftest import INPUTS, PLANTED, is_coefficient, mono
 from sulmin.differential import DGAlgebra, Extension
-from sulmin.dsl import emit_machine, emit_report, parse, parse_expression, parse_machine
+from sulmin.dsl import (
+    emit_machine, emit_report, format_element, parse, parse_expression, parse_machine)
 from sulmin.graded_algebra import (
     ONE_MONO,
     Signature,
@@ -24,6 +26,7 @@ from sulmin.graded_algebra import (
     mono_degree,
     mono_elem,
     mono_factors,
+    mono_gen,
     mono_splits,
     mono_str,
     subset_test,
@@ -481,3 +484,22 @@ def test_zero_operand_shortcuts_match_subtract_and_test_reference(contractions):
             kinds.add(kind)
             assert check_contraction(mutant, 6) == _reference_check_contraction(mutant, 6), kind
     assert kinds == {"f", "g", "phi", "dW", "phi on a zero entry"}
+
+
+def test_the_readme_library_snippets_run_as_stated(monkeypatch, capsys):
+    # the Library section's code blocks, run as written from the repository
+    # root; the second one evaluates the derivation leg of Extension
+    root = INPUTS.parent
+    library = (root / "README.md").read_text(encoding="utf-8").split("## Library")[1]
+    blocks = re.findall(r"```python\n(.*?)```", library.split("\n## ")[0], re.S)
+    assert len(blocks) == 2
+    monkeypatch.chdir(root)
+    scope = {}
+    for block in blocks:
+        exec(block, scope)
+    c = scope["c"]
+    assert capsys.readouterr().out.splitlines()[0] == "['b1', 'c1', 'u3']"
+    assert check_contraction(c, 10).ok
+    assert c.phi[2] == {mono_gen(c.sig, 3): 1}
+    v2_squared = parse_expression(c.sig, "v2^2")
+    assert format_element(c.sig, scope["phi_ev"].on_element(v2_squared)) == "v2*a1"
