@@ -20,7 +20,7 @@ from .graded_algebra import (
     linear_part,
     mono_mul,
 )
-from .differential import DGAlgebra, ValidationReport, validate_sullivan
+from .differential import DGAlgebra, validate_sullivan
 from .morphisms import (
     ContractionReport,
     FullContraction,

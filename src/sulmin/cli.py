@@ -79,7 +79,7 @@ def run(config: RunConfig) -> Tuple[int, str, str]:
     except SullivanValidationError as exc:
         return EXIT_USER, "", f"{config.input_path}: invalid input:\n{exc}\n"
     except ModuleValidationError as exc:
-        return _module_problems(exc.problems)
+        return _problems(exc.problems)
     except InternalInvariantError as exc:
         return EXIT_INTERNAL, "", f"internal invariant breach: {exc}\n"
     except NotClosedError as exc:
@@ -89,25 +89,21 @@ def run(config: RunConfig) -> Tuple[int, str, str]:
     return EXIT_USER, "", f"unknown command {config.command!r}\n"
 
 
-def _module_problems(problems) -> Tuple[int, str, str]:
+def _problems(problems) -> Tuple[int, str, str]:
     return EXIT_USER, "", "".join(p + "\n" for p in problems)
 
 
 def _cmd_validate(parsed, config: RunConfig) -> Tuple[int, str, str]:
-    if isinstance(parsed, DGModule):
-        problems = validate_module(parsed)
-        if problems:
-            return _module_problems(problems)
-        return EXIT_OK, "valid\n", ""
-    report = validate_sullivan(parsed)
-    if report.ok:
-        return EXIT_OK, "valid\n", ""
-    return EXIT_USER, "", str(report) + "\n"
+    validate = validate_module if isinstance(parsed, DGModule) else validate_sullivan
+    problems = validate(parsed)
+    if problems:
+        return _problems(problems)
+    return EXIT_OK, "valid\n", ""
 
 
 def _require_algebra(parsed, what: str):
     if not isinstance(parsed, DGAlgebra):
-        raise SullivanValidationError(f"{what} needs an algebra-mode input")
+        raise SullivanValidationError([f"{what} needs an algebra-mode input"])
 
 
 def _cmd_minimize(parsed, config: RunConfig) -> Tuple[int, str, str]:

@@ -9,7 +9,9 @@ as a derivation twisted by a right leg (the differential, whose right leg is
 the identity, and every homotopy, see ``morphisms``).  ``validate_sullivan``
 checks the input contract of the minimization algorithm: derivatives are
 homogeneous of degree +1, square to zero, and only mention generators that
-were declared earlier (the declaration order encodes the filtration).
+were declared earlier (the declaration order encodes the filtration).  It
+returns one line of text per violation, as ``at_model.validate_module``
+does for a module.
 """
 
 from __future__ import annotations
@@ -164,55 +166,29 @@ class Extension:
         return out
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    generator: str
-    detail: str
-
-    def __str__(self) -> str:
-        return f"{self.kind}: generator {self.generator}: {self.detail}"
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "valid"
-        return "\n".join(str(v) for v in self.violations)
-
-
-def validate_sullivan(dga: DGAlgebra) -> ValidationReport:
-    """Report every violation of the ordered-input contract; never raises."""
+def validate_sullivan(dga: DGAlgebra) -> List[str]:
+    """Every violation of the ordered-input contract, one message each, in
+    the form ``kind: generator name: detail``; an empty list when the input
+    holds it.  Never raises."""
     sig = dga.sig
-    bad: List[Violation] = []
-    ev = dga.ev
+    problems: List[str] = []
     for i, dx in sorted(dga.diff.items()):
         g = sig.generators[i]
         want = g.degree + 1
         for m in dx:
             d = mono_degree(sig, m)
             if d != want:
-                bad.append(Violation(
-                    "degree", g.name,
-                    f"term {mono_str(sig, m)} has degree {d}, expected {want}"))
+                problems.append(f"degree: generator {g.name}: "
+                                f"term {mono_str(sig, m)} has degree {d}, expected {want}")
         for m in dx:
             for j, _ in mono_factors(sig, m):
                 if j >= i:
-                    bad.append(Violation(
-                        "order", g.name,
-                        f"term {mono_str(sig, m)} uses {sig.name(j)} (index {j} >= {i})"))
+                    problems.append(f"order: generator {g.name}: term {mono_str(sig, m)} "
+                                    f"uses {sig.name(j)} (index {j} >= {i})")
                     break
-        dd = ev.on_element(dx)
+        dd = dga.ev.on_element(dx)
         if dd:
             first = min(dd, key=lambda m: mono_factors(sig, m))
-            bad.append(Violation(
-                "d-squared", g.name,
-                f"d(d({g.name})) has term {mono_str(sig, first)}"))
-    return ValidationReport(tuple(bad))
+            problems.append(f"d-squared: generator {g.name}: "
+                            f"d(d({g.name})) has term {mono_str(sig, first)}")
+    return problems

@@ -380,8 +380,9 @@ def parse(text: str) -> Union[DGAlgebra, DGModule]:
     mode = "algebra"
     names: Dict[str, int] = {}
     degrees: List[Tuple[str, int]] = []
+    # every derivative parsed, a zero one too; ``DGAlgebra`` and
+    # ``DGModule.from_rows`` drop the zero ones
     diffs: Dict[int, Union[Elem, Row]] = {}
-    has_diff: set = set()
     # the generators declared so far; a derivative is built against them,
     # and the monomial layout packs their monomials as the final signature
     # will, so after a new declaration the signature is extended by the new
@@ -426,7 +427,7 @@ def parse(text: str) -> Union[DGAlgebra, DGModule]:
             if name not in names:
                 raise cur.error(f"undeclared identifier {name!r}", i + 1)
             idx = names[name]
-            if idx in has_diff:
+            if idx in diffs:
                 raise cur.error(f"duplicate differential for {name!r}", i + 1)
             cur.expect_sym("=")
             if mode == "algebra":
@@ -436,9 +437,7 @@ def parse(text: str) -> Union[DGAlgebra, DGModule]:
             else:
                 value = row_of_terms(module_eval.terms(cur))
             cur.end_of_statement()
-            has_diff.add(idx)
-            if value:  # always, for a row: ``from_rows`` drops a zero one
-                diffs[idx] = value
+            diffs[idx] = value
         elif word == "mode":
             raise cur.error("mode header must be the first statement")
         else:

@@ -414,17 +414,6 @@ def mono_mul(sig: Signature, a: Mono, b: Mono) -> Tuple[int, Optional[Mono]]:
     return 0, None  # an odd square
 
 
-def mono_from_factors(sig: Signature, indices: Sequence[int]) -> Tuple[int, Optional[Mono]]:
-    """Fold an arbitrary factor sequence into canonical form with its sign."""
-    sign, acc = 1, ONE_MONO
-    for i in indices:
-        s, acc = mono_mul(sig, acc, mono_gen(sig, i))
-        if acc is None:
-            return 0, None
-        sign *= s
-    return sign, acc
-
-
 # -- element arithmetic -------------------------------------------------------
 #
 # A product or sum of two ``int``s is an ``int``; one that involves a

@@ -38,7 +38,7 @@ internal invariant breach and raises.
 from __future__ import annotations
 
 from collections import ChainMap
-from typing import Dict
+from typing import Dict, List
 
 from .at_model import DGModule, compute_at_model
 from .differential import DGAlgebra, Extension, validate_sullivan
@@ -62,11 +62,12 @@ from .morphisms import FullContraction, homotopy_extension
 
 
 class SullivanValidationError(ValueError):
-    """The input fails the ordered Sullivan contract."""
+    """The input fails the ordered Sullivan contract; ``problems`` lists
+    every violation, as ``validate_sullivan`` returns them."""
 
-    def __init__(self, report):
-        super().__init__(str(report))
-        self.report = report
+    def __init__(self, problems: List[str]):
+        super().__init__("\n".join(problems))
+        self.problems = problems
 
 
 class InternalInvariantError(RuntimeError):
@@ -89,9 +90,9 @@ def _d_preimage(prefix: Signature, d_ev: Extension, degree: int, target: Elem) -
 
 
 def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
-    report = validate_sullivan(dga)
-    if not report.ok:
-        raise SullivanValidationError(report)
+    problems = validate_sullivan(dga)
+    if problems:
+        raise SullivanValidationError(problems)
 
     sig = dga.sig
     # the module layer decides every collapse: the pairs of (V, d0), the

@@ -108,8 +108,9 @@ def test_verify_passes_on_single_pair_inputs():
 @pytest.mark.parametrize("text", [
     "gen a1:1\ngen b2:2\nd b2 = a1\n",
     "mode module\ngen a:0\ngen b:1\nd b = a\n",
+    "gen a1:1\ngen v2:2\nd a1 = v2\n",
     "gen x3:3\ngen y2:2\nd y2 = x3\ngen z5:5\nd z5 = y2^3\n",
-], ids=["degree", "module-degree", "d-squared"])
+], ids=["degree", "module-degree", "order", "d-squared"])
 def test_homology_rejects_invalid_input_as_validate_does(tmp_path, text):
     # the oracle must never run on an input that fails validation, given
     # directly or through --against
@@ -119,6 +120,10 @@ def test_homology_rejects_invalid_input_as_validate_does(tmp_path, text):
     assert code == 2 and out == "" and report
     assert invoke("homology", bad) == (2, "", report)
     assert invoke("homology", EXAMPLE_FILES["ex1"], against_path=str(bad)) == (2, "", report)
+    if not text.startswith("mode module"):
+        # the sweep's commands print the same lines, after the input's name
+        for command in ("minimize", "verify"):
+            assert invoke(command, bad) == (2, "", f"{bad}: invalid input:\n" + report)
 
 
 def test_verify_reports_homotopy_extension_limit_on_even_ladder():

@@ -203,10 +203,14 @@ def test_lexer_golden_tokens():
 
 
 def test_duplicate_differential_rejected():
-    with pytest.raises(DslError) as err:
-        parse("gen v2:2\ngen u3:3\nd u3 = v2^2\nd u3 = 0\n")
-    assert err.value.line == 4
-    assert "duplicate differential" in err.value.message
+    # a zero derivative counts as given, in either mode
+    for text, line in (("gen v2:2\ngen u3:3\nd u3 = v2^2\nd u3 = 0\n", 4),
+                       ("gen v2:2\ngen u3:3\nd u3 = 0\nd u3 = v2^2\n", 4),
+                       ("mode module\ngen a:0\ngen b:1\nd b = 0\nd b = a\n", 5)):
+        with pytest.raises(DslError) as err:
+            parse(text)
+        assert err.value.line == line
+        assert "duplicate differential" in err.value.message
 
 
 def test_mode_header_must_come_first():
