@@ -10,9 +10,10 @@ degree by degree.  Every ``u_j`` kills ``t_j``, and each collapse rewrites
 the derivatives of the survivors ``w_{j-1}`` and ``w_j``, which mention its
 target.  For each size the script prints the generator count, the best of
 three in-process process times of ``compute_minimal_model`` (parsing not
-included), the survivors, the pairs and a SHA-256 digest of the machine
-document, so two checkouts compare with plain ``diff`` once the time column
-is cut away.
+included), the survivors, the pairs, a SHA-256 digest of the machine
+document and the time over the previous size's time (``-`` for the first
+size), so two checkouts compare with plain ``diff`` once the time and ratio
+columns are cut away (``cut -d' ' -f1,3-5``).
 """
 
 import hashlib
@@ -40,7 +41,8 @@ def ladder_text(rungs: int) -> str:
 
 def main():
     sizes = [int(a) for a in sys.argv[1:]] or [30, 60, 120, 150, 240]
-    print("generators seconds survivors pairs machine_sha256")
+    print("generators seconds survivors pairs machine_sha256 over_previous")
+    previous = None
     for rungs in sizes:
         dga = parse(ladder_text(rungs))
         best = float("inf")
@@ -49,7 +51,9 @@ def main():
             c = compute_minimal_model(dga)
             best = min(best, time.process_time() - t0)
         digest = hashlib.sha256(emit_machine(c).encode()).hexdigest()
-        print(f"{len(dga.sig)} {best:.4f} {len(c.W)} {len(c.pairs)} {digest}")
+        ratio = "-" if previous is None else f"{best / previous:.2f}"
+        previous = best
+        print(f"{len(dga.sig)} {best:.4f} {len(c.W)} {len(c.pairs)} {digest} {ratio}")
 
 
 if __name__ == "__main__":

@@ -101,13 +101,16 @@ def _cmd_validate(parsed, config: RunConfig) -> Tuple[int, str, str]:
     return EXIT_OK, "valid\n", ""
 
 
-def _require_algebra(parsed, what: str):
-    if not isinstance(parsed, DGAlgebra):
-        raise SullivanValidationError([f"{what} needs an algebra-mode input"])
+def _require(parsed, kind, what: str):
+    """Report an input of the wrong mode for the command ``what`` as an
+    invalid input: ``kind`` is ``DGAlgebra`` or ``DGModule``."""
+    if not isinstance(parsed, kind):
+        mode = "an algebra" if kind is DGAlgebra else "a module"
+        raise SullivanValidationError([f"{what} needs {mode}-mode input"])
 
 
 def _cmd_minimize(parsed, config: RunConfig) -> Tuple[int, str, str]:
-    _require_algebra(parsed, "minimize")
+    _require(parsed, DGAlgebra, "minimize")
     contraction = compute_minimal_model(parsed)
     out = emit_machine(contraction) if config.output_format == "machine" \
         else emit_report(contraction)
@@ -115,8 +118,7 @@ def _cmd_minimize(parsed, config: RunConfig) -> Tuple[int, str, str]:
 
 
 def _cmd_at_model(parsed, config: RunConfig) -> Tuple[int, str, str]:
-    if not isinstance(parsed, DGModule):
-        return EXIT_USER, "", "at-model needs a module-mode input\n"
+    _require(parsed, DGModule, "at-model")
     model = compute_at_model(parsed)
     names = [name for name, _ in parsed.generators]
     lines = ["H = {" + ", ".join([names[h] for h in model.H]) + "}"]
@@ -183,7 +185,7 @@ def verify_algebra(dga: DGAlgebra, max_degree: int) -> Verification:
 
 
 def _cmd_verify(parsed, config: RunConfig) -> Tuple[int, str, str]:
-    _require_algebra(parsed, "verify")
+    _require(parsed, DGAlgebra, "verify")
     v = verify_algebra(parsed, config.max_degree)
     lines = [f"minimize: ok ({len(v.contraction.W)} surviving generators, "
              f"{len(v.contraction.pairs)} pairs)"]

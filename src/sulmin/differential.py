@@ -6,7 +6,11 @@ monomials shares.  ``Extension`` is
 the one evaluator that extends a generator table along monomials: as an
 algebra map (the projection, the inclusion, a pair-collapse substitution) or
 as a derivation twisted by a right leg (the differential, whose right leg is
-the identity, and every homotopy, see ``morphisms``).  ``validate_sullivan``
+the identity, and every homotopy, see ``morphisms``).  It folds a monomial
+whose suffix's image is cached in one step, which is every miss of a
+degreewise basis visited in order, and walks only deeper misses; its
+``add_into`` sums an element's image into a dict the caller owns, with no
+intermediate image.  ``validate_sullivan``
 checks the input contract of the minimization algorithm: derivatives are
 homogeneous of degree +1, square to zero, and only mention generators that
 were declared earlier (the declaration order encodes the filtration).  It
@@ -92,10 +96,15 @@ class Extension:
       ``E(1) = 0``.  A generator missing from the table maps to zero.  The
       differential is the case ``right = mono_elem``.
 
-    ``on_monomial`` runs in a loop, not by recursion, so a word's length is
+    ``on_monomial`` splits off the head once.  When the suffix's image is
+    cached, as it is for every monomial of a degreewise basis visited in
+    order, it folds that one step; only a deeper miss walks down to the
+    first cached suffix, in a loop, not by recursion, so a word's length is
     bounded by ``MAX_WORD`` and not by the interpreter's stack.  ``cache``
     maps each monomial met, and each suffix of one, to its image; a hot
     caller may read it directly instead of calling ``on_monomial``.
+    ``add_into`` is the linear extension summed in place, and a multi-term
+    ``on_element`` is ``add_into({}, x)``.
     """
 
     def __init__(self, sig: Signature, table: Mapping[int, Elem],
@@ -104,6 +113,8 @@ class Extension:
         self.table = table
         self.right = right
         self.cache: Dict[Mono, Elem] = {ONE_MONO: elem_one() if right is None else {}}
+        # a derivation's sign term (-1)^{|x|} x, per head generator x met
+        self.signed: Dict[int, Elem] = {}
 
     def on_monomial(self, m: Mono) -> Elem:
         cache = self.cache
@@ -111,18 +122,17 @@ class Extension:
         if out is not None:
             return out
         sig, table, right = self.sig, self.table, self.right
+        signed = self.signed
         word = m
-        # Walk the suffixes down to the first cached one, then fold the images
-        # back up.  Each step keeps the part of its image that needs no
-        # suffix image: the head's image for a map, the head's product with
-        # the right leg for a derivation.  Parts are read on the way down,
+        # Split off the head generator and keep the part of the image that
+        # needs no suffix image: the head's image for a map, the head's
+        # product with the right leg for a derivation.  When the suffix's
+        # image is cached, that one step is folded at once; only a deeper
+        # miss walks on, keeping its steps.  Parts are read on the way down,
         # left factor first, so a generator missing from a map's table
         # raises for the leftmost one.
         steps = []
-        while out is None:
-            if len(steps) == MAX_WORD:
-                raise WordTooLongError(
-                    f"word {mono_str(sig, word)} has more than {MAX_WORD} factors")
+        while True:
             i, rest = mono_first(sig, m)
             if right is None:
                 try:
@@ -132,31 +142,36 @@ class Extension:
             else:
                 head = table.get(i)
                 part = elem_mul(sig, head, right(rest)) if head else {}
+            out = cache.get(rest)
+            if out is not None:
+                break
             steps.append((m, i, part))
+            if len(steps) == MAX_WORD:
+                raise WordTooLongError(
+                    f"word {mono_str(sig, word)} has more than {MAX_WORD} factors")
             m = rest
-            out = cache.get(m)
-        odd = sig.odd
-        for m, i, part in reversed(steps):
+        # fold the images back up, from the step whose suffix is cached
+        while True:
             if right is None:
                 out = elem_mul(sig, part, out)
             else:
                 # part is a fresh product, so the sign term adds in place
                 if out:
-                    elem_mul_into(sig, part, {mono_gen(sig, i): -1 if odd[i] else 1}, out)
+                    sign = signed.get(i)
+                    if sign is None:
+                        sign = signed[i] = {mono_gen(sig, i): -1 if sig.odd[i] else 1}
+                    elem_mul_into(sig, part, sign, out)
                 out = part
             cache[m] = out
-        return out
+            if not steps:
+                return out
+            m, i, part = steps.pop()
 
-    def on_element(self, x: Elem) -> Elem:
-        """Linear extension of ``on_monomial``.  A one-term element returns the
-        scaled monomial image directly, which is the cached image itself when
-        the coefficient is 1."""
+    def add_into(self, out: Elem, x: Elem) -> Elem:
+        """Add the image of ``x`` into ``out`` in place and return ``out``,
+        which the caller owns: the linear extension of ``on_monomial``, with
+        no intermediate sum.  ``x`` and the cached images are only read."""
         cache = self.cache
-        if len(x) == 1:
-            ((m, c),) = x.items()
-            img = cache.get(m)
-            return elem_scale(self.on_monomial(m) if img is None else img, c)
-        out: Elem = {}
         for m, c in x.items():
             img = cache.get(m)
             if img is None:
@@ -164,6 +179,16 @@ class Extension:
             if img:
                 lin_axpy(out, c, img)
         return out
+
+    def on_element(self, x: Elem) -> Elem:
+        """Linear extension of ``on_monomial``.  A one-term element returns the
+        scaled monomial image directly, which is the cached image itself when
+        the coefficient is 1."""
+        if len(x) == 1:
+            ((m, c),) = x.items()
+            img = self.cache.get(m)
+            return elem_scale(self.on_monomial(m) if img is None else img, c)
+        return self.add_into({}, x)
 
 
 def validate_sullivan(dga: DGAlgebra) -> List[str]:

@@ -24,9 +24,11 @@ the linear part of every f, g and phi entry is the module layer's.
 A collapse touches only the entries that mention j, and these leave the
 surviving subalgebra once j does, so one test, ``outside``, finds them.  A
 survivor's f image is itself and a killer's is zero, so only the generators
-killed so far, j included, have f and phi entries to correct.  Over the
-survivors a collapse scans their derivatives and snapshots g.  The
-substitution reads one identity table under its one changed entry.
+killed so far, j included, have f and phi entries to correct.  Among the
+survivors, an index from each generator to the survivors whose derivative
+may mention it names the ones a collapse rewrites; g is still snapshot
+whole.  The substitution reads one identity table under its one changed
+entry.
 
 Each step checks that a bears the module layer's decision, and after the
 sweep the induced derivative is recomputed from the final tables and
@@ -109,13 +111,24 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
     # the survivors so far, in declaration order
     dw_current: Dict[int, Elem] = {}
 
+    # generator -> the survivors whose dw_current entry may mention it
+    users: Dict[int, set] = {}
     factors: Dict[int, frozenset] = {}  # the generators of each monomial met
+
+    def gens(m) -> frozenset:
+        if m not in factors:
+            factors[m] = frozenset(k for k, _ in mono_factors(sig, m))
+        return factors[m]
 
     def outside(m) -> bool:
         """Whether monomial m leaves the survivors' subalgebra."""
-        if m not in factors:
-            factors[m] = frozenset(k for k, _ in mono_factors(sig, m))
-        return not dw_current.keys() >= factors[m]
+        return not dw_current.keys() >= gens(m)
+
+    def set_dw(w: int, dw: Elem) -> None:
+        dw_current[w] = dw
+        for m in dw:
+            for k in gens(m):
+                users.setdefault(k, set()).add(w)
 
     identity = {k: elem_gen(sig, k) for k in range(len(sig))}
     d_ev = dga.ev
@@ -155,7 +168,7 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
                     "yet the module layer keeps it")
             f[i] = elem_gen(sig, i)
             g[i] = b
-            dw_current[i] = a
+            set_dw(i, a)
         else:
             alpha = a.get(mono_gen(sig, target))
             if not alpha:
@@ -186,10 +199,14 @@ def compute_minimal_model(dga: DGAlgebra) -> FullContraction:
                 if any(map(outside, f[k])):
                     f[k], correction = collapse(f[k])
                     phi[k] = elem_add(phi[k], correction)
-            # g absorbs the homotopy term, so it stays a chain map
-            for w, dw in dw_current.items():
-                if any(map(outside, dw)):
-                    dw_current[w], correction = collapse(dw)
+            # g absorbs the homotopy term, so it stays a chain map.  Only a
+            # survivor whose derivative mentions the target leaves the
+            # survivors' subalgebra
+            for w in sorted(users.pop(target, ())):
+                dw = dw_current.get(w)
+                if dw is not None and any(map(outside, dw)):
+                    dw, correction = collapse(dw)
+                    set_dw(w, dw)
                     g[w] = elem_sub(g[w], correction)
 
     # finalize the induced derivative from the final projection table

@@ -11,9 +11,11 @@ evaluated left factor by left factor over the canonical monomial order: it is
 the ``differential.Extension`` derivation whose right leg is ``g f``.
 ``homotopy_extension`` memoises that leg per monomial: ``g(f(r))`` is
 computed once per evaluator, and the checker reads the same memo for
-``id - gf`` and for the product rule.  A generator missing from the ``phi``
-table maps to zero; one missing from the ``f`` or ``g`` table raises
-``KeyError`` naming it.
+``id - gf`` and for the product rule.  The ``id - gf`` sum starts from a copy
+of ``gf(m)`` and accumulates ``phi(d m)`` and ``d(phi m)`` in place through
+``Extension.add_into``, so neither image is built on its own.  A generator
+missing from the ``phi`` table maps to zero; one missing from the ``f`` or
+``g`` table raises ``KeyError`` naming it.
 ``check_contraction`` evaluates all the identities that make the triple a
 full algebra contraction, on every basis monomial up to a degree cap, in
 exact arithmetic; each is an equality test between canonical elements, which
@@ -43,7 +45,6 @@ from .graded_algebra import (
     elem_mul,
     elem_mul_into,
     elem_scale,
-    lin_axpy,
     mono_elem,
     mono_str,
     subset_test,
@@ -172,10 +173,8 @@ def check_contraction(c: FullContraction, max_degree: int) -> ContractionReport:
             record("phi phi = 0", not phi_ev.on_element(phim), m)
         # id - gf = phi d + d phi, read as gf + phi d + d phi = id
         total = dict(gf(m))
-        if dm:
-            lin_axpy(total, 1, phi_ev.on_element(dm))
-        if phim:
-            lin_axpy(total, 1, d_ev.on_element(phim))
+        phi_ev.add_into(total, dm)
+        d_ev.add_into(total, phim)
         record("id - gf = phi d + d phi", total == mono_elem(m), m)
         # kept after phi(d m): the evaluation order decides which missing f
         # entry a KeyError names

@@ -73,6 +73,17 @@ def test_at_model_rejects_algebra_input():
     assert code == 2 and "module-mode" in err
 
 
+@pytest.mark.parametrize("command, name, mode", [
+    ("minimize", "module1", "an algebra"),
+    ("verify", "module1", "an algebra"),
+    ("at-model", "ex1", "a module"),
+])
+def test_an_input_of_the_wrong_mode_is_an_invalid_input(command, name, mode):
+    path = EXAMPLE_FILES[name]
+    assert invoke(command, path) == (
+        2, "", f"{path}: invalid input:\n{command} needs {mode}-mode input\n")
+
+
 def test_homology_listing():
     code, out, _ = invoke("homology", EXAMPLE_FILES["ex1"], max_degree=3)
     assert code == 0

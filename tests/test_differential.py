@@ -1,10 +1,13 @@
+import copy
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mono
+from conftest import PLANTED, mono
+from sulmin import compute_minimal_model
 from sulmin.differential import (
     MAX_WORD, DGAlgebra, Extension, WordTooLongError, validate_sullivan)
 from sulmin.dsl import parse, parse_expression
@@ -16,9 +19,13 @@ from sulmin.graded_algebra import (
     elem_mul,
     elem_one,
     elem_scale,
+    lin_axpy,
     mono_degree,
     mono_elem,
+    subset_test,
 )
+from sulmin.morphisms import homotopy_extension
+from sulmin.random_inputs import random_sullivan_algebra
 
 
 def test_leibniz_one_step():
@@ -161,3 +168,76 @@ def test_product_past_a_field_inside_an_evaluator_raises():
     assert d.on_monomial(mono(sig, (0, 2000), (1, 1))) == {mono(sig, (0, 32000)): 1}
     with pytest.raises(WordTooLongError, match="does not fit"):
         d.on_monomial(mono(sig, (0, 3000), (1, 1)))
+
+
+# -- the one-step fold against the walk ------------------------------------------
+
+CAP = 6
+
+
+@pytest.fixture(scope="module")
+def contracted(algebras):
+    """Contractions of the bundled algebras, both planted inputs and seeded
+    random draws, by name."""
+    dgas = dict(algebras)
+    dgas.update({f"planted[{k}]": parse(text) for k, text in enumerate(PLANTED)})
+    rng = random.Random(20261020)
+    dgas.update({f"random[{k}]": random_sullivan_algebra(rng, max_gens=8) for k in range(12)})
+    return {name: compute_minimal_model(dga) for name, dga in dgas.items()}
+
+
+def _evaluators(c):
+    """Fresh evaluators of ``d``, ``f``, ``g`` and ``phi``, each with the
+    basis it is defined on: ``g`` only on the survivors' subalgebra."""
+    sig = c.sig
+    basis = [m for p in range(CAP + 1) for m in basis_monomials(sig, p)]
+    f_ev, g_ev = Extension(sig, c.f), Extension(sig, c.g)
+    return {"d": (Extension(sig, c.source.diff, mono_elem), basis),
+            "f": (f_ev, basis),
+            "g": (g_ev, list(filter(subset_test(sig, c.W), basis))),
+            "phi": (homotopy_extension(sig, c.phi, f_ev, g_ev), basis)}
+
+
+def test_one_step_folds_equal_the_walk(contracted):
+    # in basis order every suffix is met first, so each miss folds one step;
+    # in reverse order a fresh evaluator walks down to the unit
+    for name, c in contracted.items():
+        forward, backward = _evaluators(c), _evaluators(c)
+        for role, (ev, basis) in forward.items():
+            ahead = [ev.on_monomial(m) for m in basis]
+            back_ev = backward[role][0]
+            behind = [back_ev.on_monomial(m) for m in reversed(basis)][::-1]
+            assert ahead == behind, (name, role)
+
+
+def test_a_missing_map_entry_names_the_leftmost_generator_on_both_paths():
+    sig = Signature.from_pairs([("a2", 2), ("b2", 2), ("c2", 2)])
+    c2 = mono(sig, (2, 1))
+    ev = Extension(sig, {2: {c2: 3}})  # no entries for a2 and b2
+    with pytest.raises(KeyError, match="no image for generator a2"):
+        ev.on_monomial(mono(sig, (0, 1), (1, 1), (2, 1)))  # the walk
+    assert ev.on_monomial(c2) == {c2: 3}
+    with pytest.raises(KeyError, match="no image for generator a2"):
+        ev.on_monomial(mono(sig, (0, 1), (2, 1)))  # one step from c2
+    with pytest.raises(KeyError, match="no image for generator b2"):
+        ev.on_monomial(mono(sig, (1, 2), (2, 1)))
+    assert ev.cache.keys() == {mono(sig), c2}
+
+
+def test_add_into_is_the_linear_extension_in_place(contracted):
+    rng = random.Random(7)
+    coeffs = [1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]
+    for name, c in contracted.items():
+        reference = _evaluators(c)
+        for role, (ev, basis) in _evaluators(c).items():
+            for m in basis[::2]:
+                ev.on_monomial(m)  # a cache that holds part of the basis
+            for _ in range(10):
+                x = {m: rng.choice(coeffs) for m in rng.sample(basis, min(4, len(basis)))}
+                out = {m: rng.choice(coeffs) for m in rng.sample(basis, min(3, len(basis)))}
+                want = lin_axpy(dict(out), 1, reference[role][0].on_element(x))
+                x_before, cache_before = dict(x), copy.deepcopy(ev.cache)
+                assert ev.add_into(out, x) is out
+                assert out == want, (name, role)
+                assert x == x_before
+                assert all(ev.cache[m] == img for m, img in cache_before.items())
