@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
 """Count the lines and the code lines of every module of ``src/sulmin``.
 
-Usage: code_lines.py [DIR]
+Usage: code_lines.py [DIR [OTHER_DIR]]
 
 Prints one line per module of DIR (default: this checkout's ``src/sulmin``)
-and a total: all lines, then code lines.  A code line holds at least one
+and a total: all lines, then code lines.  With OTHER_DIR, for instance the
+``src/sulmin`` of a parent checkout, it prints instead each module's code
+lines in DIR, in OTHER_DIR and their difference (DIR minus OTHER_DIR, so
+code deleted in DIR reads negative), then the totals; a module missing from
+one tree counts 0 there.  A code line holds at least one
 token that is not a comment, and is not part of a docstring: a string
 literal that stands first in a module, class or function body, found
 through ``ast``.  Blank lines, comment lines and docstring lines are left
@@ -42,8 +46,24 @@ def count(text: str):
     return len(text.splitlines()), len(code - _docstring_lines(ast.parse(text)))
 
 
+def compare(directory: Path, other: Path) -> int:
+    """Code lines per module in both trees, and their difference."""
+    def code(d: Path) -> dict:
+        return {p.name: count(p.read_text())[1] for p in d.glob("*.py")}
+
+    mine, theirs = code(directory), code(other)
+    rows = [(name, mine.get(name, 0), theirs.get(name, 0))
+            for name in sorted(mine.keys() | theirs.keys())]
+    rows.append(("total", sum(mine.values()), sum(theirs.values())))
+    for name, a, b in rows:
+        print(f"{name:24} {a:6} {b:6} {a - b:+6}")
+    return 0
+
+
 def main(argv) -> int:
     directory = Path(argv[1]) if len(argv) > 1 else ROOT / "src" / "sulmin"
+    if len(argv) > 2:
+        return compare(directory, Path(argv[2]))
     total_lines = total_code = 0
     for path in sorted(directory.glob("*.py")):
         lines, code = count(path.read_text())

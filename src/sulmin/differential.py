@@ -8,9 +8,12 @@ algebra map (the projection, the inclusion, a pair-collapse substitution) or
 as a derivation twisted by a right leg (the differential, whose right leg is
 the identity, and every homotopy, see ``morphisms``).  It folds a monomial
 whose suffix's image is cached in one step, which is every miss of a
-degreewise basis visited in order, and walks only deeper misses; its
-``add_into`` sums an element's image into a dict the caller owns, with no
-intermediate image.  ``validate_sullivan``
+degreewise basis visited in order, and walks only deeper misses.  Its one
+linear extension is ``add_into``, which sums an element's image into a dict
+the caller owns, with no intermediate image; ``on_element`` is
+``add_into({}, x)``, so it always returns a new dict and never a cached
+image.  Only the checker's split loop reads the cache directly.
+``validate_sullivan``
 checks the input contract of the minimization algorithm: derivatives are
 homogeneous of degree +1, square to zero, and only mention generators that
 were declared earlier (the declaration order encodes the filtration).  It
@@ -32,7 +35,6 @@ from .graded_algebra import (
     elem_mul,
     elem_mul_into,
     elem_one,
-    elem_scale,
     lin_axpy,
     mono_degree,
     mono_elem,
@@ -101,10 +103,11 @@ class Extension:
     order, it folds that one step; only a deeper miss walks down to the
     first cached suffix, in a loop, not by recursion, so a word's length is
     bounded by ``MAX_WORD`` and not by the interpreter's stack.  ``cache``
-    maps each monomial met, and each suffix of one, to its image; a hot
-    caller may read it directly instead of calling ``on_monomial``.
-    ``add_into`` is the linear extension summed in place, and a multi-term
-    ``on_element`` is ``add_into({}, x)``.
+    maps each monomial met, and each suffix of one, to its image; only the
+    checker's split loop reads it directly, for halves it knows are cached.
+    ``add_into`` is the one linear extension, summed in place through
+    ``on_monomial``, and ``on_element`` is ``add_into({}, x)``: its result
+    is always a new dict, never a cached image.
     """
 
     def __init__(self, sig: Signature, table: Mapping[int, Elem],
@@ -171,23 +174,15 @@ class Extension:
         """Add the image of ``x`` into ``out`` in place and return ``out``,
         which the caller owns: the linear extension of ``on_monomial``, with
         no intermediate sum.  ``x`` and the cached images are only read."""
-        cache = self.cache
         for m, c in x.items():
-            img = cache.get(m)
-            if img is None:
-                img = self.on_monomial(m)
+            img = self.on_monomial(m)
             if img:
                 lin_axpy(out, c, img)
         return out
 
     def on_element(self, x: Elem) -> Elem:
-        """Linear extension of ``on_monomial``.  A one-term element returns the
-        scaled monomial image directly, which is the cached image itself when
-        the coefficient is 1."""
-        if len(x) == 1:
-            ((m, c),) = x.items()
-            img = self.cache.get(m)
-            return elem_scale(self.on_monomial(m) if img is None else img, c)
+        """Linear extension of ``on_monomial``, as a new dict the caller
+        owns: ``add_into({}, x)``.  It never returns a cached image."""
         return self.add_into({}, x)
 
 

@@ -42,11 +42,10 @@ index.  No offset, line or column is kept: an error lexes the document again
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import islice
 from math import gcd
 from operator import itemgetter
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .at_model import DGModule, Lin, row_of_terms
 from .differential import DGAlgebra
@@ -66,7 +65,7 @@ from .graded_algebra import (
     mono_str,
     q_div,
 )
-from .morphisms import FullContraction
+from .morphisms import FullContraction, MachineDocument
 
 
 class DslError(ValueError):
@@ -527,18 +526,9 @@ def emit_machine(c: FullContraction) -> str:
     return render_machine(c.sig, c)
 
 
-@dataclass(frozen=True)
-class MachineDocument:
-    W: Tuple[int, ...]
-    dW: Mapping[int, Elem]
-    f: Mapping[int, Elem]
-    g: Mapping[int, Elem]
-    phi: Mapping[int, Elem]
-    pairs: Tuple[Tuple[int, int], ...]
-
-
-def render_machine(sig: Signature, doc: Union[MachineDocument, FullContraction]) -> str:
-    """Either record holds ``W``, ``dW``, ``f``, ``g`` (on ``W``), ``phi``, ``pairs``."""
+def render_machine(sig: Signature, doc: MachineDocument) -> str:
+    """The machine document of ``doc``'s six tables: a parsed document, or a
+    ``FullContraction``, which extends the record."""
     lines = ["W = {" + ", ".join(sig.name(w) for w in doc.W) + "}"]
     for w in doc.W:
         lines.append(f"dW {sig.name(w)} = {format_element(sig, doc.dW.get(w, {}))}")

@@ -79,16 +79,17 @@ class InternalInvariantError(RuntimeError):
 def _d_preimage(prefix: Signature, d_ev: Extension, degree: int, target: Elem) -> Elem:
     """Deterministic solution u of d(u) = target over the generators of the
     prefix signature ``prefix``: the kernel vector of the target's column,
-    which no order of the row keys changes."""
+    which no order of the row keys changes.  ``column_reduce`` appends a
+    column's kernel vector only when that column reduces to zero, with the
+    column's own position at coefficient 1 and otherwise only earlier
+    positions; the target's column comes last, so only ``kernel[-1]`` can
+    hold it, and it does exactly when the target is a derivative."""
     basis = basis_monomials(prefix, degree)
     _, kernel = column_reduce([d_ev.on_monomial(m) for m in basis] + [target])
     last = len(basis)
-    for combo in kernel:
-        c_last = combo.get(last)
-        if c_last:
-            # kernel positions are distinct and their coefficients nonzero
-            return {basis[pos]: q_div(-c, c_last) for pos, c in combo.items() if pos != last}
-    raise InternalInvariantError("no derivative preimage for a chain correction")
+    if not kernel or last not in kernel[-1]:
+        raise InternalInvariantError("no derivative preimage for a chain correction")
+    return {basis[pos]: -c for pos, c in kernel[-1].items() if pos != last}
 
 
 def compute_minimal_model(dga: DGAlgebra) -> FullContraction:

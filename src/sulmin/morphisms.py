@@ -1,5 +1,9 @@
 """Generator-indexed morphism tables and the contraction identity checker.
 
+``MachineDocument`` declares the six tables of a contraction once, as the
+machine document holds them; ``FullContraction``, the minimization run's
+output, extends it with the source algebra and the model algebra of ``dW``.
+
 A contraction to the small algebra consists of a projection ``f`` and an
 inclusion ``g`` (both algebra maps of degree 0, stored on generators and
 extended multiplicatively) together with a degree -1 homotopy ``phi``.  The
@@ -68,27 +72,38 @@ def homotopy_extension(sig: Signature, phi_table: Mapping[int, Elem],
 
 
 @dataclass(frozen=True)
-class FullContraction:
-    """Output record of the minimization run.
+class MachineDocument:
+    """The six tables of a contraction, as a machine document holds them.
 
     ``W`` lists the surviving generator indices in declaration order, ``dW``
     their induced derivatives; ``f`` (projection) and ``phi`` (homotopy) are
     defined on every source generator, ``g`` (inclusion) on ``W`` only.  The
-    four tables are plain ``{generator index: element}`` dicts, the sweep's
-    own, and nothing writes to them afterwards.  ``pairs`` records each
-    (killer, killed) generator pair.  ``model`` is the minimal model, the
-    algebra of ``dW`` over the signature, built with the record and left out
-    of ``==`` and ``repr``: its evaluator is the one reader of ``dW`` on
-    monomials in a job.
+    four maps are plain ``{generator index: element}`` dicts, and nothing
+    writes to them after construction.  ``pairs`` records each (killer,
+    killed) generator pair.  ``dsl.parse_machine`` returns this record, and
+    ``dsl.render_machine`` writes it.
     """
 
-    source: DGAlgebra
     W: Tuple[int, ...]
     dW: Mapping[int, Elem]
     f: Mapping[int, Elem]
     g: Mapping[int, Elem]
     phi: Mapping[int, Elem]
     pairs: Tuple[Tuple[int, int], ...]
+
+
+@dataclass(frozen=True)
+class FullContraction(MachineDocument):
+    """Output record of the minimization run: the machine document's tables,
+    the sweep's own, plus the algebra they contract.
+
+    ``source`` is the input algebra.  ``model`` is the minimal model, the
+    algebra of ``dW`` over the signature, built with the record and left out
+    of ``==`` and ``repr``: its evaluator is the one reader of ``dW`` on
+    monomials in a job.  Every caller builds the record with keywords.
+    """
+
+    source: DGAlgebra
     model: DGAlgebra = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -10,7 +10,7 @@ from sulmin.at_model import compute_at_model
 from sulmin.differential import DGAlgebra
 from sulmin.dsl import parse
 from sulmin.graded_algebra import (
-    Signature, basis_monomials, lin_axpy, mono_factors, subset_test)
+    Signature, basis_monomials, elem_gen, lin_axpy, mono_factors, subset_test)
 from sulmin.homology_oracle import (
     NotClosedError,
     cohomology_dims,
@@ -19,7 +19,7 @@ from sulmin.homology_oracle import (
     module_homology_dims,
     rank_of_columns,
 )
-from sulmin.minimal_model import _d_preimage
+from sulmin.minimal_model import InternalInvariantError, _d_preimage
 from sulmin.random_inputs import (
     random_dg_module, random_homogeneous_element, random_sullivan_algebra)
 
@@ -109,6 +109,12 @@ def _assert_row_keys_do_not_matter(columns, rows):
     rank_p, kernel_p = column_reduce(positional)
     assert rank == rank_p == rank_of_columns(columns) == rank_of_columns(positional)
     assert [list(k.items()) for k in kernel] == [list(k.items()) for k in kernel_p]
+    # the chain correction reads only the last kernel vector: each vector
+    # ends on its own column with the int 1, and the vectors come in column
+    # order, so only the last can hold the last column
+    own = [max(k) for k in kernel]
+    assert all(k[pos] == 1 and k[pos].__class__ is int for k, pos in zip(kernel, own))
+    assert all(a < b for a, b in zip(own, own[1:]))
 
 
 def test_algebra_columns_keyed_by_monomials_reduce_as_by_positions():
@@ -219,6 +225,19 @@ def test_d_preimage_solves_over_the_prefix():
                          for k, c in combo.items() if k != len(basis)}
             solved += 1
     assert solved > 20
+
+
+@pytest.mark.parametrize("text, degree, name", [
+    # the target's column is independent and no other column reduces: no kernel
+    ("gen v2:2\ngen w2:2\ngen a1:1\nd a1 = v2\n", 1, "w2"),
+    # a zero column leaves a kernel vector, but not one that holds the target
+    ("gen a1:1\n", 0, "a1"),
+])
+def test_d_preimage_refuses_a_target_that_is_no_derivative(text, degree, name):
+    dga = parse(text)
+    sig = dga.sig
+    with pytest.raises(InternalInvariantError, match="no derivative preimage"):
+        _d_preimage(sig, dga.ev, degree, elem_gen(sig, sig.by_name(name).index))
 
 
 def test_rank_plus_kernel_is_dimension():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,8 +9,9 @@ import pytest
 from conftest import PLANTED, mono
 from sulmin.at_model import DGModule, compute_at_model
 from sulmin.differential import Extension
-from sulmin.dsl import emit_machine, emit_report, parse, parse_expression
+from sulmin.dsl import emit_machine, emit_report, format_element, parse, parse_expression
 from sulmin.graded_algebra import (
+    ONE_MONO,
     elem_add,
     elem_gen,
     elem_mul,
@@ -17,10 +19,12 @@ from sulmin.graded_algebra import (
     elem_sub,
     in_lambda_geq2,
     int_row,
+    lin_axpy,
     linear_part,
     mono_elem,
     mono_factors,
 )
+from sulmin.homology_oracle import rank_of_columns
 from sulmin.minimal_model import (
     InternalInvariantError,
     SullivanValidationError,
@@ -442,3 +446,105 @@ def test_planted_inputs_keep_the_structural_identities(text):
 @pytest.mark.parametrize("text", PLANTED, ids=("first", "second"))
 def test_planted_inputs_keep_the_homotopy_identities(text):
     assert not _planted_failures(text) & set(HOMOTOPY)
+
+
+# Cross-order certificate.  The sweep's pairs, f, g and phi all depend on the
+# declaration order; the minimal model does not (FHT, Rational Homotopy
+# Theory, section 14: minimal models are unique up to isomorphism).  Let c1
+# and c2 be the contractions of one algebra under two admissible orders, and
+# pi the relabelling by name.  Then Phi = f2 pi g1 is a quasi-isomorphism
+# between minimal Sullivan algebras, so an isomorphism, and three generator
+# checks show it: equal survivor counts per degree, an invertible linear
+# part per degree, and dW2 Phi = Phi dW1 on the generators of W1.
+
+
+def _reordered(dga, rng):
+    """``dga`` declared again in a random admissible order (a random
+    topological order of "j occurs in d(i)"), written as text and parsed,
+    with the relabelling ``{old index: new index}`` by name."""
+    sig = dga.sig
+    needs = {i: {j for m in dga.d_of(i) for j, _ in mono_factors(sig, m)}
+             for i in range(len(sig))}
+    order = []
+    while len(order) < len(sig):
+        order.append(rng.choice([i for i in range(len(sig))
+                                 if i not in order and needs[i] <= set(order)]))
+    lines = [f"gen {sig.name(i)}:{sig.degree(i)}" for i in order]
+    lines += [f"d {sig.name(i)} = {format_element(sig, dga.d_of(i))}"
+              for i in order if dga.d_of(i)]
+    other = parse("\n".join(lines) + "\n")
+    return other, {i: other.sig.by_name(sig.name(i)).index for i in range(len(sig))}
+
+
+def _map_into(sig, sig2, table, x):
+    """The algebra map ``sig -> sig2`` given on generators by ``table``, on
+    the element ``x``: each word is multiplied factor by factor in ``sig2``,
+    where the values live (an ``Extension`` over ``sig`` would pack them as
+    monomials of ``sig``)."""
+    out = {}
+    for m, c in x.items():
+        img = {ONE_MONO: 1}
+        for i, e in mono_factors(sig, m):
+            for _ in range(e):
+                img = elem_mul(sig2, img, table[i])
+        lin_axpy(out, c, img)
+    return out
+
+
+def _cross_order_failures(c1, c2, pi):
+    """Every failed check of the certificate that ``Phi = f2 pi g1`` is an
+    isomorphism of the two minimal models, one line each."""
+    sig1, sig2 = c1.sig, c2.sig
+    relabel = {i: elem_gen(sig2, j) for i, j in pi.items()}
+    f2 = Extension(sig2, c2.f)
+    phi = {w: f2.on_element(_map_into(sig1, sig2, relabel, c1.g[w])) for w in c1.W}
+    failures = []
+    counts1 = Counter(sig1.degree(w) for w in c1.W)
+    if counts1 != Counter(sig2.degree(w) for w in c2.W):
+        failures.append("survivor counts per degree differ")
+    for p, n in sorted(counts1.items()):
+        linear = [linear_part(sig2, phi[w]) for w in c1.W if sig1.degree(w) == p]
+        if rank_of_columns(linear) != n:
+            failures.append(f"linear part of degree {p} is not invertible")
+    for w in c1.W:
+        if c2.model.ev.on_element(phi[w]) != _map_into(sig1, sig2, phi, c1.dW.get(w, {})):
+            failures.append(f"dW2 Phi != Phi dW1 on {sig1.name(w)}")
+    return failures
+
+
+def _cross_order_inputs(algebras):
+    yield from algebras.values()
+    yield from map(parse, PLANTED)
+    for s in range(300):
+        yield random_sullivan_algebra(random.Random(s), max_gens=8)
+
+
+def _named_pairs(c):
+    return {(c.sig.name(i), c.sig.name(j)) for i, j in c.pairs}
+
+
+def test_two_admissible_orders_give_isomorphic_minimal_models(algebras):
+    rng = random.Random(11)
+    moved = 0
+    for dga in _cross_order_inputs(algebras):
+        other, pi = _reordered(dga, rng)
+        c1, c2 = compute_minimal_model(dga), compute_minimal_model(other)
+        assert _cross_order_failures(c1, c2, pi) == []
+        moved += _named_pairs(c1) != _named_pairs(c2)
+    # the orders are not all alike: some reorderings change the pairing
+    assert moved
+
+
+def test_a_doubled_dw_entry_fails_the_cross_order_certificate(algebras):
+    rng = random.Random(11)
+    mutants = 0
+    for dga in _cross_order_inputs(algebras):
+        other, pi = _reordered(dga, rng)
+        c1, c2 = compute_minimal_model(dga), compute_minimal_model(other)
+        for w, dw in c2.dW.items():
+            doubled = replace(c2, dW={**c2.dW, w: elem_scale(dw, 2)})
+            assert any("dW2 Phi != Phi dW1" in line
+                       for line in _cross_order_failures(c1, doubled, pi))
+            mutants += 1
+            break
+    assert mutants
