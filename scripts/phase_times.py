@@ -17,7 +17,8 @@ also holds reading the file and what no phase covers:
   (``_cmd_at_model`` less the contraction)
 - ``certify-random`` (``verify``): ``parse``, ``sweep``
   (``compute_minimal_model``), ``check_contraction`` and ``oracle``
-  (``compare_cohomology``)
+  (``verify_algebra`` less the sweep and the checker: the oracle's two
+  ``cohomology_dims`` calls, their comparison and the minimality test)
 
 With OTHER_SRC, the ``src`` directory of another checkout, both trees are
 imported into one process as two packages of distinct names, and each job
@@ -25,11 +26,15 @@ runs five times on each tree, the tree that goes first alternating from run
 to run, so that a drift of the host's speed falls on both alike.  Each
 phase then sums, over the jobs, each job's best of five per tree, and the
 script prints per phase this tree's sum, the other's and their ratio, then
-how many jobs' ``(exit code, stdout, stderr)`` differ between the trees.
+how many jobs' ``(exit code, stdout, stderr)`` differ between the trees, and
+last the median and quartiles over the jobs of the ratio of this tree's
+best ``cli.run`` time to the other's.  A ratio of sums leans on the
+largest jobs; the per-job median is the steadier figure of the two.
 """
 
 import importlib
 import importlib.util
+import statistics
 import sys
 import tempfile
 import time
@@ -50,7 +55,7 @@ PHASES = {
     "certify-random": (("cli", "parse", "parse"),
                        ("cli", "compute_minimal_model", "sweep"),
                        ("cli", "check_contraction", "check_contraction"),
-                       ("cli", "compare_cohomology", "oracle")),
+                       ("cli", "verify_algebra", "oracle")),
 }
 ROUNDS = 5
 
@@ -117,6 +122,7 @@ def _compare(phases, jobs, other_src: Path) -> None:
     sums = [dict.fromkeys([phase for _, _, phase in phases] + ["cli.run"], 0.0)
             for _ in trees]
     differ = 0
+    ratios = []
     for k, kwargs in enumerate(jobs):
         configs = [[tree["cli"].RunConfig(**kwargs)] for tree in trees]
         runs = [[], []]
@@ -126,14 +132,18 @@ def _compare(phases, jobs, other_src: Path) -> None:
                 totals, (outputs[t],) = _run(trees[t], phases, configs[t])
                 runs[t].append(totals)
         differ += outputs[0] != outputs[1]
+        bests = [_best(runs[t]) for t in (0, 1)]
         for t in (0, 1):
-            for phase, seconds in _best(runs[t]).items():
+            for phase, seconds in bests[t].items():
                 sums[t][phase] += seconds
+        ratios.append(bests[0]["cli.run"] / bests[1]["cli.run"])
     print(f"{'phase':<18} {'this':>9} {'other':>9} this/other")
     for phase in sums[0]:
         this, other = sums[0][phase], sums[1][phase]
         print(f"{phase:<18} {this:7.3f} s {other:7.3f} s {this / other:.3f}")
     print(f"{'outputs differ':<18} {differ}/{len(jobs)}")
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    print(f"{'cli.run per job':<18} this/other median {median:.4f}, quartiles {q1:.4f} {q3:.4f}")
 
 
 def main(argv) -> int:

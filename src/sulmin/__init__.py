@@ -18,7 +18,6 @@ from .graded_algebra import (
     elem_sub,
     in_lambda_geq2,
     linear_part,
-    mono_mul,
 )
 from .differential import DGAlgebra, validate_sullivan
 from .morphisms import (
@@ -35,7 +34,7 @@ from .minimal_model import (
 from .homology_oracle import (
     NotClosedError,
     cohomology_dims,
-    compare_cohomology,
+    compare_dims,
     module_homology_dims,
 )
 from .dsl import DslError, emit_machine, emit_report, parse, parse_expression

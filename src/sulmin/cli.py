@@ -17,7 +17,7 @@ from .differential import DGAlgebra, WordTooLongError, validate_sullivan
 from .dsl import DslError, emit_machine, emit_report, format_linear, parse
 from .graded_algebra import in_lambda_geq2
 from .homology_oracle import (
-    ComparisonReport, NotClosedError, cohomology_dims, compare_cohomology, compare_dims,
+    ComparisonReport, NotClosedError, cohomology_dims, compare_dims,
     module_homology_dims)
 from .minimal_model import InternalInvariantError, SullivanValidationError, compute_minimal_model
 from .morphisms import ContractionReport, FullContraction, check_contraction
@@ -180,7 +180,8 @@ def verify_algebra(dga: DGAlgebra, max_degree: int) -> Verification:
     c = compute_minimal_model(dga)
     report = check_contraction(c, max_degree)
     minimal = in_lambda_geq2(c.sig, {m: 1 for dw in c.dW.values() for m in dw}, c.W)
-    comparison = compare_cohomology((dga, None), (c.model, c.W), max_degree)
+    comparison = compare_dims(cohomology_dims(dga, None, max_degree),
+                              cohomology_dims(c.model, c.W, max_degree))
     return Verification(c, report, minimal, comparison)
 
 

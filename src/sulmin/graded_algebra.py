@@ -45,7 +45,7 @@ reference for ``basis_splits``, its form over a whole basis.
   monomials: per left monomial it takes the odd bits and their sign mask
   once, then per right monomial it makes one test for an odd square, one
   sum, one guard test and, only when the left factor has odd generators, one
-  bit count.  ``mono_mul`` is its one-term case.
+  bit count.
 * **Overflow.**  An exponent past ``MAX_EXPONENT``, or a salt sum past its
   room (a word of more than 2^16 factors at the least), sets a guard bit of
   ``a + b``.  Every product tests the guards and raises
@@ -158,10 +158,6 @@ class Generator:
     name: str
     degree: int
     index: int
-
-    @property
-    def is_odd(self) -> bool:
-        return self.degree % 2 == 1
 
 
 class Signature:
@@ -399,19 +395,6 @@ def _too_long(sig: Signature, a: Mono, b: Mono) -> WordTooLongError:
     """The error for a product ``a * b`` that sets a guard bit."""
     return WordTooLongError(
         f"{mono_str(sig, a)} * {mono_str(sig, b)} does not fit the monomial layout")
-
-
-def mono_mul(sig: Signature, a: Mono, b: Mono) -> Tuple[int, Optional[Mono]]:
-    """The product of two monomials, as (Koszul sign, product).
-
-    The sign is -1 to the number of odd/odd transpositions that bring the
-    factors into canonical order; the product is None (with sign 0) when an
-    odd generator would be squared.  Raises ``WordTooLongError`` when the
-    product does not fit the layout.
-    """
-    for m, sign in elem_mul_into(sig, {}, {a: 1}, {b: 1}).items():
-        return sign, m  # the product's one term
-    return 0, None  # an odd square
 
 
 # -- element arithmetic -------------------------------------------------------

@@ -179,13 +179,6 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def compare_cohomology(a: Tuple[DGAlgebra, object], b: Tuple[DGAlgebra, object],
-                       max_degree: int = 10) -> ComparisonReport:
-    """Degreewise dimension comparison of two (algebra, subset) sides."""
-    return compare_dims(cohomology_dims(a[0], a[1], max_degree),
-                        cohomology_dims(b[0], b[1], max_degree))
-
-
 def compare_dims(dims_a: Sequence[Tuple[int, int]],
                  dims_b: Sequence[Tuple[int, int]]) -> ComparisonReport:
     """Compare two (degree, dimension) lists degree by degree."""

@@ -91,12 +91,3 @@ def random_dg_module(rng: random.Random, max_gens: int = 30,
         if value:
             diff[i] = value
     return DGModule(tuple(gens), diff)
-
-
-def random_homogeneous_element(rng: random.Random, sig: Signature, degree: int) -> Elem:
-    basis = basis_monomials(sig, degree)
-    if not basis:
-        return {}
-    count = rng.randint(1, min(4, len(basis)))
-    # sampled monomials are distinct and pool coefficients nonzero
-    return {m: rng.choice(_COEFF_POOL) for m in rng.sample(basis, count)}

@@ -6,7 +6,8 @@ import pytest
 
 from sulmin import compute_minimal_model, parse
 from sulmin.dsl import format_linear
-from sulmin.graded_algebra import ONE_MONO, mono_gen, mono_mul
+from sulmin.graded_algebra import ONE_MONO, basis_monomials, elem_mul, mono_gen
+from sulmin.random_inputs import _COEFF_POOL
 
 INPUTS = pathlib.Path(__file__).resolve().parent.parent / "inputs"
 
@@ -66,9 +67,22 @@ def mono(sig, *factors):
     for i, e in factors:
         g = mono_gen(sig, i)
         for _ in range(e):
-            sign, m = mono_mul(sig, m, g)
-            assert sign == 1 and m is not None, f"factors {factors} not canonical"
+            product = elem_mul(sig, {m: 1}, {g: 1})
+            # one term of sign 1; an odd square is no term at all
+            assert list(product.values()) == [1], f"factors {factors} not canonical"
+            (m,) = product
     return m
+
+
+def random_homogeneous_element(rng, sig, degree):
+    """Up to four distinct monomials of the degree-``degree`` basis of
+    ``sig``, with coefficients from ``random_inputs``' pool."""
+    basis = basis_monomials(sig, degree)
+    if not basis:
+        return {}
+    count = rng.randint(1, min(4, len(basis)))
+    # sampled monomials are distinct and pool coefficients nonzero
+    return {m: rng.choice(_COEFF_POOL) for m in rng.sample(basis, count)}
 
 
 def load(name: str):

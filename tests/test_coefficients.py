@@ -4,6 +4,7 @@
 import ast
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,81 @@ def test_the_layout_guard_sees_reads_and_private_imports():
                      "x = sig._unit[0]\n"
                      "y = sig.odd\n")
     assert _layout_reads(tree) == [1, 2, 4]
+
+
+# public definitions of src that no command reaches, and why each stays
+_KEPT_UNREAD = {
+    # the splits of one monomial read the layout, which only graded_algebra
+    # may read, so the tests' reference for basis_splits lives there
+    "mono_splits",
+    # the machine-document reader, which the certify command that ROADMAP
+    # plans will call
+    "parse_machine",
+}
+
+
+def _names_read(tree):
+    """Every name that ``tree`` holds as an ``ast.Name``, an ``ast.Attribute``
+    or a name imported by ``from ... import``; strings do not count."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _unread_definitions(modules, readers):
+    """``"module: name"`` for each public top-level ``def`` or ``class`` of
+    ``modules`` (file name -> source; ``__init__.py`` is neither checked nor
+    a reader) that no other module, no other top-level statement of its own
+    module and no source in ``readers`` reads."""
+    trees = {name: ast.parse(text) for name, text in modules.items() if name != "__init__.py"}
+    outside = set().union(*(_names_read(ast.parse(text)) for text in readers))
+    reads = {name: _names_read(tree) for name, tree in trees.items()}
+    found = []
+    for name, tree in trees.items():
+        others = outside.union(*(r for other, r in reads.items() if other != name))
+        statements = [(stmt, _names_read(stmt)) for stmt in tree.body]
+        for stmt in tree.body:
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not stmt.name.startswith("_") and stmt.name not in others
+                    and not any(stmt.name in r for s, r in statements if s is not stmt)):
+                found.append(f"{name}: {stmt.name}")
+    return found
+
+
+def test_src_holds_only_what_a_command_runs():
+    # every definition of src is read by src itself, by a script or the
+    # benchmark, or by the README's Library code; one that only the tests
+    # read lives in the tests (conftest.py, dsl_reference.py)
+    root = SRC.parent.parent
+    library = (root / "README.md").read_text(encoding="utf-8").split("## Library")[1]
+    readers = re.findall(r"```python\n(.*?)```", library.split("\n## ")[0], re.S)
+    assert readers
+    for path in sorted(root.glob("scripts/*.py")) + sorted(root.glob("perfbench/**/*.py")):
+        readers.append(path.read_text(encoding="utf-8"))
+    modules = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    unread = _unread_definitions(modules, readers)
+    assert [entry for entry in unread if entry.split(": ")[1] not in _KEPT_UNREAD] == []
+
+
+def test_the_unread_guard_names_a_definition_until_it_is_read():
+    # helper is read by another statement of its own module; spare only by
+    # itself, a docstring, a string and __init__.py, none of which counts
+    modules = {
+        "__init__.py": "from .a import spare, used\n",
+        "a.py": ("def used():\n    return helper()\n"
+                 "def helper():\n    return 1\n"
+                 'def spare():\n    """Not spare() itself."""\n    return spare()\n'),
+        "b.py": "from .a import used\nNOTE = 'spare'\n",
+    }
+    assert _unread_definitions(modules, []) == ["a.py: spare"]
+    assert _unread_definitions({**modules, "b.py": "from .a import spare, used\n"}, []) == []
+    assert _unread_definitions(modules, ["import sulmin.a\nsulmin.a.spare()\n"]) == []
 
 
 @pytest.mark.parametrize("a, b, want", [

@@ -30,7 +30,6 @@ from sulmin.graded_algebra import (
     mono_factors,
     mono_first,
     mono_gen,
-    mono_mul,
     mono_splits,
     mono_valid,
     subset_test,
@@ -48,25 +47,26 @@ def expr(text, sig=SIG):
 
 
 def test_odd_generator_squares_to_zero():
-    sign, ab = mono_mul(SIG, mono(SIG, (A, 1)), mono(SIG, (B, 1)))
-    assert (sign, ab) == (1, mono(SIG, (A, 1), (B, 1)))
-    assert mono_mul(SIG, ab, mono(SIG, (A, 1))) == (0, None)
+    ab = mono(SIG, (A, 1), (B, 1))
+    assert elem_mul(SIG, {mono(SIG, (A, 1)): 1}, {mono(SIG, (B, 1)): 1}) == {ab: 1}
+    assert elem_mul(SIG, {ab: 1}, {mono(SIG, (A, 1)): 1}) == {}
 
 
 def test_koszul_transposition_of_two_odds():
-    assert mono_mul(SIG, mono(SIG, (B, 1)), mono(SIG, (A, 1))) == (-1, mono(SIG, (A, 1), (B, 1)))
+    assert elem_mul(SIG, {mono(SIG, (B, 1)): 1}, {mono(SIG, (A, 1)): 1}) == \
+        {mono(SIG, (A, 1), (B, 1)): -1}
 
 
 def test_even_generator_square_survives():
-    assert mono_mul(SIG, mono(SIG, (V, 1)), mono(SIG, (V, 1))) == (1, mono(SIG, (V, 2)))
+    assert elem_mul(SIG, {mono(SIG, (V, 1)): 1}, {mono(SIG, (V, 1)): 1}) == {mono(SIG, (V, 2)): 1}
     assert mono_factors(SIG, mono(SIG, (V, 2))) == ((V, 2),)
 
 
 def test_odd_even_commute_without_sign():
     sig = Signature.from_pairs([("x1", 1), ("v2", 2)])
     x, v = mono(sig, (0, 1)), mono(sig, (1, 1))
-    assert mono_mul(sig, x, v) == (1, mono(sig, (0, 1), (1, 1)))
-    assert mono_mul(sig, v, x) == (1, mono(sig, (0, 1), (1, 1)))
+    assert elem_mul(sig, {x: 1}, {v: 1}) == {mono(sig, (0, 1), (1, 1)): 1}
+    assert elem_mul(sig, {v: 1}, {x: 1}) == {mono(sig, (0, 1), (1, 1)): 1}
 
 
 def test_signature_rejects_degree_below_one():
@@ -260,7 +260,7 @@ def test_exponent_past_the_field_raises_and_never_carries():
     v = mono_gen(sig, 1)
     for a, b in [(top, v), (v, top), (mono(sig, (1, 20000)), mono(sig, (1, 20000), (3, 1)))]:
         with pytest.raises(WordTooLongError, match="v2.* does not fit"):
-            mono_mul(sig, a, b)
+            elem_mul(sig, {a: 1}, {b: 1})
         with pytest.raises(WordTooLongError):
             elem_mul(sig, {a: 1, ONE_MONO: 2}, {b: 3})
     with pytest.raises(WordTooLongError):
@@ -417,7 +417,7 @@ def _random_mono(rng, sig):
     mono = []
     for g in sig.generators:
         if rng.random() < 0.4:
-            mono.append((g.index, 1 if g.is_odd else rng.randint(1, 3)))
+            mono.append((g.index, 1 if g.degree % 2 else rng.randint(1, 3)))
     return tuple(mono)
 
 
@@ -442,10 +442,10 @@ def test_kernel_fast_paths_match_plain_definitions(seed):
     rng = random.Random(seed)
     a, b = _random_mono(rng, MIXED), _random_mono(rng, MIXED)
     sign, m = _ref_mono_mul(MIXED, a, b)
-    packed = mono_mul(MIXED, mono(MIXED, *a), mono(MIXED, *b))
-    assert packed == (sign, None if m is None else mono(MIXED, *m))
+    packed = elem_mul(MIXED, {mono(MIXED, *a): 1}, {mono(MIXED, *b): 1})
+    assert packed == ({} if m is None else {mono(MIXED, *m): sign})
     if m is not None:
-        assert mono_factors(MIXED, packed[1]) == m
+        assert [mono_factors(MIXED, k) for k in packed] == [m]
     x, y = _random_elem(rng, MIXED), _random_elem(rng, MIXED)
     if rng.random() < 0.5:
         x = {_random_mono(rng, MIXED): Fraction(1)}  # the unit left factor of gen * tail
@@ -466,7 +466,7 @@ def test_kernel_fast_paths_match_plain_definitions(seed):
 
 def test_mono_mul_sign_and_odd_square_cases():
     a1, v2, b3, w2, c1 = ((0, 1),), ((1, 1),), ((2, 1),), ((3, 1),), ((4, 1),)
-    # cases and results are factor lists, packed for mono_mul
+    # cases and results are factor lists, packed for elem_mul
     cases = [
         ((*a1, *b3), (*v2, *c1)),   # only the even v2 moves: sign +1
         ((*b3, *c1), a1),           # a1 passes c1 and b3: sign +1
@@ -485,8 +485,8 @@ def test_mono_mul_sign_and_odd_square_cases():
     ]
     for (x, y), (sign, m) in zip(cases, expected):
         assert _ref_mono_mul(MIXED, x, y) == (sign, m)
-        packed = None if m is None else mono(MIXED, *m)
-        assert mono_mul(MIXED, mono(MIXED, *x), mono(MIXED, *y)) == (sign, packed)
+        packed = {} if m is None else {mono(MIXED, *m): sign}
+        assert elem_mul(MIXED, {mono(MIXED, *x): 1}, {mono(MIXED, *y): 1}) == packed
 
 
 @given(st.integers(0, 10**9))
