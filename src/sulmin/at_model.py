@@ -24,7 +24,9 @@ sweep's corrections cross-multiply.
 A parsed module holds its differential as rows from the start: the parser
 reads each derivative into a row (``row_of_terms``) and builds the module
 with ``DGModule.from_rows``.  A module built from coefficient maps becomes
-rows once, on the first read of ``DGModule.rows``.  The coefficient maps of
+rows once, on the first read of ``DGModule.rows``, and holds only its maps
+until then: a generated module that is only written (the benchmark's pool)
+never holds both forms.  The coefficient maps of
 a parsed module (``DGModule.diff``, which the benchmark's writer reads) are
 derived only when read; ``at-model`` and ``homology`` never read them.
 Vectors stay rows from there to stdout: the ``ATModel`` tables are the
@@ -44,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Set, Tuple
 
 from .graded_algebra import Coeff, Row, int_row, lin_axpy, q_div, q_table
 from .morphisms import IdentityCheck
@@ -136,9 +138,8 @@ class DGModule:
     rows as they are.  Two modules are equal when their generators and
     differentials are, whichever form built them."""
 
-    def __init__(self, generators: Tuple[Tuple[str, int], ...],
-                 diff: Optional[Mapping[int, Lin]] = None):
-        self.__dict__.update(generators=tuple(generators), diff=q_table(diff or {}))
+    def __init__(self, generators: Tuple[Tuple[str, int], ...], diff: Mapping[int, Lin]):
+        self.__dict__.update(generators=tuple(generators), diff=q_table(diff))
         n = len(self.generators)
         for i, dx in self.diff.items():
             for j in (i, *dx):

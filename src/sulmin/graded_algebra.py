@@ -111,10 +111,10 @@ def q_norm(c) -> Coeff:
 def q_table(table: Mapping[int, Mapping]) -> Dict[int, Dict]:
     """A copy of a generator table (of elements, or of the linear
     combinations of modules) with every coefficient brought to the rule by
-    ``q_norm`` and every empty image dropped: how tables from outside the
-    package enter it."""
-    return {i: {k: q_norm(c) for k, c in image.items()}
-            for i, image in table.items() if image}
+    ``q_norm``, every zero coefficient dropped and then every empty image
+    dropped: how tables from outside the package enter it."""
+    return {i: image for i, raw in table.items()
+            if (image := {k: q_norm(c) for k, c in raw.items() if c})}
 
 
 def q_div(a: Coeff, b: Coeff) -> Coeff:
@@ -248,14 +248,13 @@ class Signature:
         return self.generators[index].name
 
 
-def _outside(sig: Signature, subset: Optional[Iterable[Union[Generator, int]]]) -> int:
+def _outside(sig: Signature, subset: Optional[Iterable[int]]) -> int:
     """The field bits of the generators outside ``subset``, a collection of
-    generator indices or ``Generator``s (None: all of them, so no bits)."""
+    generator indices (None: all of them, so no bits)."""
     if subset is None:
         return 0
     inside = 0
-    for g in subset:
-        i = g.index if isinstance(g, Generator) else int(g)
+    for i in map(int, subset):
         if not 0 <= i < len(sig):
             raise SignatureError(f"generator index {i} outside signature")
         inside |= (1 if sig.odd[i] else _EVEN_FIELD) << sig._shift[i]
@@ -328,7 +327,7 @@ def mono_str(sig: Signature, m: Mono) -> str:
 
 def subset_test(sig: Signature, subset) -> Callable[[Mono], bool]:
     """A predicate on monomials: whether a monomial mentions only generators
-    of ``subset`` (None: all of them)."""
+    of ``subset``, a collection of generator indices (None: all of them)."""
     outside = _outside(sig, subset)
     return lambda m: not m & outside
 

@@ -431,10 +431,10 @@ def test_module_layer_does_no_fraction_arithmetic(monkeypatch):
     M = random_dg_module(random.Random(5), max_gens=60)
     assert any(type(c) is Fraction for dx in M.diff.values() for c in dx.values())
     reference = _scanning_at_model(M)
-    M = DGModule(M.generators, M.diff)  # no rows built yet
 
-    # from a built module to stdout, no Fraction is made or computed with
+    # from coefficient maps to stdout, no Fraction is made or computed with
     _refuse_fraction_arithmetic(monkeypatch)
+    M = DGModule(M.generators, M.diff)
     assert validate_module(M) == []
     A = compute_at_model(M)
     printed = _cmd_at_model(M, RunConfig("at-model", "module.sul"))

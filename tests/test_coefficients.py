@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import is_coefficient, is_row, mono
 from sulmin.at_model import DGModule, compute_at_model
 from sulmin.differential import DGAlgebra, Extension
-from sulmin.dsl import parse, parse_expression
+from sulmin.dsl import emit_report, parse, parse_expression
 from sulmin.graded_algebra import Signature, basis_monomials, int_row, q_div, q_norm
 from sulmin.minimal_model import compute_minimal_model
 from sulmin.morphisms import homotopy_extension
@@ -140,18 +140,24 @@ def _unread_definitions(modules, readers):
     return found
 
 
-def test_src_holds_only_what_a_command_runs():
-    # every definition of src is read by src itself, by a script or the
-    # benchmark, or by the README's Library code; one that only the tests
-    # read lives in the tests (conftest.py, dsl_reference.py)
+def _readers():
+    """The sources outside src that may read it: the README's Library
+    ``python`` blocks, the scripts and the benchmark."""
     root = SRC.parent.parent
     library = (root / "README.md").read_text(encoding="utf-8").split("## Library")[1]
     readers = re.findall(r"```python\n(.*?)```", library.split("\n## ")[0], re.S)
     assert readers
     for path in sorted(root.glob("scripts/*.py")) + sorted(root.glob("perfbench/**/*.py")):
         readers.append(path.read_text(encoding="utf-8"))
+    return readers
+
+
+def test_src_holds_only_what_a_command_runs():
+    # every definition of src is read by src itself, by a script or the
+    # benchmark, or by the README's Library code; one that only the tests
+    # read lives in the tests (conftest.py, dsl_reference.py)
     modules = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
-    unread = _unread_definitions(modules, readers)
+    unread = _unread_definitions(modules, _readers())
     assert [entry for entry in unread if entry.split(": ")[1] not in _KEPT_UNREAD] == []
 
 
@@ -168,6 +174,32 @@ def test_the_unread_guard_names_a_definition_until_it_is_read():
     assert _unread_definitions(modules, []) == ["a.py: spare"]
     assert _unread_definitions({**modules, "b.py": "from .a import spare, used\n"}, []) == []
     assert _unread_definitions(modules, ["import sulmin.a\nsulmin.a.spare()\n"]) == []
+
+
+def _unread_exports(init, readers):
+    """Each name that the package source ``init`` imports and that no source
+    in ``readers`` imports by ``from sulmin import ...``; an import from a
+    submodule (``from sulmin.dsl import parse``) does not count."""
+    exported = [alias.asname or alias.name for node in ast.walk(ast.parse(init))
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    imported = {alias.name for text in readers for node in ast.walk(ast.parse(text))
+                if isinstance(node, ast.ImportFrom) and node.module == "sulmin"
+                and node.level == 0 for alias in node.names}
+    return [name for name in exported if name not in imported]
+
+
+def test_the_package_exports_only_what_its_readers_import():
+    # a name enters sulmin one way: the package exports the entry points
+    # that readers import from it, and the rest is read from its module
+    init = (SRC / "__init__.py").read_text(encoding="utf-8")
+    assert _unread_exports(init, _readers()) == []
+
+
+def test_the_export_guard_names_an_export_until_it_is_imported():
+    init = "from .a import used, spare\nfrom .b import other as alias\n"
+    readers = ["from sulmin import used, alias\n", "from sulmin.a import spare\nimport sulmin\n"]
+    assert _unread_exports(init, readers) == ["spare"]
+    assert _unread_exports(init, [*readers, "from sulmin import spare\n"]) == []
 
 
 @pytest.mark.parametrize("a, b, want", [
@@ -225,6 +257,17 @@ def test_tables_from_outside_enter_under_the_rule():
     A = compute_at_model(M)
     assert A.phi == {0: int_row({1: Fraction(1, 2)}), 1: int_row({})}
     assert _all_rows(A.f, A.g, A.phi)
+
+
+def test_zero_coefficients_from_outside_are_dropped():
+    # a zero coefficient is no term and an image left empty is no image, so
+    # a table with zeros equals the one without them and prints no -0
+    sig = Signature.from_pairs([("a", 1), ("c", 1), ("b", 1)])
+    dga = DGAlgebra(sig, {2: {mono(sig, (0, 1), (1, 1)): 0}})
+    assert dga == DGAlgebra(sig, {})
+    assert "-0" not in emit_report(compute_minimal_model(dga))
+    module = parse("mode module\ngen a:1\ngen b:0\nd b = 0*a\n")
+    assert DGModule((("a", 1), ("b", 0)), {1: {0: 0}}) == module
 
 
 def _all_canonical(*tables):
