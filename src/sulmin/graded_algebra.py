@@ -42,10 +42,10 @@ reference for ``basis_splits``, its form over a whole basis.
 * **Signs and zero.**  An odd square is ``a & b & odd_mask``; the Koszul
   sign is the parity of the pairs of odd bits with the one of ``b`` below
   the one of ``a``.  ``elem_mul_into`` is the one kernel that multiplies
-  monomials: per left monomial it takes the odd bits and their sign mask
-  once, then per right monomial it makes one test for an odd square, one
-  sum, one guard test and, only when the left factor has odd generators, one
-  bit count.
+  monomials: per left monomial it takes the odd bits and reads their sign
+  mask from the signature's memo, then per right monomial it makes one test
+  for an odd square, one sum, one guard test and, only when the left factor
+  has odd generators, one bit count.
 * **Overflow.**  An exponent past ``MAX_EXPONENT``, or a salt sum past its
   room (a word of more than 2^16 factors at the least), sets a guard bit of
   ``a + b``.  Every product tests the guards and raises
@@ -59,9 +59,20 @@ Every value here is immutable by convention: no function mutates an element
 it received or returned, so values can be shared freely across threads.  The
 one exception is the ``out`` dict handed to ``lin_axpy``, the package's
 in-place sparse accumulate, which its caller creates and owns.  A
-``Signature`` has one lazily filled member, its memo of degree bases:
-``basis_monomials(sig, p)`` enumerates the degree-``p`` basis once and hands
-the same list to every later caller, who must not mutate it.
+``Signature`` has three lazily filled members, memos of what depends on its
+layout alone:
+
+* ``_bases``: ``basis_monomials(sig, p)`` enumerates the degree-``p`` basis
+  once and hands the same list to every later caller, who must not mutate
+  it;
+* ``_flips``: the sign mask of each odd part, for ``elem_mul_into``;
+* ``_firsts``: the ``(i, rest)`` of each monomial, for ``mono_first``.
+
+A memo write stores the value any thread would compute, so a race between
+two writers changes nothing.  The memos live and die with their signature,
+which no other signature shares (a sign mask depends on all of the odd
+generators, so a prefix and an extension may not share one): nothing is
+cached at module level, and nothing carries from one job to the next.
 """
 
 from __future__ import annotations
@@ -172,6 +183,10 @@ class Signature:
         self._by_name: Dict[str, Generator] = {}
         # degree -> the full basis, filled by basis_monomials
         self._bases: Dict[int, List[Mono]] = {}
+        # odd part -> its sign mask, filled by elem_mul_into
+        self._flips: Dict[int, int] = {}
+        # monomial -> its (i, rest), filled by mono_first
+        self._firsts: Dict[Mono, Tuple[int, Mono]] = {}
         self._shift: Tuple[int, ...] = ()
         self._unit: Tuple[int, ...] = ()
         self._odd_mask = 0
@@ -297,10 +312,15 @@ def mono_factors(sig: Signature, m: Mono) -> Tuple[Tuple[int, int], ...]:
 
 def mono_first(sig: Signature, m: Mono) -> Tuple[int, Mono]:
     """``(i, rest)`` with ``m = x_i * rest`` and ``x_i`` the generator of least
-    index in ``m``, which must not be the unit monomial."""
-    f = m & sig._fields
-    i = bisect_right(sig._shift, (f & -f).bit_length() - 1) - 1
-    return i, m - sig._unit[i]
+    index in ``m``, which must not be the unit monomial.  Memoised on
+    ``sig``: ``basis_splits`` fills the memo for a whole basis, and the
+    evaluators, which split the same monomials again and again, read it."""
+    split = sig._firsts.get(m)
+    if split is None:
+        f = m & sig._fields
+        i = bisect_right(sig._shift, (f & -f).bit_length() - 1) - 1
+        split = sig._firsts[m] = (i, m - sig._unit[i])
+    return split
 
 
 def mono_degree(sig: Signature, m: Mono) -> int:
@@ -464,12 +484,18 @@ def elem_sub(x: Elem, y: Elem) -> Elem:
 
 def elem_mul_into(sig: Signature, out: Elem, x: Elem, y: Elem) -> Elem:
     """Add ``x * y`` into ``out`` in place and return ``out``, which the
-    caller owns; ``x`` and ``y`` are only read."""
-    odd, guard = sig._odd_mask, sig._guard
+    caller owns; ``x`` and ``y`` are only read.  A zero ``y`` returns at
+    once, and the sign mask of each left monomial's odd part comes from
+    ``sig``'s memo."""
+    if not y:
+        return out
+    odd, guard, flips = sig._odd_mask, sig._guard, sig._flips
     for ma, ca in x.items():
         unit = ca == 1  # the generator factor of every gen * tail product
         oa = ma & odd
-        flip = _sign_mask(oa, odd) if oa else 0
+        flip = flips.get(oa)
+        if flip is None:
+            flip = flips[oa] = _sign_mask(oa, odd)
         for mb, cb in y.items():
             if oa & mb:
                 continue

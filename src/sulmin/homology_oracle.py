@@ -87,12 +87,15 @@ def rank_of_columns(columns: Sequence[SparseVec]) -> int:
     (``graded_algebra.int_row``, the scaling the module layer's integer rows
     share) and reduced by cross-multiplication against the stored pivot
     columns; a stored pivot is divided by the gcd of its entries.  Only
-    ``int`` arithmetic, and no kernel combinations are built.  As in
+    ``int`` arithmetic, and no kernel combinations are built.  A zero column
+    never makes a pivot, so it is skipped before it is scaled.  As in
     ``column_reduce``, a row key is any totally ordered hashable and the
     pivot is the least key.
     """
     pivots: Dict[Hashable, Dict[Hashable, int]] = {}
     for col in columns:
+        if not col:
+            continue
         vec = int_row(col)[1]
         while vec:
             lead = min(vec)

@@ -1,12 +1,15 @@
+import gc
 import subprocess
 import sys
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sulmin.cli import RunConfig, run
+from sulmin.cli import RunConfig, run, verify_algebra
+from sulmin.dsl import parse
 
 from conftest import EXAMPLE_FILES, INPUTS
 
@@ -33,6 +36,19 @@ def test_outputs_are_byte_identical_across_runs():
     first = invoke("minimize", EXAMPLE_FILES["ex3"], output_format="machine")
     second = invoke("minimize", EXAMPLE_FILES["ex3"], output_format="machine")
     assert first == second
+
+
+def test_nothing_outlives_a_verify_job():
+    # every memo of the monomial layer hangs off the signature, so once a
+    # job's values are dropped its signature goes too: no cache outside it
+    # carries anything from one job to the next
+    dga = parse(EXAMPLE_FILES["ex4"].read_text())
+    v = verify_algebra(dga, 8)
+    assert v.report.checks
+    sig = weakref.ref(dga.sig)
+    del dga, v
+    gc.collect()
+    assert sig() is None
 
 
 def test_validate_ok_and_violation(tmp_path):

@@ -58,7 +58,8 @@ def test_the_guard_sees_divisions():
 
 
 # the members of a Signature that hold the monomial layout
-_LAYOUT_NAMES = {"_shift", "_unit", "_fields", "_odd_mask", "_guard", "_top", "_bases"}
+_LAYOUT_NAMES = {"_shift", "_unit", "_fields", "_odd_mask", "_guard", "_top", "_bases",
+                 "_flips", "_firsts"}
 
 
 def _layout_reads(tree):

@@ -332,8 +332,8 @@ def test_huge_power_formats_at_once():
 
 
 def _signature_state(sig):
-    # everything a signature holds but its memo of bases
-    return {k: v for k, v in vars(sig).items() if k != "_bases"}
+    # everything a signature holds but its memos
+    return {k: v for k, v in vars(sig).items() if k not in ("_bases", "_flips", "_firsts")}
 
 
 def test_interleaved_declarations_lay_out_each_generator_once(monkeypatch):

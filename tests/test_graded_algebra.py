@@ -521,3 +521,62 @@ def test_first_factor_and_splits_take_a_monomial_apart(seed):
         assert left == mono(MIXED, *Counter(expanded[:k]).items())
         assert right == mono(MIXED, *Counter(expanded[k:]).items())
         assert (dleft, dright) == (mono_degree(MIXED, left), mono_degree(MIXED, right))
+
+
+def _head(factors):
+    """The reference ``(i, rest)`` of a factor list: its first factor off."""
+    (i, e), tail = factors[0], factors[1:]
+    return i, ((i, e - 1),) + tail if e > 1 else tail
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=60, deadline=None)
+def test_a_memo_hit_equals_a_miss(seed):
+    # sign masks and head splits are memoised on the signature: the first
+    # call fills the memo, the second is served from it, and both equal the
+    # factor-list reference
+    rng = random.Random(seed)
+    for sig in (Signature(MIXED.generators), _random_signature(rng)):
+        for _ in range(8):
+            a, b = _random_mono(rng, sig), _random_mono(rng, sig)
+            sign, m = _ref_mono_mul(sig, a, b)
+            ref = {} if m is None else {mono(sig, *m): sign}
+            x, y = {mono(sig, *a): 1}, {mono(sig, *b): 1}
+            assert elem_mul(sig, x, y) == ref
+            odd = mono(sig, *a) & sig._odd_mask
+            assert not odd or odd in sig._flips
+            assert elem_mul(sig, x, y) == ref
+        for p in range(1, 7):
+            for m in basis_monomials(sig, p):
+                first = mono_first(sig, m)
+                assert sig._firsts[m] is first
+                assert mono_first(sig, m) is first
+                i, rest = _head(mono_factors(sig, m))
+                assert first == (i, mono(sig, *rest))
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=40, deadline=None)
+def test_an_extension_fills_a_memo_of_its_own(seed):
+    # a sign mask depends on every odd generator, so an extension with new
+    # odd generators starts with empty memos of its own, and products on the
+    # prefix and then on the extension each match the reference
+    def check(sig, x, y):
+        sign, m = _ref_mono_mul(sig, x, y)
+        assert elem_mul(sig, {mono(sig, *x): 1}, {mono(sig, *y): 1}) == \
+            ({} if m is None else {mono(sig, *m): sign})
+
+    rng = random.Random(seed)
+    prefix = _random_signature(rng)
+    n = len(prefix)
+    pairs = [(_random_mono(rng, prefix), _random_mono(rng, prefix)) for _ in range(8)]
+    for a, b in pairs:
+        check(prefix, a, b)
+        if a:
+            mono_first(prefix, mono(prefix, *a))
+    longer = prefix.extended([("z1", 1), ("z3", 3)])
+    assert not longer._flips and not longer._firsts
+    for extra in (((n, 1),), ((n + 1, 1),)):
+        for a, b in pairs:
+            check(longer, a + extra, b)
+            check(longer, a, b + extra)

@@ -297,6 +297,17 @@ def test_fraction_free_rank_matches_rational_elimination(cols):
     assert rank_of_columns(cols) == column_reduce(cols)[0]
 
 
+@given(_column_sets(), st.lists(st.integers(0, 10**6), max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_zero_columns_do_not_count(cols, places):
+    # rank_of_columns skips a zero column before scaling it; inserting zero
+    # columns anywhere leaves the rank as it was
+    padded = list(cols)
+    for place in places:
+        padded.insert(place % (len(padded) + 1), {})
+    assert rank_of_columns(padded) == rank_of_columns(cols) == column_reduce(padded)[0]
+
+
 def test_fraction_free_rank_on_large_denominators():
     # entries 1/3^k make the integer scaling reach 3^40; a dependent third
     # column must still reduce to zero exactly
