@@ -228,8 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("input", help="source file")
-        p.add_argument("--max-degree", type=int, default=10, metavar="N",
-                       help="degree cap for checks and homology (default 10)")
+        if name in ("homology", "verify"):
+            p.add_argument("--max-degree", type=int, default=10, metavar="N",
+                           help="degree cap for checks and homology (default 10)")
         p.add_argument("--output", metavar="PATH", help="write stdout text to a file")
         if name == "minimize":
             p.add_argument("--format", choices=["report", "machine"],
@@ -245,7 +246,7 @@ def main(argv=None) -> int:
     config = RunConfig(
         command=args.command,
         input_path=args.input,
-        max_degree=args.max_degree,
+        max_degree=getattr(args, "max_degree", 10),
         output_format=getattr(args, "format", "report"),
         output_path=args.output,
         against_path=getattr(args, "against", None),

@@ -18,9 +18,7 @@ oracle's ranks compute on rows, with no ``Fraction`` arithmetic.
 A monomial is one non-negative ``int``, packed by its signature; only this
 module reads the layout.  Everywhere else a monomial is an opaque hashable
 value, taken apart and built through ``mono_gen``, ``mono_first``,
-``mono_factors``, ``basis_splits`` and ``subset_test``.  ``mono_splits``
-splits one monomial; no other module calls it, and the tests read it as the
-reference for ``basis_splits``, its form over a whole basis.
+``mono_factors``, ``basis_splits`` and ``subset_test``.
 
 * **Fields.**  From bit ``_BASE`` up, each generator in declaration order
   gets a field holding its exponent: 1 bit for an odd generator, 15 bits and
@@ -82,7 +80,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union)
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union)
 
 Mono = int
 Coeff = Union[int, Fraction]
@@ -352,36 +350,17 @@ def subset_test(sig: Signature, subset) -> Callable[[Mono], bool]:
     return lambda m: not m & outside
 
 
-def mono_splits(sig: Signature, m: Mono) -> Iterator[Tuple[Mono, int, Mono, int]]:
-    """Contiguous splits of the expanded factor sequence of ``m``, both halves
-    nontrivial, as ``(left, |left|, right, |right|)`` with ``m = left *
-    right`` (no sign): the split inside factor ``(i, e)`` after ``p`` of its
-    ``e`` copies, then the one after the whole factor."""
-    factors = mono_factors(sig, m)
-    unit, degree = sig._unit, sig.degree
-    total = sum(e * degree(i) for i, e in factors)
-    last = len(factors) - 1
-    left, dleft = ONE_MONO, 0
-    for k, (i, e) in enumerate(factors):
-        u, d = unit[i], degree(i)
-        for _ in range(1, e):
-            left += u
-            dleft += d
-            yield left, dleft, m - left, total - dleft
-        left += u
-        dleft += d
-        if k < last:
-            yield left, dleft, m - left, total - dleft
-
-
 def basis_splits(sig: Signature,
                  max_degree: int) -> Dict[Mono, List[Tuple[Mono, int, Mono, int]]]:
-    """``list(mono_splits(sig, m))`` for every full-basis monomial ``m`` of
-    degree at most ``max_degree``, keyed by ``m`` in basis order (degree by
-    degree, each in the canonical order).  Each list is built from its
-    suffix's, not from ``mono_factors``: for ``m = x_i * r`` (``mono_first``)
-    it is ``(x_i, r)`` followed by ``x_i`` times each split of ``r``, and
-    ``r``, of lower degree, is listed earlier."""
+    """The splits of every full-basis monomial ``m`` of degree at most
+    ``max_degree``, keyed by ``m`` in basis order (degree by degree, each in
+    the canonical order).  The splits of ``m`` are the contiguous cuts of
+    its written-out factor sequence, powers expanded, both halves
+    nontrivial, in order, as ``(left, |left|, right, |right|)`` with ``m =
+    left * right`` (no sign).  Each list is built from its suffix's, not
+    from ``mono_factors``: for ``m = x_i * r`` (``mono_first``) it is
+    ``(x_i, r)`` followed by ``x_i`` times each split of ``r``, and ``r``,
+    of lower degree, is listed earlier."""
     unit, degree = sig._unit, sig.degree
     out: Dict[Mono, List[Tuple[Mono, int, Mono, int]]] = {}
     for p in range(max_degree + 1):

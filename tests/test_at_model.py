@@ -205,6 +205,25 @@ def test_the_pairs_are_the_persistence_pairs(seed, max_gens):
     assert set(compute_minimal_model(dga).pairs) == _lemma_pairs(_linear(dga))
 
 
+@given(st.integers(0, 10**9), st.integers(2, 40))
+@settings(max_examples=40, deadline=None)
+def test_f_lies_in_the_classes_and_phi_in_the_killers(seed, max_gens):
+    # every f row mentions only classes of H, and every phi row only
+    # killers, the first member of each pair: a lift that inverts the
+    # module contraction on generators, v -> f(v) + (phi d v) + (phi v),
+    # reads each row in exactly these spans.  On modules and on the linear
+    # parts of algebras
+    M = random_dg_module(random.Random(seed), max_gens=max_gens)
+    dga = random_sullivan_algebra(random.Random(seed), max_gens=4 + max_gens % 9)
+    for module in (M, _linear(dga)):
+        A = compute_at_model(module)
+        killers = {i for i, _ in A.pairs}
+        for _, vals in A.f.values():
+            assert set(vals) <= set(A.H)
+        for _, vals in A.phi.values():
+            assert set(vals) <= killers
+
+
 def test_killing_the_lowest_class_breaks_the_pairing_lemma(monkeypatch):
     # the sweep's one max picks the class to kill; min kills the lowest one,
     # which still contracts but pairs differently

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sulmin.cli import RunConfig, run, verify_algebra
+from sulmin.cli import RunConfig, build_parser, run, verify_algebra
 from sulmin.dsl import parse
 
 from conftest import EXAMPLE_FILES, INPUTS
@@ -294,6 +294,22 @@ def test_integer_literals_int_rejects_exit_two(tmp_path, text, where):
 def test_max_degree_must_be_positive():
     code, _, err = invoke("homology", EXAMPLE_FILES["ex1"], max_degree=0)
     assert code == 2 and "max-degree" in err
+
+
+@pytest.mark.parametrize("command", ["homology", "verify"])
+def test_the_commands_that_read_the_cap_take_max_degree(command):
+    args = build_parser().parse_args([command, "in.sul", "--max-degree", "3"])
+    assert (args.command, args.max_degree) == (command, 3)
+    assert build_parser().parse_args([command, "in.sul"]).max_degree == 10
+
+
+@pytest.mark.parametrize("command", ["validate", "minimize", "at-model"])
+def test_the_commands_that_never_read_the_cap_reject_max_degree(command, capsys):
+    build_parser().parse_args([command, "in.sul"])
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, "in.sul", "--max-degree", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-degree 3" in capsys.readouterr().err
 
 
 def test_output_flag_writes_file(tmp_path):

@@ -98,9 +98,6 @@ def test_the_layout_guard_sees_reads_and_private_imports():
 
 # public definitions of src that no command reaches, and why each stays
 _KEPT_UNREAD = {
-    # the splits of one monomial read the layout, which only graded_algebra
-    # may read, so the tests' reference for basis_splits lives there
-    "mono_splits",
     # the machine-document reader, which the certify command that ROADMAP
     # plans will call
     "parse_machine",

@@ -1,6 +1,5 @@
 import random
 import time
-from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -30,7 +29,6 @@ from sulmin.graded_algebra import (
     mono_factors,
     mono_first,
     mono_gen,
-    mono_splits,
     mono_valid,
     subset_test,
 )
@@ -507,6 +505,8 @@ def test_basis_comes_in_the_factor_list_order(seed):
 @given(st.integers(0, 10**9))
 @settings(max_examples=100, deadline=None)
 def test_first_factor_and_splits_take_a_monomial_apart(seed):
+    # the splits are checked against the factor sequence by
+    # test_morphisms.py::test_splits_slice_as_the_expanded_sequence_does
     rng = random.Random(seed)
     factors = _random_mono(rng, MIXED)
     m = mono(MIXED, *factors)
@@ -514,13 +514,6 @@ def test_first_factor_and_splits_take_a_monomial_apart(seed):
         i, rest = mono_first(MIXED, m)
         head = ((i, factors[0][1] - 1),) if factors[0][1] > 1 else ()
         assert (i, rest) == (factors[0][0], mono(MIXED, *head, *factors[1:]))
-    expanded = [i for i, e in factors for _ in range(e)]
-    splits = list(mono_splits(MIXED, m))
-    assert len(splits) == max(len(expanded) - 1, 0)
-    for k, (left, dleft, right, dright) in enumerate(splits, 1):
-        assert left == mono(MIXED, *Counter(expanded[:k]).items())
-        assert right == mono(MIXED, *Counter(expanded[k:]).items())
-        assert (dleft, dright) == (mono_degree(MIXED, left), mono_degree(MIXED, right))
 
 
 def _head(factors):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import INPUTS, PLANTED, is_coefficient, mono
+from conftest import INPUTS, PLANTED, is_coefficient, mono, random_homogeneous_element
 from sulmin.differential import DGAlgebra, Extension
 from sulmin.dsl import (
     emit_machine, emit_report, format_element, parse, parse_expression, parse_machine)
@@ -27,7 +27,6 @@ from sulmin.graded_algebra import (
     mono_elem,
     mono_factors,
     mono_gen,
-    mono_splits,
     mono_str,
     subset_test,
 )
@@ -324,11 +323,10 @@ def test_splits_slice_as_the_expanded_sequence_does(exps):
     total = mono_degree(_SPLIT_SIG, m)
     want = [(x, mono_degree(_SPLIT_SIG, x), y, total - mono_degree(_SPLIT_SIG, x))
             for x, y in _reference_splits(_SPLIT_SIG, m)]
-    assert list(mono_splits(_SPLIT_SIG, m)) == want
     assert basis_splits(_SPLIT_SIG, total)[m] == want
 
 
-def test_basis_splits_list_every_basis_monomial_as_mono_splits_does(algebras):
+def test_basis_splits_list_every_basis_monomial_as_the_reference_does(algebras):
     # the memoised lists, each built from its suffix's list, key the full
     # bases in order and equal the splits derived from the factor list
     for name, dga in algebras.items():
@@ -336,7 +334,62 @@ def test_basis_splits_list_every_basis_monomial_as_mono_splits_does(algebras):
         splits = basis_splits(sig, 8)
         assert list(splits) == [m for p in range(9) for m in basis_monomials(sig, p)], name
         for m, got in splits.items():
-            assert got == list(mono_splits(sig, m)), (name, mono_str(sig, m))
+            want = [(x, mono_degree(sig, x), y, mono_degree(sig, y))
+                    for x, y in _reference_splits(sig, m)]
+            assert got == want, (name, mono_str(sig, m))
+
+
+def _arbitrary_table(rng, sig):
+    """An ``f`` table of random elements of any degrees, unit and zero
+    included, so it need not preserve degree or its parity."""
+    table = {}
+    for i in range(len(sig)):
+        x = {}
+        for _ in range(rng.randint(0, 2)):
+            x.update(random_homogeneous_element(rng, sig, rng.randint(0, 3)))
+        table[i] = x
+    return table
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=40, deadline=None)
+def test_a_map_is_multiplicative_on_every_split_in_the_canonical_order(seed):
+    # the evaluator builds f(m) as the product of its letters' images in the
+    # canonical order, which a split (x, y) cuts without reordering, so
+    # f(x*y) = f(x) f(y) by associativity for any table: this is why
+    # check_contraction tests f mu in the reverse order only
+    rng = random.Random(seed)
+    sig = Signature.from_pairs(
+        (f"x{i}", rng.randint(1, 3)) for i in range(rng.randint(1, 5)))
+    f_ev = Extension(sig, _arbitrary_table(rng, sig))
+    for p in range(6):
+        for m in basis_monomials(sig, p):
+            fm = f_ev.on_monomial(m)
+            for x, y in _reference_splits(sig, m):
+                assert elem_mul(sig, f_ev.on_monomial(x), f_ev.on_monomial(y)) == fm
+
+
+def test_the_forward_phi_rule_needs_a_g_that_preserves_degree():
+    # three odd generators, f swapping b and c.  With g(c) = a*c, of even
+    # degree, gf(b*c) = a*b*c while gf(b) gf(c) = -a*b*c, and the two-leg
+    # phi breaks its own rule at a*b*c on the canonical split a*b | c; with
+    # g(c) = c it holds.  A table given to check_contraction from outside
+    # need not preserve degree, so the checker keeps the forward order of
+    # the phi mu rule
+    sig = Signature.from_pairs([("a", 1), ("b", 1), ("c", 1)])
+    a, b, c = (elem_gen(sig, i) for i in range(3))
+    ab, abc = mono(sig, (0, 1), (1, 1)), mono(sig, (0, 1), (1, 1), (2, 1))
+    f_ev = Extension(sig, {0: a, 1: c, 2: b})
+    for g_c, holds in ((elem_mul(sig, a, c), False), (c, True)):
+        g_ev = Extension(sig, {0: a, 1: b, 2: g_c})
+        phi_ev = homotopy_extension(sig, {0: elem_one()}, f_ev, g_ev)
+        # phi(u*v) = (-1)^{|u|} u*phi(v) + phi(u)*gf(v), u = a*b of even degree
+        rule = elem_add(elem_mul(sig, mono_elem(ab), phi_ev.on_element(c)),
+                        elem_mul(sig, phi_ev.on_monomial(ab), phi_ev.right(mono_gen(sig, 2))))
+        assert (phi_ev.on_monomial(abc) == rule) is holds
+        if not holds:
+            assert phi_ev.on_monomial(abc) == mono_elem(abc)
+            assert rule == {abc: -1}
 
 
 def _reference_check_contraction(c, max_degree):
@@ -445,9 +498,11 @@ def _zeroing_mutants(c, rng):
     # one nonzero entry emptied in each of f and g (at a survivor), phi and
     # dW, and one empty phi entry made nonzero: the checker tests an identity
     # with a zero operand as the emptiness of its other side, and these put
-    # a zero operand against a nonzero other side.  Two shortcuts never meet
-    # one: f is an algebra map, so a zero f(x) makes f(x*y) zero, and phi
-    # satisfies its two-leg rule on every split in the canonical order, so
+    # a zero operand against a nonzero other side.  Two cases never meet
+    # one: f is an algebra map, so a zero f(x) makes f(x*y) zero for any
+    # table (the checker passes such a split over), and phi satisfies its
+    # two-leg rule on every split in the canonical order when g preserves
+    # degree, as every g here does (an emptied entry is of every degree), so
     # zero phi(x) and phi(y) make phi(x*y) zero
     sig = c.sig
     for field, keys in (("f", c.W), ("g", c.W), ("phi", sorted(c.phi)), ("dW", c.W)):
