@@ -28,8 +28,11 @@ phase then sums, over the jobs, each job's best of five per tree, and the
 script prints per phase this tree's sum, the other's and their ratio, then
 how many jobs' ``(exit code, stdout, stderr)`` differ between the trees, and
 last the median and quartiles over the jobs of the ratio of this tree's
-best ``cli.run`` time to the other's.  A ratio of sums leans on the
-largest jobs; the per-job median is the steadier figure of the two.
+best ``cli.run`` time to the other's, over all jobs and then over the jobs
+that exit 0 and those that exit 3 on this tree, each group apart.  A ratio
+of sums leans on the largest jobs; the per-job median is the steadier
+figure of the two, and the split by exit code shows where a change's gain
+lands when it lands on one group.
 """
 
 import importlib
@@ -122,7 +125,7 @@ def _compare(phases, jobs, other_src: Path) -> None:
     sums = [dict.fromkeys([phase for _, _, phase in phases] + ["cli.run"], 0.0)
             for _ in trees]
     differ = 0
-    ratios = []
+    ratios, codes = [], []
     for k, kwargs in enumerate(jobs):
         configs = [[tree["cli"].RunConfig(**kwargs)] for tree in trees]
         runs = [[], []]
@@ -137,13 +140,22 @@ def _compare(phases, jobs, other_src: Path) -> None:
             for phase, seconds in bests[t].items():
                 sums[t][phase] += seconds
         ratios.append(bests[0]["cli.run"] / bests[1]["cli.run"])
+        codes.append(outputs[0][0])
     print(f"{'phase':<18} {'this':>9} {'other':>9} this/other")
     for phase in sums[0]:
         this, other = sums[0][phase], sums[1][phase]
         print(f"{phase:<18} {this:7.3f} s {other:7.3f} s {this / other:.3f}")
     print(f"{'outputs differ':<18} {differ}/{len(jobs)}")
+    _print_spread("cli.run per job", ratios)
+    for code in (0, 3):
+        group = [ratio for ratio, c in zip(ratios, codes) if c == code]
+        if len(group) > 1:
+            _print_spread(f"  exit {code} ({len(group)})", group)
+
+
+def _print_spread(label: str, ratios) -> None:
     q1, median, q3 = statistics.quantiles(ratios, n=4)
-    print(f"{'cli.run per job':<18} this/other median {median:.4f}, quartiles {q1:.4f} {q3:.4f}")
+    print(f"{label:<18} this/other median {median:.4f}, quartiles {q1:.4f} {q3:.4f}")
 
 
 def main(argv) -> int:

@@ -60,7 +60,8 @@ def _load(path: str):
 
 def run(config: RunConfig) -> Tuple[int, str, str]:
     """Execute one command; returns (exit status, stdout text, stderr text)."""
-    if config.max_degree < 1:
+    # only homology and verify read the cap
+    if config.command in ("homology", "verify") and config.max_degree < 1:
         return EXIT_USER, "", "max-degree must be >= 1\n"
     try:
         parsed = _load(config.input_path)

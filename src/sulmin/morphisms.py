@@ -24,15 +24,19 @@ missing from the ``phi`` table maps to zero; one missing from the ``f`` or
 full algebra contraction, on every basis monomial up to a degree cap, in
 exact arithmetic; each is an equality test between canonical elements, which
 is equality in the algebra, and failures are reported as data, not
-exceptions.  It reads ``d`` through the source algebra's shared evaluator
-and ``dW`` through the model algebra's, ``FullContraction.model``, which the
-oracle's survivor side reads too.  The product identities read the images
-of a split's halves straight from the evaluators' caches, and the splits of
-every basis monomial from ``graded_algebra.basis_splits``, which builds each
-monomial's list from its suffix's.  An identity whose operand is zero is
-tested as the emptiness of its other side (every map sends 0 to 0), still on
-every monomial and every split, so the checker's work follows the nonzero
-images.
+exceptions.  An identity stops at its first failure: the report keeps only
+the first failing monomial of each, in basis order, so what a failed
+identity would still evaluate could change no report.  ``f``, ``d`` and
+``phi`` are evaluated on every basis monomial all the same, so a generator
+up to the cap that is missing from ``f`` always raises.  The checker reads
+``d`` through the source algebra's shared evaluator and ``dW`` through the
+model algebra's, ``FullContraction.model``, which the oracle's survivor side
+reads too.  The product identities read the images of a split's halves
+straight from the evaluators' caches, and the splits of every basis
+monomial from ``graded_algebra.basis_splits``, which builds each monomial's
+list from its suffix's.  An identity whose operand is zero is tested as the
+emptiness of its other side (every map sends 0 to 0), so the checker's work
+follows the nonzero images of the identities that have not failed.
 
 ``f mu = mu (f x f)`` is tested in the reverse order only,
 ``(-1)^{|x||y|} f(x*y) = f(y) f(x)``: the evaluator computes ``f(x*y)`` as
@@ -154,12 +158,13 @@ def check_contraction(c: FullContraction, max_degree: int) -> ContractionReport:
     Each identity is an equality of canonical elements, or an emptiness test
     for the ``= 0`` identities, and is evaluated on every monomial (and every
     split: the reverse order for ``f mu``, both orders for the ``phi mu
-    rule``; see the module docstring) even after it has failed once; the
-    report keeps its first failing monomial.  Where an operand image is zero
-    (``phi(m)``, ``d(m)``, ``f(m)``, ``dW(m)``, or ``phi`` of both halves)
-    the identity is tested as the emptiness of its other side, which is the
-    same test.  A split with a zero ``f`` half is passed over: ``f(m)`` is
-    then zero by associativity.  The splits come from ``basis_splits``.
+    rule``; see the module docstring) until its first failure, which the
+    report keeps; the monomials come in basis order, so skipping a failed
+    identity changes no report.  Where an operand image is zero (``phi(m)``,
+    ``d(m)``, ``f(m)``, ``dW(m)``, or ``phi`` of both halves) the identity
+    is tested as the emptiness of its other side, which is the same test.  A
+    split with a zero ``f`` half is passed over: ``f(m)`` is then zero by
+    associativity.  The splits come from ``basis_splits``.
     """
     sig = c.sig
     f_ev = Extension(sig, c.f)
@@ -173,11 +178,12 @@ def check_contraction(c: FullContraction, max_degree: int) -> ContractionReport:
     splits = basis_splits(sig, max_degree)
     w_basis = list(filter(subset_test(sig, c.W), splits))
 
+    # an identity is tested only while it has not failed: the report keeps
+    # its first failing monomial, and the test of a failed one is skipped
     failures: Dict[str, str] = {}
 
-    def record(name: str, ok: bool, m: Mono) -> None:
-        if not ok and name not in failures:
-            failures[name] = mono_str(sig, m)
+    def fail(name: str, m: Mono) -> None:
+        failures[name] = mono_str(sig, m)
 
     def rule(u: Mono, du: int, phi_u: Elem, v: Mono, phi_v: Elem) -> Elem:
         # phi(u*v) = (-1)^{|u|} u*phi(v) + phi(u)*gf(v), for the halves of a
@@ -192,50 +198,62 @@ def check_contraction(c: FullContraction, max_degree: int) -> ContractionReport:
     # an identity with a zero operand is tested as the emptiness of its
     # other side, since every map sends 0 to 0
     for m, m_splits in splits.items():
+        # f is evaluated on every basis monomial, so a generator up to the
+        # cap that is missing from its table raises KeyError
         fm = f_ev.on_monomial(m)
         dm = d_ev.on_monomial(m)
         phim = phi_ev.on_monomial(m)
-        if phim:
-            record("f phi = 0", not f_ev.on_element(phim), m)
-            record("phi phi = 0", not phi_ev.on_element(phim), m)
-        # id - gf = phi d + d phi, read as gf + phi d + d phi = id
-        total = dict(gf(m))
-        phi_ev.add_into(total, dm)
-        d_ev.add_into(total, phim)
-        record("id - gf = phi d + d phi", total == mono_elem(m), m)
-        # kept after phi(d m): the evaluation order decides which missing f
-        # entry a KeyError names
-        if dm:
-            fdm = f_ev.on_element(dm)
-            record("f d = dW f", fdm == dw_ev.on_element(fm) if fm else not fdm, m)
-        elif fm:
-            record("f d = dW f", not dw_ev.on_element(fm), m)
+        if phim and "f phi = 0" not in failures and f_ev.on_element(phim):
+            fail("f phi = 0", m)
+        if phim and "phi phi = 0" not in failures and phi_ev.on_element(phim):
+            fail("phi phi = 0", m)
+        if "id - gf = phi d + d phi" not in failures:
+            # read as gf + phi d + d phi = id
+            total = dict(gf(m))
+            phi_ev.add_into(total, dm)
+            d_ev.add_into(total, phim)
+            if total != mono_elem(m):
+                fail("id - gf = phi d + d phi", m)
+        if "f d = dW f" not in failures and (dm or fm):
+            if (f_ev.on_element(dm) if dm else {}) != (dw_ev.on_element(fm) if fm else {}):
+                fail("f d = dW f", m)
         # extension coherence: both maps agree with every factorization
         # (f in the reverse order only, see the module docstring).  Both
         # halves are basis monomials of lower degree, met earlier in this
         # loop, so their images are read straight from the caches
+        f_open = "f mu = mu (f x f)" not in failures
+        phi_open = "phi mu rule" not in failures
+        if not (f_open or phi_open):
+            continue
         for x, dx, y, dy in m_splits:
             swap = -1 if dx & dy & 1 else 1
-            fx, fy = f_cache[x], f_cache[y]
-            if fx and fy:
-                record("f mu = mu (f x f)", elem_scale(fm, swap) == elem_mul(sig, fy, fx), m)
-            phix, phiy = phi_cache[x], phi_cache[y]
-            if phix or phiy:
-                record("phi mu rule", phim == rule(x, dx, phix, y, phiy), m)
-                record("phi mu rule", elem_scale(phim, swap) == rule(y, dy, phiy, x, phix), m)
-            elif phim:
-                record("phi mu rule", False, m)
+            if f_open:
+                fx, fy = f_cache[x], f_cache[y]
+                if fx and fy and elem_scale(fm, swap) != elem_mul(sig, fy, fx):
+                    fail("f mu = mu (f x f)", m)
+                    f_open = False
+            if phi_open:
+                phix, phiy = phi_cache[x], phi_cache[y]
+                if phix or phiy:
+                    phi_open = phim == rule(x, dx, phix, y, phiy) \
+                        and elem_scale(phim, swap) == rule(y, dy, phiy, x, phix)
+                else:
+                    phi_open = not phim
+                if not phi_open:
+                    fail("phi mu rule", m)
 
     for m in w_basis:
         gm = g_ev.on_monomial(m)
         dwm = dw_ev.on_monomial(m)
-        record("f g = id", f_ev.on_element(gm) == mono_elem(m), m)
-        record("phi g = 0", not phi_ev.on_element(gm), m)
-        if dwm:
-            record("d g = g dW", d_ev.on_element(gm) == g_ev.on_element(dwm), m)
-            record("dW dW = 0", not dw_ev.on_element(dwm), m)
-        else:
-            record("d g = g dW", not d_ev.on_element(gm), m)
+        if "f g = id" not in failures and f_ev.on_element(gm) != mono_elem(m):
+            fail("f g = id", m)
+        if "phi g = 0" not in failures and phi_ev.on_element(gm):
+            fail("phi g = 0", m)
+        if "d g = g dW" not in failures:
+            if d_ev.on_element(gm) != (g_ev.on_element(dwm) if dwm else {}):
+                fail("d g = g dW", m)
+        if "dW dW = 0" not in failures and dwm and dw_ev.on_element(dwm):
+            fail("dW dW = 0", m)
 
     names = [
         "f g = id", "f phi = 0", "phi g = 0", "phi phi = 0",

@@ -296,6 +296,17 @@ def test_max_degree_must_be_positive():
     assert code == 2 and "max-degree" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "minimize", "at-model"])
+def test_the_commands_that_never_read_the_cap_ignore_it(command):
+    assert invoke(command, EXAMPLE_FILES["ex1"], max_degree=0) == invoke(command, EXAMPLE_FILES["ex1"])
+
+
+@pytest.mark.parametrize("command", ["homology", "verify"])
+def test_the_cap_is_refused_before_the_input_is_read(tmp_path, command):
+    code, out, err = invoke(command, tmp_path / "missing.sul", max_degree=0)
+    assert (code, out, err) == (2, "", "max-degree must be >= 1\n")
+
+
 @pytest.mark.parametrize("command", ["homology", "verify"])
 def test_the_commands_that_read_the_cap_take_max_degree(command):
     args = build_parser().parse_args([command, "in.sul", "--max-degree", "3"])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import INPUTS, PLANTED, is_coefficient, mono, random_homogeneous_element
+from sulmin import morphisms
 from sulmin.differential import DGAlgebra, Extension
 from sulmin.dsl import (
     emit_machine, emit_report, format_element, parse, parse_expression, parse_machine)
@@ -176,6 +177,25 @@ def test_missing_homotopy_entry_is_zero_and_missing_map_entry_raises(contraction
                            phi=c.phi, pairs=c.pairs)
     with pytest.raises(KeyError, match="no image for generator v2"):
         check_contraction(no_f, 8)
+
+
+def test_a_failed_identity_is_not_evaluated_again(contractions, monkeypatch):
+    # ex4 and nested_pair fail id - gf below the cap, and only that identity
+    # evaluates phi on d(m), of degree cap + 1; once it has failed, the
+    # checker leaves phi's cache without a monomial above the cap
+    kept = []
+
+    def keep(*args):
+        kept.append(homotopy_extension(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(morphisms, "homotopy_extension", keep)
+    for name in ("ex4", "nested"):
+        c = contractions[name]
+        report = check_contraction(c, 8)
+        failing = {ch.name for ch in report.checks if not ch.ok}
+        assert "id - gf = phi d + d phi" in failing, name
+        assert max(mono_degree(c.sig, m) for m in kept.pop().cache) <= 8, name
 
 
 def test_inclusion_injective_on_surviving_basis(contractions):
