@@ -23,7 +23,7 @@ EXAMPLE_FILES = {
 
 
 # Two valid inputs on which the sweep's phi breaks side conditions of the
-# contraction, not only the homotopy identity (ROADMAP item 1).  Until phi
+# contraction, not only the homotopy identity (ROADMAP item 2).  Until phi
 # is a true homotopy, verify exits 3 on both: the first fails phi phi = 0
 # (at y2^2) and id - gf (at u3*m4), the second phi g = 0 (at m6), phi phi = 0
 # (at y2^2) and id - gf (at y2*u5).

@@ -442,7 +442,7 @@ def test_planted_inputs_keep_the_structural_identities(text):
     assert not _planted_failures(text) & set(STRUCTURAL)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 @pytest.mark.parametrize("text", PLANTED, ids=("first", "second"))
 def test_planted_inputs_keep_the_homotopy_identities(text):
     assert not _planted_failures(text) & set(HOMOTOPY)

@@ -561,6 +561,87 @@ def test_zero_operand_shortcuts_match_subtract_and_test_reference(contractions):
     assert kinds == {"f", "g", "phi", "dW", "phi on a zero entry"}
 
 
+_ON_GENERATORS = {"f d = dW f", "f g = id", "d g = g dW", "dW dW = 0"}
+
+
+def _graded_mutants(c, rng):
+    # one entry of f, g and dW plus a monomial of the entry's own degree,
+    # taken in the survivor subalgebra for f and dW, so the tables keep the
+    # precondition of the generator checks and those checks decide
+    sig = c.sig
+    in_w = subset_test(sig, c.W)
+    for field, keys, shift, keep in (("f", range(len(sig)), 0, in_w),
+                                     ("g", c.W, 0, lambda m: True), ("dW", c.W, 1, in_w)):
+        choices = [(k, m) for k in keys
+                   for m in basis_monomials(sig, sig.degree(k) + shift) if keep(m)]
+        if choices:
+            k, m = rng.choice(choices)
+            table = dict(getattr(c, field))
+            table[k] = elem_add(table.get(k, {}), {m: rng.choice((1, -1, 2))})
+            yield field, replace(c, **{field: table})
+
+
+def _proved(c, max_degree):
+    sig = c.sig
+    return morphisms._proved_on_generators(
+        c, max_degree, Extension(sig, c.f), Extension(sig, c.g), c.source.ev, c.model.ev)
+
+
+def test_degree_preserving_mutants_match_subtract_and_test_reference(contractions):
+    # a mutant that keeps every degree passes the precondition, so an
+    # identity that fails on a generator is scanned from the first basis
+    # monomial; its report must equal the reference's, and each of the four
+    # identities checked on generators must be broken somewhere
+    rng = random.Random(20261021)
+    models = list(contractions.values())
+    models += [compute_minimal_model(parse(text)) for text in PLANTED]
+    draws = []
+    while len(draws) < 12:
+        c = compute_minimal_model(random_sullivan_algebra(rng, max_gens=7))
+        if c.W:
+            draws.append(c)
+    models += draws
+    broken = set()
+    for c in models:
+        for field, mutant in _graded_mutants(c, rng):
+            proved = _proved(mutant, 6)
+            assert proved is not None, field
+            report = check_contraction(mutant, 6)
+            assert report == _reference_check_contraction(mutant, 6), field
+            failing = {ch.name for ch in report.checks if not ch.ok}
+            assert failing & _ON_GENERATORS == _ON_GENERATORS - set(proved), field
+            broken |= failing & _ON_GENERATORS
+    assert broken == _ON_GENERATORS
+
+
+def test_phi_free_identities_are_decided_on_generators(contractions, monkeypatch):
+    # elem_mul's one caller in the checker is the f mu scan, which the
+    # precondition makes needless; an f entry that breaks its generator's
+    # degree parity fails the precondition, and every identity is scanned
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return elem_mul(*args)
+
+    monkeypatch.setattr(morphisms, "elem_mul", counting)
+    rng = random.Random(20261022)
+    models = list(contractions.values())
+    while len(models) < 12:
+        models.append(compute_minimal_model(random_sullivan_algebra(rng, max_gens=7)))
+    for c in models:
+        check_contraction(c, 6)
+    assert not calls
+    c = contractions["ex1"]
+    f = dict(c.f)
+    f[B1] = elem_add(f[B1], expr("b1*c1", c.sig))
+    mutant = replace(c, f=f)
+    assert _proved(mutant, 6) is None
+    report = check_contraction(mutant, 6)
+    assert calls
+    assert report == _reference_check_contraction(mutant, 6)
+
+
 def test_the_readme_library_snippets_run_as_stated(monkeypatch, capsys):
     # the Library section's code blocks, run as written from the repository
     # root; the second one evaluates the derivation leg of Extension
