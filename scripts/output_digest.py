@@ -5,11 +5,14 @@ Usage: output_digest.py WORKLOAD SEED
 
 Builds the seeded pool of WORKLOAD through ``perfbench/workloads.py``, writes
 it to a temporary directory and runs every job once through
-``sulmin.cli.run`` from this checkout's ``src``.  Prints five lines: a
+``sulmin.cli.run`` from this checkout's ``src``.  Prints six lines: a
 SHA-256 digest of the pool (file names, commands, degree caps and texts), a
 SHA-256 digest of every job's exit code, stdout and stderr (with the
 temporary directory replaced by a fixed name), failed/attempted, where a
-job fails when it exits nonzero or raises, and a SHA-256 digest of the
+job fails when it exits nonzero or raises, a SHA-256 digest of the same
+record of ``minimize --format machine`` on every pool document, which shows
+the ``f``, ``g``, ``phi`` and ``dW`` tables that no ``verify`` line prints
+(a module document exits 2 there), a SHA-256 digest of the
 bundled inputs' outputs: every file in ``inputs/`` through ``validate``,
 ``minimize`` (report and machine), ``at-model``, ``homology`` and ``verify``,
 and ``homology X --against Y`` over every ordered pair of files, each with its
@@ -25,6 +28,7 @@ documents.
 import hashlib
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -96,6 +100,7 @@ def main(argv) -> int:
     jobs = WORKLOADS[argv[1]].build(int(argv[2]))
     pool = hashlib.sha256()
     outputs = hashlib.sha256()
+    minimize = hashlib.sha256()
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         for job in jobs:
@@ -107,9 +112,12 @@ def main(argv) -> int:
             code, out, err = _outcome(config)
             failed += code != 0
             outputs.update(f"{job.file}\0{code}\0{out}\0{err}\0".replace(tmp, "TMP").encode())
+            code, out, err = _outcome(replace(config, command="minimize", output_format="machine"))
+            minimize.update(f"{job.file}\0{code}\0{out}\0{err}\0".replace(tmp, "TMP").encode())
     print(f"pool    {pool.hexdigest()}")
     print(f"outputs {outputs.hexdigest()}")
     print(f"failed  {failed}/{len(jobs)}")
+    print(f"minimize {minimize.hexdigest()}")
     print(f"bundled {bundled_digest()}")
     print(f"invalid {invalid_digest()}")
     return 0

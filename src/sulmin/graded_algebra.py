@@ -428,15 +428,13 @@ def lin_axpy(out: Dict, c: Coeff, y: Dict) -> Dict:
     The sparse accumulate of every linear combination in the package, for
     elements and for the generator-indexed vectors of modules alike: a new
     key keeps its value, and a sum that cancels is deleted.  It writes only
-    ``out``, which the caller owns; ``y`` is only read.  Callers never pass
-    ``c = 0``.
+    ``out``, which the caller owns; ``y`` is only read.  Every term is ``c *
+    v``, normalised.  Callers never pass ``c = 0``.
     """
-    unit = c == 1
     for j, v in y.items():
-        if not unit:
-            v = c * v
-            if v.__class__ is not int and v.denominator == 1:
-                v = v.numerator
+        v = c * v
+        if v.__class__ is not int and v.denominator == 1:
+            v = v.numerator
         s = out.get(j)
         if s is None:
             out[j] = v

@@ -13,13 +13,13 @@ homotopy extends to products through the two-term rule
 
 evaluated left factor by left factor over the canonical monomial order: it is
 the ``differential.Extension`` derivation whose right leg is ``g f``.
-``homotopy_extension`` memoises that leg per monomial: ``g(f(r))`` is
-computed once per evaluator, and the checker reads the same memo for
-``id - gf`` and for the product rule.  The ``id - gf`` sum starts from a copy
-of ``gf(m)`` and accumulates ``phi(d m)`` and ``d(phi m)`` in place through
-``Extension.add_into``, so neither image is built on its own.  A generator
-missing from the ``phi`` table maps to zero; one missing from the ``f`` or
-``g`` table raises ``KeyError`` naming it.
+``homotopy_extension`` reads that leg through the ``f`` and ``g``
+evaluators, with no memo of ``g f`` of its own, and the checker reads the
+same leg for ``id - gf`` and for the product rule.  The ``id - gf`` sum
+starts from ``gf(m)``, a new dict, and accumulates ``phi(d m)`` and ``d(phi
+m)`` in place through ``Extension.add_into``, so neither image is built on
+its own.  A generator missing from the ``phi`` table maps to zero; one
+missing from the ``f`` or ``g`` table raises ``KeyError`` naming it.
 ``check_contraction`` decides all the identities that make the triple a
 full algebra contraction, on every basis monomial up to a degree cap, in
 exact arithmetic: the five that read no ``phi`` on generators where it can
@@ -33,12 +33,12 @@ monomial all the same, so a generator up to the cap that is missing from
 ``f`` always raises.  The checker reads ``d`` through the source algebra's
 shared evaluator and ``dW`` through the model algebra's,
 ``FullContraction.model``, which the oracle's survivor side reads too.  The
-product identities read the images of a split's halves straight from the
-evaluators' caches, and the splits of every basis monomial from
+``phi`` product rule reads the images of a split's halves straight from the
+``phi`` evaluator's cache, and the splits of every basis monomial come from
 ``graded_algebra.basis_splits``, which builds each monomial's list from its
-suffix's.  An identity whose operand is zero is tested as the emptiness of
-its other side (every map sends 0 to 0), so the checker's work follows the
-nonzero images of the identities that are still open.
+suffix's.  A ``phi`` identity whose operand is zero is tested as the
+emptiness of its other side (every map sends 0 to 0); the scan of the
+``phi``-free identities, a fallback (below), has no such shortcut.
 
 Five identities read no ``phi``: ``f d = dW f``, ``f g = id``, ``d g = g
 dW``, ``dW dW = 0`` and ``f mu``.  ``_proved_on_generators`` decides them on
@@ -102,17 +102,8 @@ from .graded_algebra import (
 def homotopy_extension(sig: Signature, phi_table: Mapping[int, Elem],
                        f_ev: Extension, g_ev: Extension) -> Extension:
     """``phi`` extended by the two-leg rule.  Its right leg ``g f`` is read
-    through the given cached ``f`` and ``g`` evaluators and memoised per
-    monomial, so ``right(r)`` computes ``g(f(r))`` once."""
-    gf: Dict[Mono, Elem] = {}
-
-    def right(r: Mono) -> Elem:
-        img = gf.get(r)
-        if img is None:
-            img = gf[r] = g_ev.on_element(f_ev.on_monomial(r))
-        return img
-
-    return Extension(sig, phi_table, right)
+    through the given cached ``f`` and ``g`` evaluators."""
+    return Extension(sig, phi_table, lambda r: g_ev.on_element(f_ev.on_monomial(r)))
 
 
 @dataclass(frozen=True)
@@ -229,21 +220,21 @@ def check_contraction(c: FullContraction, max_degree: int) -> ContractionReport:
     ``f mu``, the reverse order for the ``phi mu rule`` and, when the
     precondition fails, the forward order too) until its first failure,
     which the report keeps; the monomials come in basis order, so skipping
-    a failed identity changes no report.  Where an operand image is zero
-    (``phi(m)``, ``d(m)``, ``f(m)``, ``dW(m)``, or ``phi`` of both halves)
-    the identity is tested as the emptiness of its other side, which is the
-    same test.  A split with a zero ``f`` half is passed over: ``f(m)`` is
-    then zero by associativity.  The splits come from ``basis_splits``.
+    a failed identity changes no report.  Where ``phi(m)``, or ``phi`` of
+    both halves of a split, is zero, the ``phi`` identity is tested as the
+    emptiness of its other side, which is the same test; the ``phi``-free
+    identities are scanned with no zero shortcut.  The splits come from
+    ``basis_splits``.
     ``f``, ``d`` and ``phi`` are evaluated on every basis monomial.
     """
     sig = c.sig
     f_ev = Extension(sig, c.f)
     g_ev = Extension(sig, c.g)
     phi_ev = homotopy_extension(sig, c.phi, f_ev, g_ev)
-    gf = phi_ev.right  # g f, memoised per monomial
+    gf = phi_ev.right
     d_ev = c.source.ev
     dw_ev = c.model.ev
-    f_cache, phi_cache = f_ev.cache, phi_ev.cache
+    phi_cache = phi_ev.cache
 
     splits = basis_splits(sig, max_degree)
     w_basis = list(filter(subset_test(sig, c.W), splits))
@@ -270,7 +261,7 @@ def check_contraction(c: FullContraction, max_degree: int) -> ContractionReport:
             elem_mul_into(sig, out, phi_u, gf(v))
         return out
 
-    # an identity with a zero operand is tested as the emptiness of its
+    # a phi identity with a zero operand is tested as the emptiness of its
     # other side, since every map sends 0 to 0
     for m, m_splits in splits.items():
         # f is evaluated on every basis monomial, so a generator up to the
@@ -284,29 +275,27 @@ def check_contraction(c: FullContraction, max_degree: int) -> ContractionReport:
             fail("phi phi = 0", m)
         if "id - gf = phi d + d phi" not in settled:
             # read as gf + phi d + d phi = id
-            total = dict(gf(m))
+            total = gf(m)
             phi_ev.add_into(total, dm)
             d_ev.add_into(total, phim)
             if total != mono_elem(m):
                 fail("id - gf = phi d + d phi", m)
-        if "f d = dW f" not in settled and (dm or fm):
-            if (f_ev.on_element(dm) if dm else {}) != (dw_ev.on_element(fm) if fm else {}):
-                fail("f d = dW f", m)
+        if "f d = dW f" not in settled and f_ev.on_element(dm) != dw_ev.on_element(fm):
+            fail("f d = dW f", m)
         # extension coherence: both maps agree with every factorization
         # (f in the reverse order only, see the module docstring).  Both
         # halves are basis monomials of lower degree, met earlier in this
-        # loop, so their images are read straight from the caches
+        # loop, so their images are cached
         f_open = "f mu = mu (f x f)" not in settled
         phi_open = "phi mu rule" not in settled
         if not (f_open or phi_open):
             continue
         for x, dx, y, dy in m_splits:
             swap = -1 if dx & dy & 1 else 1
-            if f_open:
-                fx, fy = f_cache[x], f_cache[y]
-                if fx and fy and elem_scale(fm, swap) != elem_mul(sig, fy, fx):
-                    fail("f mu = mu (f x f)", m)
-                    f_open = False
+            if f_open and elem_scale(fm, swap) != elem_mul(
+                    sig, f_ev.on_monomial(y), f_ev.on_monomial(x)):
+                fail("f mu = mu (f x f)", m)
+                f_open = False
             if phi_open:
                 phix, phiy = phi_cache[x], phi_cache[y]
                 if phix or phiy:
@@ -324,10 +313,9 @@ def check_contraction(c: FullContraction, max_degree: int) -> ContractionReport:
             fail("f g = id", m)
         if "phi g = 0" not in settled and phi_ev.on_element(gm):
             fail("phi g = 0", m)
-        if "d g = g dW" not in settled:
-            if d_ev.on_element(gm) != (g_ev.on_element(dwm) if dwm else {}):
-                fail("d g = g dW", m)
-        if "dW dW = 0" not in settled and dwm and dw_ev.on_element(dwm):
+        if "d g = g dW" not in settled and d_ev.on_element(gm) != g_ev.on_element(dwm):
+            fail("d g = g dW", m)
+        if "dW dW = 0" not in settled and dw_ev.on_element(dwm):
             fail("dW dW = 0", m)
 
     names = [

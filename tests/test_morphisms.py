@@ -516,14 +516,15 @@ def test_equality_checker_matches_subtract_and_test_reference():
 
 def _zeroing_mutants(c, rng):
     # one nonzero entry emptied in each of f and g (at a survivor), phi and
-    # dW, and one empty phi entry made nonzero: the checker tests an identity
-    # with a zero operand as the emptiness of its other side, and these put
-    # a zero operand against a nonzero other side.  Two cases never meet
-    # one: f is an algebra map, so a zero f(x) makes f(x*y) zero for any
-    # table (the checker passes such a split over), and phi satisfies its
-    # two-leg rule on every split in the canonical order when g preserves
-    # degree, as every g here does (an emptied entry is of every degree), so
-    # zero phi(x) and phi(y) make phi(x*y) zero
+    # dW, and one empty phi entry made nonzero: these put a zero operand
+    # against a nonzero other side, which the checker tests as the emptiness
+    # of that side in the phi identities and as a plain equality in the
+    # others.  Two cases never meet one: f is an algebra map, so a zero f(x)
+    # makes f(x*y) zero for any table (the evaluator multiplies the images
+    # of its letters in order), and phi satisfies its two-leg rule on every
+    # split in the canonical order when g preserves degree, as every g here
+    # does (an emptied entry is of every degree), so zero phi(x) and phi(y)
+    # make phi(x*y) zero
     sig = c.sig
     for field, keys in (("f", c.W), ("g", c.W), ("phi", sorted(c.phi)), ("dW", c.W)):
         table = getattr(c, field)
@@ -616,8 +617,10 @@ def test_degree_preserving_mutants_match_subtract_and_test_reference(contraction
 
 def test_phi_free_identities_are_decided_on_generators(contractions, monkeypatch):
     # elem_mul's one caller in the checker is the f mu scan, which the
-    # precondition makes needless; an f entry that breaks its generator's
-    # degree parity fails the precondition, and every identity is scanned
+    # precondition makes needless; every sweep output here settles all five
+    # phi-free identities on generators, so none reaches the fallback scan.
+    # An f entry that breaks its generator's degree parity fails the
+    # precondition, and every identity is scanned
     calls = []
 
     def counting(*args):
@@ -630,6 +633,7 @@ def test_phi_free_identities_are_decided_on_generators(contractions, monkeypatch
     while len(models) < 12:
         models.append(compute_minimal_model(random_sullivan_algebra(rng, max_gens=7)))
     for c in models:
+        assert set(_proved(c, 6)) == _ON_GENERATORS | {"f mu = mu (f x f)"}
         check_contraction(c, 6)
     assert not calls
     c = contractions["ex1"]
