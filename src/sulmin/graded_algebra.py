@@ -311,8 +311,10 @@ def mono_factors(sig: Signature, m: Mono) -> Tuple[Tuple[int, int], ...]:
 def mono_first(sig: Signature, m: Mono) -> Tuple[int, Mono]:
     """``(i, rest)`` with ``m = x_i * rest`` and ``x_i`` the generator of least
     index in ``m``, which must not be the unit monomial.  Memoised on
-    ``sig``: ``basis_splits`` fills the memo for a whole basis, and the
-    evaluators, which split the same monomials again and again, read it."""
+    ``sig``: the evaluators, which split the same monomials again and again,
+    and the checker, which tests the ``phi`` product rule on this head cut,
+    fill and read it; ``basis_splits``, built only by the checker's
+    fallback, fills it for a whole basis."""
     split = sig._firsts.get(m)
     if split is None:
         f = m & sig._fields

@@ -89,8 +89,11 @@ def rank_of_columns(columns: Sequence[SparseVec]) -> int:
     columns; a stored pivot is divided by the gcd of its entries.  Only
     ``int`` arithmetic, and no kernel combinations are built.  A zero column
     never makes a pivot, so it is skipped before it is scaled.  As in
-    ``column_reduce``, a row key is any totally ordered hashable and the
-    pivot is the least key.
+    ``column_reduce``, a row key is any totally ordered hashable, but the
+    pivot is the greatest key: the rank is the same for any pivot order, and
+    on the oracle's largest bases of packed monomials the greatest key
+    reduces faster (measured, not proved).  ``column_reduce`` keeps the
+    least key, since the sweep reads its kernels.
     """
     pivots: Dict[Hashable, Dict[Hashable, int]] = {}
     for col in columns:
@@ -98,7 +101,7 @@ def rank_of_columns(columns: Sequence[SparseVec]) -> int:
             continue
         vec = int_row(col)[1]
         while vec:
-            lead = min(vec)
+            lead = max(vec)
             pvec = pivots.get(lead)
             if pvec is None:
                 content = gcd(*vec.values())

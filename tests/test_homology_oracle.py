@@ -362,3 +362,28 @@ def test_random_algebra_and_its_model_agree():
         assert report.equal, str(report)
         # the ground field always survives in degree zero
         assert report.dims_a[0] == (0, 1)
+
+
+def test_greatest_key_pivot_matches_rational_elimination():
+    # rank_of_columns pivots on the greatest key and column_reduce on the
+    # least; on seeded sparse rational columns keyed by packed monomials,
+    # with columns that are combinations of earlier ones planted among
+    # them, both find the same rank, and that rank counts the columns that
+    # were drawn at random, not planted, at most
+    rng = random.Random(20261025)
+    sig = Signature.from_pairs([("a", 1), ("b", 1), ("x", 2), ("y", 2), ("c", 3)])
+    keys = [m for p in range(5) for m in basis_monomials(sig, p)]
+    for _ in range(40):
+        cols, drawn = [], 0
+        for _ in range(rng.randint(1, 24)):
+            if cols and rng.random() < 0.4:
+                col = {}
+                for other in rng.sample(cols, min(len(cols), rng.randint(1, 3))):
+                    lin_axpy(col, Fraction(rng.randint(-5, 5), rng.randint(1, 4)), other)
+            else:
+                drawn += 1
+                col = {k: Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 6))
+                       for k in rng.sample(keys, rng.randint(1, 6))}
+            cols.append({k: v for k, v in col.items() if v})
+        rank = column_reduce(cols)[0]
+        assert rank_of_columns(cols) == rank <= drawn

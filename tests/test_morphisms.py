@@ -1,6 +1,7 @@
 import copy
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -644,6 +645,76 @@ def test_phi_free_identities_are_decided_on_generators(contractions, monkeypatch
     report = check_contraction(mutant, 6)
     assert calls
     assert report == _reference_check_contraction(mutant, 6)
+
+
+def _phi_mutants(c, rng):
+    # each phi entry, in turn, plus a monomial of the entry's own degree
+    # |v| - 1 (the unit for a degree-1 generator), where that degree has a
+    # basis: phi enters no precondition, so every mutant is checked on the
+    # head cut only
+    sig = c.sig
+    for v in range(len(sig)):
+        basis = basis_monomials(sig, sig.degree(v) - 1)
+        if not basis:
+            continue
+        phi = dict(c.phi)
+        phi[v] = elem_add(phi.get(v, {}), {rng.choice(basis): rng.choice((1, -1, 2))})
+        yield replace(c, phi=phi)
+
+
+def test_phi_mutants_match_the_reference_on_every_cut(contractions):
+    # the head cut alone finds the first monomial that fails the phi mu rule
+    # on any cut, and f phi = 0 decided on generators fails exactly when the
+    # scan does: on the bundled algebras, the planted inputs and random
+    # draws, each one-entry phi mutant's report equals the reference's,
+    # which tests every cut in both orders and f phi on every monomial
+    rng = random.Random(20261023)
+    models = list(contractions.values())
+    models += [compute_minimal_model(parse(text)) for text in PLANTED]
+    draws = []
+    while len(draws) < 12:
+        c = compute_minimal_model(random_sullivan_algebra(rng, max_gens=7))
+        if c.W:
+            draws.append(c)
+    models += draws
+    failing = Counter()
+    mutants = 0
+    for c in models:
+        for mutant in _phi_mutants(c, rng):
+            mutants += 1
+            assert _proved(mutant, 6) is not None
+            report = check_contraction(mutant, 6)
+            assert report == _reference_check_contraction(mutant, 6)
+            failing.update(ch.name for ch in report.checks if not ch.ok)
+    assert mutants >= 100
+    assert failing["phi mu rule"] and failing["f phi = 0"]
+
+
+def test_only_the_fallback_lists_every_cut(contractions, monkeypatch):
+    # under the precondition the checker tests the head cut of each
+    # monomial and never builds basis_splits; an f entry that breaks its
+    # generator's degree parity fails the precondition, and the fallback
+    # tests every cut
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return basis_splits(*args)
+
+    monkeypatch.setattr(morphisms, "basis_splits", counting)
+    rng = random.Random(20261024)
+    models = list(contractions.values())
+    while len(models) < 12:
+        models.append(compute_minimal_model(random_sullivan_algebra(rng, max_gens=7)))
+    for c in models:
+        check_contraction(c, 6)
+    assert not calls
+    c = contractions["ex1"]
+    f = dict(c.f)
+    f[B1] = elem_add(f[B1], expr("b1*c1", c.sig))
+    mutant = replace(c, f=f)
+    assert check_contraction(mutant, 6) == _reference_check_contraction(mutant, 6)
+    assert calls
 
 
 def test_the_readme_library_snippets_run_as_stated(monkeypatch, capsys):
