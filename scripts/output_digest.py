@@ -5,7 +5,7 @@ Usage: output_digest.py WORKLOAD SEED
 
 Builds the seeded pool of WORKLOAD through ``perfbench/workloads.py``, writes
 it to a temporary directory and runs every job once through
-``sulmin.cli.run`` from this checkout's ``src``.  Prints six lines: a
+``sulmin.cli.run`` from this checkout's ``src``.  Prints seven lines: a
 SHA-256 digest of the pool (file names, commands, degree caps and texts), a
 SHA-256 digest of every job's exit code, stdout and stderr (with the
 temporary directory replaced by a fixed name), failed/attempted, where a
@@ -20,9 +20,11 @@ exit code, stdout and stderr (with the ``inputs/`` directory replaced by a
 fixed name), and a SHA-256 digest of the error path: every command on each
 of ``INVALID``, documents that fail the degree, order and d-squared checks
 of either input kind, with the same record and the temporary directory
-replaced by a fixed name.  Two checkouts that print the same lines produce
-the same outputs on the pool, on the bundled inputs and on the invalid
-documents.
+replaced by a fixed name, and a SHA-256 digest of the same record of
+``homology --max-degree CAP`` on every pool document, at the job's own cap,
+which pins the printed dimensions that ``verify`` prints only on a mismatch.
+Two checkouts that print the same lines produce the same outputs on the
+pool, on the bundled inputs and on the invalid documents.
 """
 
 import hashlib
@@ -101,6 +103,7 @@ def main(argv) -> int:
     pool = hashlib.sha256()
     outputs = hashlib.sha256()
     minimize = hashlib.sha256()
+    homology = hashlib.sha256()
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         for job in jobs:
@@ -114,12 +117,15 @@ def main(argv) -> int:
             outputs.update(f"{job.file}\0{code}\0{out}\0{err}\0".replace(tmp, "TMP").encode())
             code, out, err = _outcome(replace(config, command="minimize", output_format="machine"))
             minimize.update(f"{job.file}\0{code}\0{out}\0{err}\0".replace(tmp, "TMP").encode())
+            code, out, err = _outcome(replace(config, command="homology"))
+            homology.update(f"{job.file}\0{code}\0{out}\0{err}\0".replace(tmp, "TMP").encode())
     print(f"pool    {pool.hexdigest()}")
     print(f"outputs {outputs.hexdigest()}")
     print(f"failed  {failed}/{len(jobs)}")
     print(f"minimize {minimize.hexdigest()}")
     print(f"bundled {bundled_digest()}")
     print(f"invalid {invalid_digest()}")
+    print(f"homology {homology.hexdigest()}")
     return 0
 
 

@@ -1,3 +1,4 @@
+import copy
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_homogeneous_element
 from sulmin.at_model import compute_at_model
 from sulmin.differential import DGAlgebra
-from sulmin.dsl import parse
+from sulmin.dsl import format_element, parse
 from sulmin.graded_algebra import (
     Signature, basis_monomials, elem_gen, lin_axpy, mono_factors, subset_test)
 from sulmin.homology_oracle import (
@@ -20,7 +21,7 @@ from sulmin.homology_oracle import (
     module_homology_dims,
     rank_of_columns,
 )
-from sulmin.minimal_model import InternalInvariantError, _d_preimage
+from sulmin.minimal_model import InternalInvariantError, _d_preimage, compute_minimal_model
 from sulmin.random_inputs import random_dg_module, random_sullivan_algebra
 
 
@@ -69,10 +70,27 @@ def test_contractible_pair_has_trivial_cohomology():
 
 
 def test_non_closed_subset_rejected(algebras):
+    # d is a derivation, so the first basis monomial whose derivative leaves
+    # the subset is a generator: the message names it and its first such
+    # term, and a cap below every generator checks none
     dga = algebras["ex1"]
     a1 = dga.sig.by_name("a1").index
-    with pytest.raises(NotClosedError):
+    with pytest.raises(NotClosedError) as exc:
         cohomology_dims(dga, [a1], 3)
+    assert str(exc.value) == "d(a1) has term v2 outside the subset"
+    assert cohomology_dims(dga, [a1], 0) == [(0, 1)]
+
+
+def test_non_closed_subset_names_the_least_degree_offender():
+    # z5 comes before w3 but has the higher degree: the basis reaches w3
+    # first, and x2, closed, is the first generator of the subset
+    dga = parse("gen x2:2\ngen y2:2\ngen z5:5\ngen w3:3\nd z5 = y2^3\nd w3 = x2*y2\n")
+    subset = [dga.sig.by_name(name).index for name in ("x2", "z5", "w3")]
+    assert cohomology_dims(dga, subset, 2) == [(0, 1), (1, 0), (2, 1)]
+    for cap in (3, 6):
+        with pytest.raises(NotClosedError) as exc:
+            cohomology_dims(dga, subset, cap)
+        assert str(exc.value) == "d(w3) has term x2*y2 outside the subset"
 
 
 def test_cap_builds_no_basis_above_it():
@@ -355,7 +373,6 @@ def test_random_algebra_and_its_model_agree():
     rng = random.Random(31)
     for _ in range(5):
         dga = random_sullivan_algebra(rng, max_gens=6)
-        from sulmin.minimal_model import compute_minimal_model
         c = compute_minimal_model(dga)
         report = compare_dims(cohomology_dims(dga, None, 8),
                               cohomology_dims(DGAlgebra(dga.sig, c.dW), c.W, 8))
@@ -387,3 +404,97 @@ def test_greatest_key_pivot_matches_rational_elimination():
             cols.append({k: v for k, v in col.items() if v})
         rank = column_reduce(cols)[0]
         assert rank_of_columns(cols) == rank <= drawn
+
+
+def _reference_dims(dga, subset, cap):
+    """The unfactored oracle: every monomial of the subset's full bases is a
+    column, and column_reduce ranks them."""
+    inside = subset_test(dga.sig, subset)
+    dims, below = [], 0
+    for p in range(cap + 1):
+        basis = [m for m in basis_monomials(dga.sig, p) if inside(m)]
+        rank = column_reduce([dga.ev.on_monomial(m) for m in basis])[0]
+        dims.append((p, len(basis) - rank - below))
+        below = rank
+    return dims
+
+
+def _with_free_generators(rng, dga):
+    """``dga`` with closed generators that no derivative reads, of both
+    parities, inserted between its generators."""
+    sig = dga.sig
+    lines = []
+    for k, g in enumerate(sig.generators):
+        if rng.random() < 0.5:
+            lines.append(f"gen free{k}:{rng.randint(1, 4)}")
+        lines.append(f"gen {g.name}:{g.degree}")
+    lines.append(f"gen free{len(sig)}:{rng.choice((1, 2))}")
+    lines += [f"d {sig.name(i)} = {format_element(sig, dx)}" for i, dx in sorted(dga.diff.items())]
+    return parse("\n".join(lines) + "\n")
+
+
+def _assert_factored_as_reference(dga, caps=range(1, 9)):
+    c = compute_minimal_model(dga)
+    for cap in caps:
+        assert cohomology_dims(dga, None, cap) == _reference_dims(dga, None, cap)
+        assert cohomology_dims(c.model, c.W, cap) == _reference_dims(c.model, c.W, cap)
+
+
+def test_factored_dims_equal_the_unfactored_reference():
+    # free generators count by Künneth; the dimensions are those of ranking
+    # every column, on both sides of a verify job
+    rng = random.Random(20261022)
+    for _ in range(10):
+        _assert_factored_as_reference(_with_free_generators(rng, random_sullivan_algebra(rng, max_gens=6)))
+
+
+def test_factored_dims_on_the_bundled_algebras(algebras):
+    for dga in algebras.values():
+        _assert_factored_as_reference(dga)
+
+
+def test_an_all_free_algebra_counts_its_monomials():
+    sig = Signature.from_pairs([("a1", 1), ("x2", 2), ("b1", 1), ("c3", 3), ("y2", 2)])
+    dga = DGAlgebra(sig, {})
+    assert cohomology_dims(dga, None, 9) == [(p, len(basis_monomials(sig, p))) for p in range(10)]
+    assert cohomology_dims(dga, [1, 3], 9) == _reference_dims(dga, [1, 3], 9)
+
+
+@pytest.mark.parametrize("text", [
+    # z9, free, lies above every cap
+    "gen v2:2\ngen e3:3\nd e3 = v2^2\ngen z9:9\n",
+    # y8, above the low caps, reads a1 and v2: they are not free
+    "gen a1:1\ngen v2:2\ngen y8:8\nd y8 = a1*v2^4\n",
+])
+def test_generators_above_the_cap(text):
+    _assert_factored_as_reference(parse(text))
+
+
+def test_the_oracle_writes_no_cached_image(algebras):
+    # rank_of_columns reduces a copy of each column: the columns are the
+    # evaluators' cached images, and the checker reads them after the oracle
+    rng = random.Random(20261023)
+    draws = list(algebras.values()) + [random_sullivan_algebra(rng, max_gens=10)
+                                       for _ in range(12)]
+    for dga in draws:
+        c = compute_minimal_model(dga)
+        for side, subset in ((dga, None), (c.model, c.W)):
+            before = copy.deepcopy(side.ev.cache)
+            first = cohomology_dims(side, subset, 8)
+            assert all(side.ev.cache[m] == img for m, img in before.items())
+            before = copy.deepcopy(side.ev.cache)
+            assert cohomology_dims(side, subset, 8) == first
+            assert side.ev.cache == before
+
+
+_ONE_TERM = st.dictionaries(st.integers(0, 5), _RATIONALS, min_size=1, max_size=1)
+
+
+@given(st.lists(st.one_of(_ONE_TERM, _ONE_TERM, _ONE_TERM, st.just({}), _COLUMNS), max_size=16))
+@settings(max_examples=200, deadline=None)
+def test_one_term_columns_rank_as_rational_elimination(cols):
+    # one-term columns on repeated keys take the unscaled pivot {key: 1}
+    # when their key has none yet, and reduce against it when it has
+    before = copy.deepcopy(cols)
+    assert rank_of_columns(cols) == column_reduce(cols)[0]
+    assert cols == before
